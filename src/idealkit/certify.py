@@ -4,7 +4,10 @@ Every public function returns a CertificateReport whose status is one of
 `verified`, `refuted`, or `inconclusive` and whose witness payload is enough
 to replay the verdict: membership quotients, colon bases, minor index sets,
 and regular-sequence steps. Grade bounds are only ever certified through
-explicit regular sequences; rank facts through explicit minors.
+explicit regular sequences. A rank is decided by one fraction-free
+elimination of the matrix (`PolyMatrix.rank_profile`) unless a hinted nonzero
+minor already has the largest possible size; every minor a witness names is
+an explicit index set.
 """
 
 from __future__ import annotations
@@ -12,11 +15,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from math import comb, gcd
 
 from .idealops import Ideal
-from .matrix import PolyMatrix, parallel_map
+from .matrix import PolyMatrix
 from .poly import Polynomial
 
 VERIFIED = "verified"
@@ -270,38 +272,26 @@ def verify_complex(cd: ComplexData, claim="complex", anchor="") -> CertificateRe
         claim, VERIFIED, {"products": products}, anchor), t0)
 
 
-def _find_nonzero_minor(matrix: PolyMatrix, size: int, hints):
-    """First nonzero size x size minor, trying hinted index sets first."""
-    tried = []
+def _pivot_minor(matrix: PolyMatrix, profile, size: int):
+    """Index sets of the minor on the first `size` pivots of a rank profile.
+
+    The minor is re-evaluated, so a witness never rests on the elimination
+    alone.
+    """
+    _, rows, cols = profile
+    key = tuple(sorted(rows[:size])), tuple(sorted(cols[:size]))
+    if matrix.minor(*key).is_zero():
+        raise ArithmeticError("pivot minor of the elimination vanishes")
+    return key
+
+
+def _hinted_minor(matrix: PolyMatrix, size: int, hints):
+    """The first hinted size x size minor that is nonzero, or None."""
     for hint in hints or []:
         if len(hint.rows) == size and len(hint.cols) == size:
-            value = matrix.minor(hint.rows, hint.cols)
-            if not value.is_zero():
+            if not matrix.minor(hint.rows, hint.cols).is_zero():
                 return hint.rows, hint.cols
-            tried.append((hint.rows, hint.cols))
-    for rows in combinations(range(matrix.nrows), size):
-        for cols in combinations(range(matrix.ncols), size):
-            if (rows, cols) in tried:
-                continue
-            if not matrix.minor(rows, cols).is_zero():
-                return rows, cols
     return None
-
-
-def _all_minors_vanish(matrix: PolyMatrix, size: int):
-    """(ok, first offending (rows, cols) or None); vacuous when too large."""
-    if size > min(matrix.shape):
-        return True, None
-    keys = [
-        (rows, cols)
-        for rows in combinations(range(matrix.nrows), size)
-        for cols in combinations(range(matrix.ncols), size)
-    ]
-    values = parallel_map(lambda rc: matrix.minor(*rc), keys)
-    for key, value in zip(keys, values):
-        if not value.is_zero():
-            return False, key
-    return True, None
 
 
 def buchsbaum_eisenbud(cd: ComplexData, certs,
@@ -337,16 +327,23 @@ def buchsbaum_eisenbud(cd: ComplexData, certs,
         cert = certs.get(k + 1) if hasattr(certs, "get") else certs[k]
         entry: dict = {"position": k + 1, "rank": r}
         hints = cert.minor_hints if cert is not None else None
-        found = _find_nonzero_minor(m, r, hints)
-        if found is None:
-            return _finish(CertificateReport(
-                claim, REFUTED,
-                {**detail, "clause": "nonzero_minor", "position": k + 1,
-                 "detail": per_k},
-                anchor), t0)
+        found = _hinted_minor(m, r, hints)
+        profile = None
+        # A nonzero hinted r-minor settles the rank when no (r+1)-minor
+        # exists; otherwise one elimination decides it.
+        if found is None or r < min(m.shape):
+            profile = m.rank_profile()
+            if profile[0] < r:
+                return _finish(CertificateReport(
+                    claim, REFUTED,
+                    {**detail, "clause": "nonzero_minor", "position": k + 1,
+                     "detail": per_k},
+                    anchor), t0)
+            if found is None:
+                found = _pivot_minor(m, profile, r)
         entry["nonzero_minor"] = {"rows": list(found[0]), "cols": list(found[1])}
-        ok, offender = _all_minors_vanish(m, r + 1)
-        if not ok:
+        if profile is not None and profile[0] > r:
+            offender = _pivot_minor(m, profile, r + 1)
             return _finish(CertificateReport(
                 claim, REFUTED,
                 {**detail, "clause": "vanishing_minors", "position": k + 1,

@@ -24,7 +24,7 @@ from .corpus import CORPUS, verify_lemma
 from .fields import GF, QQ
 from .groebner import normal_form
 from .idealops import Ideal, kernel_of_map, linear_type_by_rees, rees_ideal
-from .matrix import canonical_sign
+from .matrix import distinct_up_to_sign
 from .orders import DegRevLex, Lex
 from .parse import InputError, parse_poly, parse_session
 
@@ -227,15 +227,8 @@ def _run_command(sess: _Session, op: str, args, fmt: str) -> int:
         if size < 1 or size > min(m.shape):
             raise UsageError(
                 f"minor size must lie in 1..{min(m.shape)}")
-        seen = set()
-        out = []
-        for val in m.minors(size).values():
-            canon = canonical_sign(val)
-            key = frozenset(canon.terms.items())
-            if key not in seen:
-                seen.add(key)
-                out.append(str(canon))
-        return _emit_values(out, fmt)
+        return _emit_values(
+            [str(v) for v in distinct_up_to_sign(m.minors(size).values())], fmt)
 
     if op == "regseq":
         if not args:

@@ -11,11 +11,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# The smallest strong pseudoprime to every base in _MR_BASES (Sorenson and
+# Webster, Math. Comp. 2017): below it the test above is a proof.
+MR_PROVEN_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with fixed bases; deterministic below 3.3e24."""
+    """Deterministic Miller-Rabin with the first 13 primes as bases.
+
+    Raises ValueError for n >= MR_PROVEN_BOUND, where a composite can pass.
+    """
+    if n >= MR_PROVEN_BOUND:
+        raise ValueError(
+            f"cannot prove {n} prime: moduli must lie below {MR_PROVEN_BOUND}")
     if n < 2:
         return False
     for p in _MR_BASES:

@@ -1,9 +1,12 @@
-"""Dense matrices over a polynomial ring: products, determinants, minors.
+"""Dense matrices over a polynomial ring: products, determinants, minors, rank.
 
 Determinants use cofactor expansion below size 4 and fraction-free Bareiss
-elimination from size 4 up; Bareiss's intermediate divisions are exact over
-the polynomial ring, so everything stays in exact arithmetic. Minor index
-sets follow the ascending-indices convention.
+elimination from size 4 up. `PolyMatrix.rank_profile` runs the same
+elimination on the rectangular matrix, so one pass decides the rank over the
+fraction field and names a nonzero minor of that size. Bareiss's
+intermediate divisions are exact over the polynomial ring and go through
+`Polynomial.divexact`, which raises on a remainder, so everything stays in
+exact arithmetic. Minor index sets follow the ascending-indices convention.
 """
 
 from __future__ import annotations
@@ -164,6 +167,43 @@ class PolyMatrix:
         d = m[n - 1][n - 1]
         return -d if sign < 0 else d
 
+    def rank_profile(self):
+        """(rank, pivot_rows, pivot_cols) by fraction-free elimination.
+
+        Bareiss elimination over the whole rectangular matrix, swapping rows
+        to find a pivot and skipping columns that have none. The rank is over
+        the fraction field of the ring. pivot_rows and pivot_cols list the
+        pivots in elimination order; for every k up to the rank, the minor
+        on the first k of each is, up to sign, the k-th pivot, so it is
+        nonzero and every minor of size rank + 1 vanishes.
+        """
+        m = [list(row) for row in self.rows]
+        order = list(range(self.nrows))
+        zero = self.ring.zero
+        prev = self.ring.one
+        pivot_cols = []
+        k = 0
+        for j in range(self.ncols):
+            if k == self.nrows:
+                break
+            sel = next((i for i in range(k, self.nrows) if not m[i][j].is_zero()),
+                       None)
+            if sel is None:
+                continue
+            if sel != k:
+                m[k], m[sel] = m[sel], m[k]
+                order[k], order[sel] = order[sel], order[k]
+            pk = m[k][j]
+            for i in range(k + 1, self.nrows):
+                mij = m[i][j]
+                for c in range(j + 1, self.ncols):
+                    m[i][c] = (m[i][c] * pk - mij * m[k][c]).divexact(prev)
+                m[i][j] = zero
+            prev = pk
+            pivot_cols.append(j)
+            k += 1
+        return k, tuple(order[:k]), tuple(pivot_cols)
+
     def minor(self, row_idx, col_idx) -> Polynomial:
         """Determinant of the submatrix on the given rows and columns."""
         sub = self.submatrix(row_idx, col_idx)
@@ -190,16 +230,7 @@ class PolyMatrix:
         (lead coefficient positive over the rationals, least residue not
         above p // 2 over a prime field). Zero appears at most once.
         """
-        size = min(self.nrows, self.ncols)
-        seen = set()
-        out = []
-        for val in self.minors(size).values():
-            canon = canonical_sign(val)
-            h = frozenset(canon.terms.items())
-            if h not in seen:
-                seen.add(h)
-                out.append(canon)
-        return out
+        return distinct_up_to_sign(self.minors(min(self.nrows, self.ncols)).values())
 
     def entries(self):
         return [e for row in self.rows for e in row]
@@ -225,3 +256,16 @@ def canonical_sign(p: Polynomial) -> Polynomial:
     if field.char == 0:
         return p if lc > 0 else -p
     return p if lc <= field.char // 2 else -p
+
+
+def distinct_up_to_sign(values):
+    """canonical_sign of each value, in order, keeping the first of each."""
+    seen = set()
+    out = []
+    for val in values:
+        canon = canonical_sign(val)
+        key = frozenset(canon.terms.items())
+        if key not in seen:
+            seen.add(key)
+            out.append(canon)
+    return out

@@ -111,6 +111,40 @@ def test_buchsbaum_eisenbud_no_certs_inconclusive():
                for e in rep.witness["detail"])
 
 
+def test_buchsbaum_eisenbud_pivot_minors_without_hints():
+    _, cd = lemma3_complex()
+    rep = buchsbaum_eisenbud(cd, {1: None, 2: None})
+    for m, entry in zip(cd.matrices, rep.witness["detail"]):
+        named = entry["nonzero_minor"]
+        assert not m.minor(named["rows"], named["cols"]).is_zero()
+
+
+def test_buchsbaum_eisenbud_rank_below_expected():
+    _, cd = lemma3_complex()
+    phi1, phi2 = cd.matrices
+    # third column = first + second, so phi2 has rank 2, not 3
+    deficient = PolyMatrix(R3, [[a, b, a + b] for a, b, _ in phi2.rows])
+    rep = buchsbaum_eisenbud(ComplexData([phi1, deficient], [1, 3]),
+                             {1: None, 2: None})
+    assert rep.status == "refuted"
+    assert rep.witness["clause"] == "nonzero_minor"
+    assert rep.witness["position"] == 2
+
+
+def test_buchsbaum_eisenbud_rank_above_expected():
+    (f1, f2, f3, f4), cd = lemma3_complex()
+    x, y, z = R3.gens()
+    wide = PolyMatrix(R3, [[f1, f2, f3, f4], [x, y, z, 0]])
+    rep = buchsbaum_eisenbud(ComplexData([wide, cd.matrices[1]], [1, 3]),
+                             {1: None, 2: None})
+    assert rep.status == "refuted"
+    assert rep.witness["clause"] == "vanishing_minors"
+    assert rep.witness["position"] == 1
+    rows, cols = rep.witness["offender"]
+    assert len(rows) == len(cols) == 2
+    assert not wide.minor(rows, cols).is_zero()
+
+
 def test_grade_at_least_witness_not_in_target():
     x, y, _ = R3.gens()
     cert = GradeCertificate(1, (y,))

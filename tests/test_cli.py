@@ -297,6 +297,15 @@ def test_exit_2_on_bad_field(capsys, demo):
     assert "error:" in capsys.readouterr().err
 
 
+def test_exit_2_on_modulus_beyond_proven_primality(capsys):
+    code = main(["verify", "--lemma", "lemma2",
+                 "--field", "fp:3317044064679887385961981"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "cannot prove" in captured.err
+    assert "verified" not in captured.out
+
+
 def test_exit_2_on_unknown_lemma(capsys):
     # argparse rejects the choice itself and exits with status 2
     with pytest.raises(SystemExit) as exc:

@@ -20,6 +20,23 @@ def test_is_prime_large():
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
 
 
+def test_strong_pseudoprime_to_the_first_twelve_prime_bases():
+    # 399165290221 * 798330580441 passes every base from 2 to 37
+    assert not is_prime(318665857834031151167461)
+
+
+def test_moduli_beyond_the_proven_bound_rejected():
+    # 1287836182261 * 2575672364521 passes every base from 2 to 41
+    n = 3317044064679887385961981
+    with pytest.raises(ValueError):
+        is_prime(n)
+    with pytest.raises(ValueError):
+        GF(n)
+    with pytest.raises(ValueError):
+        PrimeField(n)
+    assert GF(3317044064679887385961813).p == 3317044064679887385961813
+
+
 def test_rationals_exact():
     assert QQ.add(Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
     assert QQ.mul(Fraction(2, 3), Fraction(3, 2)) == 1

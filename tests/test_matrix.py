@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from idealkit.fields import GF, QQ
-from idealkit.matrix import PolyMatrix, canonical_sign
+from idealkit.matrix import PolyMatrix, canonical_sign, distinct_up_to_sign
 from idealkit.poly import Polynomial, Ring
 
 R3 = Ring(QQ, ("x", "y", "z"))
@@ -144,6 +144,29 @@ def test_maximal_minors_lemma3():
 def test_maximal_minors_zero_matrix():
     z = PolyMatrix(R3, [[0, 0], [0, 0], [0, 0]])
     assert z.maximal_minors() == [R3.zero]
+
+
+def test_rank_profile_lemma3():
+    _, phi1, phi2 = lemma3_data()
+    assert phi1.rank_profile() == (1, (0,), (0,))
+    rank, rows, cols = phi2.rank_profile()
+    assert (rank, cols) == (3, (0, 1, 2))
+    assert not phi2.minor(rows, cols).is_zero()
+
+
+def test_rank_profile_skips_zero_columns():
+    x, y, _ = R3.gens()
+    m = PolyMatrix(R3, [[0, 0, x], [0, y, x * y], [0, 0, 0]])
+    rank, rows, cols = m.rank_profile()
+    assert (rank, cols) == (2, (1, 2))
+    assert sorted(rows) == [0, 1]
+    assert PolyMatrix(R3, [[0, 0], [0, 0]]).rank_profile() == (0, (), ())
+
+
+def test_distinct_up_to_sign_keeps_first_in_order():
+    x, y, _ = R3.gens()
+    got = distinct_up_to_sign([y - x, R3.zero, x - y, x, R3.zero, -x])
+    assert got == [canonical_sign(y - x), R3.zero, x]
 
 
 def test_minors_keyed():

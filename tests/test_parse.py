@@ -132,6 +132,7 @@ def test_comments_and_blank_lines():
     ("ring Q[x];\nmatrix M 1x1 = [ x ; x ];", 2, 8, "given 2 rows"),
     ("ring Q[x];\npoly f = 1/0;", 2, 12, "zero"),
     ("ring Fp(4)[x];", 1, 9, "prime"),
+    ("ring Fp(3317044064679887385961981)[x];", 1, 9, "prime"),
     ("ring Q[x];\nideal I = x;\npoly f = I;", 3, 10, "not a polynomial"),
     ("ring Q[x] poly f = x;", 1, 11, "expected"),
     ("ring Q[x];\nfrobnicate f;", 2, 1, "statement"),

@@ -6,12 +6,13 @@ Suites:
   c. colon and intersection obey their defining containments
   d. monomial ideals agree with direct combinatorial oracles
   e. rational and prime-field arithmetic commute with reduction mod p
+  f. elimination rank equals the brute-force rank from minors
 """
 
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from idealkit.fields import GF, QQ
 from idealkit.groebner import buchberger, normal_form
@@ -209,3 +210,43 @@ def test_suite_e_prime_field_consistency():
                                                 zip(lcm, lb)): fp.one})
                 spoly = ma * a * b.lead_coeff() - mb * b * a.lead_coeff()
                 assert normal_form(spoly, gb).is_zero()
+
+
+def brute_rank(m):
+    """Largest k with a nonzero k x k minor, found by scanning minors."""
+    rank = 0
+    for k in range(1, min(m.shape) + 1):
+        if not any(not m.minor(rows, cols).is_zero()
+                   for rows in combinations(range(m.nrows), k)
+                   for cols in combinations(range(m.ncols), k)):
+            break
+        rank = k
+    return rank
+
+
+def test_suite_f_rank_profile_matches_minors():
+    rng = random.Random(20260806)
+    rings = (R2, Ring(GF(32003), R2.names))
+    for case in range(CASES):
+        ring = rings[case // 4 % 2]
+        n, m = rng.randint(1, 5), rng.randint(1, 6)
+        shape = case % 4
+        if shape == 0:
+            rows = [[0] * m for _ in range(n)]
+        elif shape == 1:
+            # a product through an inner dimension below min(n, m)
+            inner = rng.randint(1, max(1, min(n, m) - 1))
+            a = PolyMatrix(ring, [[random_poly(rng, ring, 2, 1, True)
+                                   for _ in range(inner)] for _ in range(n)])
+            b = PolyMatrix(ring, [[random_poly(rng, ring, 2, 1, True)
+                                   for _ in range(m)] for _ in range(inner)])
+            rows = a.mul(b).rows
+        else:
+            rows = [[random_poly(rng, ring, 2, 1, allow_zero=True)
+                     for _ in range(m)] for _ in range(n)]
+        mat = PolyMatrix(ring, rows)
+        rank, prows, pcols = mat.rank_profile()
+        assert rank == brute_rank(mat)
+        assert len(prows) == len(pcols) == rank
+        for k in range(1, rank + 1):
+            assert not mat.minor(prows[:k], pcols[:k]).is_zero()
