@@ -53,9 +53,9 @@ class CertificateReport:
         }
 
 
-def _finish(report: CertificateReport, t0: float) -> CertificateReport:
-    report.millis = int((time.perf_counter() - t0) * 1000)
-    return report
+def _finish(claim, status, witness, anchor, t0: float) -> CertificateReport:
+    millis = int((time.perf_counter() - t0) * 1000)
+    return CertificateReport(claim, status, witness, anchor, millis)
 
 
 @dataclass
@@ -145,16 +145,16 @@ def is_regular_sequence(seq, claim="regular_sequence", anchor="") -> Certificate
     steps = []
     for i, s in enumerate(seq):
         if s.is_zero():
-            return _finish(CertificateReport(
+            return _finish(
                 claim, REFUTED,
                 {"reason": "zero element", "index": i, "steps": steps},
-                anchor), t0)
+                anchor, t0)
         if s.constant_term() != ring.field.zero:
-            return _finish(CertificateReport(
+            return _finish(
                 claim, REFUTED,
                 {"reason": "unit at the origin", "index": i,
                  "element": str(s), "steps": steps},
-                anchor), t0)
+                anchor, t0)
         prefix = Ideal(ring, seq[:i])
         col = prefix.colon(s)
         if col.equals(prefix):
@@ -162,18 +162,18 @@ def is_regular_sequence(seq, claim="regular_sequence", anchor="") -> Certificate
             continue
         for g in col.groebner():
             if g.constant_term() != ring.field.zero:
-                return _finish(CertificateReport(
+                return _finish(
                     claim, REFUTED,
                     {"reason": "colon contains a unit at the origin",
                      "index": i, "element": str(g), "steps": steps},
-                    anchor), t0)
-        return _finish(CertificateReport(
+                    anchor, t0)
+        return _finish(
             claim, INCONCLUSIVE,
             {"reason": "global colon grows but stays inside the maximal ideal",
              "index": i, "steps": steps},
-            anchor), t0)
-    return _finish(CertificateReport(
-        claim, VERIFIED, {"length": len(seq), "steps": steps}, anchor), t0)
+            anchor, t0)
+    return _finish(
+        claim, VERIFIED, {"length": len(seq), "steps": steps}, anchor, t0)
 
 
 def _witness_membership(target, w, hint):
@@ -214,38 +214,38 @@ def grade_at_least(target, k: int, cert: GradeCertificate,
         raise ValueError("certificate bound does not match the claim")
     witnesses = list(cert.witnesses)
     if len(witnesses) < k:
-        return _finish(CertificateReport(
+        return _finish(
             claim, INCONCLUSIVE,
             {"reason": f"need at least {k} witnesses, got {len(witnesses)}"},
-            anchor), t0)
+            anchor, t0)
     hints = list(cert.minor_hints) if cert.minor_hints is not None else [None] * len(witnesses)
     member_info = []
     for w, hint in zip(witnesses, hints):
         status, info = _witness_membership(target, w, hint)
         member_info.append(info)
         if status != VERIFIED:
-            return _finish(CertificateReport(
-                claim, status, {"membership": member_info}, anchor), t0)
+            return _finish(
+                claim, status, {"membership": member_info}, anchor, t0)
     reg = is_regular_sequence(witnesses)
     if reg.status != VERIFIED:
-        return _finish(CertificateReport(
+        return _finish(
             claim, reg.status,
             {"membership": member_info, "regular_sequence": reg.witness},
-            anchor), t0)
+            anchor, t0)
     witness = {"membership": member_info, "regular_sequence": reg.witness}
     if cert.expected is not None:
         ring = witnesses[0].ring
         gens = witnesses + ([cert.aux] if cert.aux is not None else [])
         simplified = Ideal(ring, gens)
         if not simplified.equals(cert.expected):
-            return _finish(CertificateReport(
+            return _finish(
                 claim, REFUTED,
                 {**witness, "simplification": "ideal mismatch"},
-                anchor), t0)
+                anchor, t0)
         witness["simplification"] = {
             "ideal": [str(g) for g in simplified.groebner()],
         }
-    return _finish(CertificateReport(claim, VERIFIED, witness, anchor), t0)
+    return _finish(claim, VERIFIED, witness, anchor, t0)
 
 
 def verify_complex(cd: ComplexData, claim="complex", anchor="") -> CertificateReport:
@@ -256,28 +256,30 @@ def verify_complex(cd: ComplexData, claim="complex", anchor="") -> CertificateRe
     for k in range(len(mats) - 1):
         a, b = mats[k], mats[k + 1]
         if a.ncols != b.nrows:
-            return _finish(CertificateReport(
+            return _finish(
                 claim, INCONCLUSIVE,
                 {"reason": "dimension mismatch",
                  "position": k + 1,
                  "shapes": [list(a.shape), list(b.shape)]},
-                anchor), t0)
+                anchor, t0)
         if not a.mul(b).is_zero():
-            return _finish(CertificateReport(
+            return _finish(
                 claim, REFUTED,
                 {"reason": "nonzero composite", "position": k + 1},
-                anchor), t0)
+                anchor, t0)
         products.append(f"M{k+1}*M{k+2} = 0")
-    return _finish(CertificateReport(
-        claim, VERIFIED, {"products": products}, anchor), t0)
+    return _finish(
+        claim, VERIFIED, {"products": products}, anchor, t0)
 
 
 def _pivot_minor(matrix: PolyMatrix, profile, size: int):
     """Index sets of the minor on the first `size` pivots of a rank profile.
 
     The minor is re-evaluated, so a witness never rests on the elimination
-    alone.
+    alone. The empty minor (size 0) is 1.
     """
+    if size == 0:
+        return (), ()
     _, rows, cols = profile
     key = tuple(sorted(rows[:size])), tuple(sorted(cols[:size]))
     if matrix.minor(*key).is_zero():
@@ -311,11 +313,11 @@ def buchsbaum_eisenbud(cd: ComplexData, certs,
     for k in range(n):
         expect = ranks[k] + (ranks[k + 1] if k + 1 < n else 0)
         if mats[k].ncols != expect:
-            return _finish(CertificateReport(
+            return _finish(
                 claim, REFUTED,
                 {"clause": "rank_sum", "position": k + 1,
                  "cols": mats[k].ncols, "expected": expect},
-                anchor), t0)
+                anchor, t0)
     detail["rank_sums"] = [
         f"cols(M{k+1}) = {ranks[k]} + {ranks[k+1] if k+1 < n else 0}"
         for k in range(n)
@@ -334,22 +336,22 @@ def buchsbaum_eisenbud(cd: ComplexData, certs,
         if found is None or r < min(m.shape):
             profile = m.rank_profile()
             if profile[0] < r:
-                return _finish(CertificateReport(
+                return _finish(
                     claim, REFUTED,
                     {**detail, "clause": "nonzero_minor", "position": k + 1,
                      "detail": per_k},
-                    anchor), t0)
+                    anchor, t0)
             if found is None:
                 found = _pivot_minor(m, profile, r)
         entry["nonzero_minor"] = {"rows": list(found[0]), "cols": list(found[1])}
         if profile is not None and profile[0] > r:
             offender = _pivot_minor(m, profile, r + 1)
-            return _finish(CertificateReport(
+            return _finish(
                 claim, REFUTED,
                 {**detail, "clause": "vanishing_minors", "position": k + 1,
                  "offender": [list(offender[0]), list(offender[1])],
                  "detail": per_k},
-                anchor), t0)
+                anchor, t0)
         entry["vanishing_minors"] = (
             "vacuous" if r + 1 > min(m.shape)
             else f"all {comb(m.nrows, r+1) * comb(m.ncols, r+1)} of size {r+1} vanish"
@@ -363,7 +365,7 @@ def buchsbaum_eisenbud(cd: ComplexData, certs,
             statuses.append(g.status)
         per_k.append(entry)
     detail["detail"] = per_k
-    return _finish(CertificateReport(claim, _combine(statuses), detail, anchor), t0)
+    return _finish(claim, _combine(statuses), detail, anchor, t0)
 
 
 def resolution_minimal(cd: ComplexData, claim="resolution_minimal",
@@ -380,13 +382,13 @@ def resolution_minimal(cd: ComplexData, claim="resolution_minimal",
         for i in range(m.nrows):
             for j in range(m.ncols):
                 if m[i, j].constant_term() != field_zero:
-                    return _finish(CertificateReport(
+                    return _finish(
                         claim, REFUTED,
                         {"matrix": k + 1, "row": i, "col": j,
                          "entry": str(m[i, j])},
-                        anchor), t0)
-    return _finish(CertificateReport(
-        claim, VERIFIED, {"mu": cd.matrices[0].ncols}, anchor), t0)
+                        anchor, t0)
+    return _finish(
+        claim, VERIFIED, {"mu": cd.matrices[0].ncols}, anchor, t0)
 
 
 def linear_type_obstruction(mu: int, ambient_dim: int,
@@ -396,9 +398,9 @@ def linear_type_obstruction(mu: int, ambient_dim: int,
     witness = {"mu": mu, "ambient_dim": ambient_dim}
     if mu > ambient_dim:
         witness["obstruction"] = f"{mu} generators > dimension {ambient_dim}"
-        return _finish(CertificateReport(claim, REFUTED, witness, anchor), t0)
+        return _finish(claim, REFUTED, witness, anchor, t0)
     witness["obstruction"] = "none"
-    return _finish(CertificateReport(claim, INCONCLUSIVE, witness, anchor), t0)
+    return _finish(claim, INCONCLUSIVE, witness, anchor, t0)
 
 
 def syzygetic_obstruction(H: Ideal, f: Polynomial, I: Ideal,
@@ -417,47 +419,44 @@ def syzygetic_obstruction(H: Ideal, f: Polynomial, I: Ideal,
         raise ValueError("obstruction element must be nonzero")
     presented = Ideal(ring, list(H.gens) + [f])
     if not presented.equals(I):
-        return _finish(CertificateReport(
+        return _finish(
             claim, INCONCLUSIVE,
             {"reason": "H + (f) differs from I"},
-            anchor), t0)
+            anchor, t0)
+    hf = H.colon(f)
+    colon_basis = hf.groebner()
+    inside_maximal = all(
+        g.constant_term() == ring.field.zero for g in colon_basis)
     hi = H * I
     f2 = f * f
-    witness: dict = {}
-    if hi.contains(f2):
-        local = H.locally_contains_at_origin(f)
-        if not local.verdict:
-            colon_basis = H.colon(f).groebner()
-            witness = {
-                "path": "fast",
-                "f_squared_in_HI": True,
-                "colon_H_f_constant_terms_zero": all(
-                    g.constant_term() == ring.field.zero for g in colon_basis
-                ),
-                "colon_H_f_basis": [str(g) for g in colon_basis],
-            }
-            return _finish(CertificateReport(claim, REFUTED, witness, anchor), t0)
-    hf = H.colon(f)
+    if inside_maximal and hi.contains(f2):
+        witness = {
+            "path": "fast",
+            "f_squared_in_HI": True,
+            "colon_H_f_constant_terms_zero": inside_maximal,
+            "colon_H_f_basis": [str(g) for g in colon_basis],
+        }
+        return _finish(claim, REFUTED, witness, anchor, t0)
     scanned = []
     for g in (hi.colon(f2)).groebner():
         local = hf.locally_contains_at_origin(g)
         scanned.append(str(g))
         if not local.verdict:
             if not hi.contains(g * f2):
-                return _finish(CertificateReport(
+                return _finish(
                     claim, INCONCLUSIVE,
                     {"reason": "internal witness replay failed", "element": str(g)},
-                    anchor), t0)
+                    anchor, t0)
             witness = {
                 "path": "colon-scan",
                 "element": str(g),
                 "element_times_f2_in_HI": True,
             }
-            return _finish(CertificateReport(claim, REFUTED, witness, anchor), t0)
-    return _finish(CertificateReport(
+            return _finish(claim, REFUTED, witness, anchor, t0)
+    return _finish(
         claim, INCONCLUSIVE,
         {"reason": "no obstruction found", "scanned": scanned},
-        anchor), t0)
+        anchor, t0)
 
 
 def smallest_valuation_vector(relations, nsyms: int):

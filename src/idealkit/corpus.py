@@ -20,6 +20,7 @@ from .certify import (
     ComplexData,
     GradeCertificate,
     MinorWitness,
+    _finish,
     buchsbaum_eisenbud,
     linear_type_obstruction,
     resolution_minimal,
@@ -152,14 +153,6 @@ class LemmaCorpusEntry:
         return parse_session(self.text, field_override)
 
 
-def _report(claim, ok, witness, anchor, t0,
-            failure=REFUTED) -> CertificateReport:
-    status = VERIFIED if ok else failure
-    report = CertificateReport(claim, status, witness, anchor)
-    report.millis = int((time.perf_counter() - t0) * 1000)
-    return report
-
-
 def _negate(inner: CertificateReport, claim: str,
             anchor: str) -> CertificateReport:
     """Rephrase an obstruction report as the negated property claim."""
@@ -188,9 +181,9 @@ def _verify_lemma2(session: SessionInput):
     remainder = normal_form(f, J.groebner())
     outside_global = not remainder.is_zero()
     outside_local = not J.locally_contains_at_origin(f).verdict
-    reports.append(_report(
+    reports.append(_finish(
         "element_outside_subideal",
-        outside_global and outside_local,
+        VERIFIED if outside_global and outside_local else REFUTED,
         {"normal_form": str(remainder),
          "outside_globally": outside_global,
          "outside_at_origin": outside_local},
@@ -206,8 +199,8 @@ def _verify_lemma2(session: SessionInput):
         quotients, basis = witness
         combo = {str(b): str(q) for b, q in zip(basis, quotients)
                  if not q.is_zero()}
-    reports.append(_report(
-        "square_in_product", ok,
+    reports.append(_finish(
+        "square_in_product", VERIFIED if ok else REFUTED,
         {"membership": ok, "combination": combo},
         "(x*y)^2 lies in the product ideal (x^2, y^2) * (x^2, x*y, y^2)",
         t0))
@@ -218,8 +211,8 @@ def _verify_lemma2(session: SessionInput):
     colon_in_m = bool(colon) and all(
         g.constant_term() == zero for g in colon)
     saturated = not JI.colon(f * f).is_proper()
-    reports.append(_report(
-        "colon_strictness", colon_in_m and saturated,
+    reports.append(_finish(
+        "colon_strictness", VERIFIED if colon_in_m and saturated else REFUTED,
         {"colon_basis": [str(g) for g in colon],
          "colon_inside_maximal_ideal": colon_in_m,
          "product_colon_is_unit_ideal": saturated},
@@ -268,7 +261,8 @@ def _minor_match_report(claim, matrices, assignments, polys, anchor):
             "rows": list(rows), "cols": list(cols), "sign": sign,
             "match": match,
         })
-    return _report(claim, ok, {"assignments": checked}, anchor, t0)
+    return _finish(claim, VERIFIED if ok else REFUTED,
+                   {"assignments": checked}, anchor, t0)
 
 
 def _slice_report(claim, I, aux, expected_monomials, anchor):
@@ -277,12 +271,12 @@ def _slice_report(claim, I, aux, expected_monomials, anchor):
     sliced = Ideal(I.ring, list(I.gens) + [aux])
     std = sliced.standard_monomials()
     if std is None:
-        return _report(claim, False,
+        return _finish(claim, REFUTED,
                        {"colength": "infinite"}, anchor, t0)
     got = [str(m) for m in std]
     expected = sorted(expected_monomials)
     ok = len(got) == len(expected_monomials) and sorted(got) == expected
-    return _report(claim, ok,
+    return _finish(claim, VERIFIED if ok else REFUTED,
                    {"colength": len(got), "standard_monomials": got,
                     "expected_count": len(expected_monomials)},
                    anchor, t0)
@@ -291,7 +285,7 @@ def _slice_report(claim, I, aux, expected_monomials, anchor):
 def _dimension_report(I: Ideal, expected: int, anchor: str):
     t0 = time.perf_counter()
     dim = I.krull_dim_quotient()
-    return _report("dimension", dim == expected,
+    return _finish("dimension", VERIFIED if dim == expected else REFUTED,
                    {"dim": dim, "expected": expected}, anchor, t0)
 
 
@@ -321,8 +315,8 @@ def _verify_lemma3(session: SessionInput):
     lhs = Ideal(ring, [polys["f1"], polys["f2"], x])
     rhs = Ideal(ring, [x, y**3, z**3])
     equal = lhs.equals(rhs)
-    reports.append(_report(
-        "grade_simplification", equal,
+    reports.append(_finish(
+        "grade_simplification", VERIFIED if equal else REFUTED,
         {"lhs_basis": [str(g) for g in lhs.groebner()],
          "rhs_basis": [str(g) for g in rhs.groebner()]},
         "(f1, f2, x) = (x, y^3, z^3) as ideals", t0))
@@ -425,8 +419,9 @@ def _verify_lemma4(session: SessionInput):
                               ("f1", "f2", "f5", "f6", "f7", "f8"))
     combo = (x**2 * y * z * t * f1 * f1 - x**4 * f1 * f5
              - x**2 * f2 * f7 + t * f5 * f6 + x**2 * f6 * f7)
-    reports.append(_report(
-        "square_identity", (f8 * f8 - combo).is_zero(),
+    reports.append(_finish(
+        "square_identity",
+        VERIFIED if (f8 * f8 - combo).is_zero() else REFUTED,
         {"identity": "f8^2 = x^2*y*z*t*f1^2 - x^4*f1*f5 - x^2*f2*f7 "
                       "+ t*f5*f6 + x^2*f6*f7"},
         "f8^2 decomposes exactly as the stated combination of products "
@@ -444,8 +439,8 @@ def _verify_lemma4(session: SessionInput):
     kernel = kernel_of_map([s**e for e in TORIC_EXPONENTS],
                            ("x", "y", "z", "t"))
     equal = kernel.equals(I)
-    reports.append(_report(
-        "toric_kernel", equal,
+    reports.append(_finish(
+        "toric_kernel", VERIFIED if equal else REFUTED,
         {"exponents": list(TORIC_EXPONENTS),
          "kernel_basis_size": len(kernel.gens),
          "equals_ideal": equal},
@@ -463,8 +458,8 @@ def _verify_lemma4(session: SessionInput):
     ]
     ok = (tuple(vector) == L4_VALUATION_EXPECTED and satisfied
           and bool(disputed_fails))
-    reports.append(_report(
-        "valuation_vector", ok,
+    reports.append(_finish(
+        "valuation_vector", VERIFIED if ok else REFUTED,
         {"relations": list(L4_VALUATION_TEXT),
          "vector": list(vector),
          "also_reported": list(L4_VALUATION_DISPUTED),
@@ -484,8 +479,8 @@ def _verify_huneke(session: SessionInput):
     basis = kernel.groebner()
     sound = bool(basis) and all(
         g.substitute(images, ring).is_zero() for g in basis)
-    reports.append(_report(
-        "kernel_sound", sound,
+    reports.append(_finish(
+        "kernel_sound", VERIFIED if sound else REFUTED,
         {"basis_size": len(basis),
          "substitution_vanishes": sound},
         "every kernel basis element vanishes under x,y,z -> s^6, "
@@ -496,8 +491,9 @@ def _verify_huneke(session: SessionInput):
 
     t0 = time.perf_counter()
     mu = kernel.min_generators_at_origin()
-    reports.append(_report(
-        "minimal_generators", mu == 4, {"mu": mu, "expected": 4},
+    reports.append(_finish(
+        "minimal_generators", VERIFIED if mu == 4 else REFUTED,
+        {"mu": mu, "expected": 4},
         "the kernel needs exactly four generators at the origin", t0))
 
     reports.append(_negate(

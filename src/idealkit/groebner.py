@@ -310,9 +310,6 @@ class GroebnerBasis:
             return None
         return qs
 
-    def lead_monomials(self):
-        return [g.lead_monomial() for g in self.basis]
-
     def __eq__(self, other):
         if isinstance(other, GroebnerBasis):
             return self.ring == other.ring and self.basis == other.basis

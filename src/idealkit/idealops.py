@@ -63,10 +63,6 @@ class Ideal:
             self._gb_cache[key] = buchberger(self.gens, order=order) if not self.is_zero() else []
         return self._gb_cache[key]
 
-    def _prime_cache(self, basis):
-        """Install an externally computed reduced basis for the ring order."""
-        self._gb_cache[self.ring.order] = basis
-
     def contains(self, f) -> bool:
         f = self.ring.convert(f)
         if f.is_zero():
@@ -126,26 +122,10 @@ class Ideal:
             raise ValueError("intersection over mismatched rings")
         if self.is_zero() or other.is_zero():
             return Ideal(self.ring, [])
-        ring = self.ring
-        ext = Ring(
-            ring.field,
-            ("@u",) + ring.names,
-            Block((DegRevLex(1), ring.order)),
-        )
-        u = ext.var(0)
-        one_minus_u = ext.one - u
-        ext_gens = [u * ext.convert(g) for g in self.nonzero_gens()]
-        ext_gens += [one_minus_u * ext.convert(g) for g in other.nonzero_gens()]
-        gb = buchberger(ext_gens)
-        kept = []
-        for g in gb:
-            if all(e[0] == 0 for e in g.terms):
-                kept.append(ring.poly({e[1:]: c for e, c in g.terms.items()}))
-        result = Ideal(ring, kept)
-        # the u-free slice of the reduced basis is itself a reduced basis
-        # because the block order restricts to the ring's own order
-        result._prime_cache(kept)
-        return result
+        return _eliminate_front(("@u",), self.ring, lambda ext: (
+            [ext.var(0) * ext.convert(g) for g in self.nonzero_gens()]
+            + [(ext.one - ext.var(0)) * ext.convert(g)
+               for g in other.nonzero_gens()]))
 
     def colon(self, f) -> "Ideal":
         """(I : f) = {g : g*f in I}, via intersection with (f)."""
@@ -169,13 +149,13 @@ class Ideal:
         return result
 
     def saturate(self, f) -> "Ideal":
-        """(I : f^inf), iterating colon until it stabilizes."""
-        current = self
-        while True:
-            nxt = current.colon(f)
-            if nxt.equals(current):
-                return current
-            current = nxt
+        """(I : f^inf), by eliminating t from I + (1 - t*f)."""
+        f = self.ring.convert(f)
+        if f.is_zero():
+            raise ValueError("saturation by the zero polynomial")
+        return _eliminate_front(("@t",), self.ring, lambda ext: (
+            [ext.convert(g) for g in self.nonzero_gens()]
+            + [ext.one - ext.var(0) * ext.convert(f)]))
 
     def eliminate(self, names) -> "Ideal":
         """I cap k[remaining variables], as an ideal of the smaller ring."""
@@ -185,22 +165,9 @@ class Ideal:
         if not keep:
             raise ValueError("cannot eliminate every variable")
         small = Ring(self.ring.field, [self.ring.names[i] for i in keep])
-        if self.is_zero():
-            return Ideal(small, [])
-        ext = Ring(
-            self.ring.field,
-            tuple(self.ring.names[i] for i in sorted(drop)) + tuple(small.names),
-            Block((DegRevLex(len(drop)), small.order)),
-        )
-        gb = buchberger([ext.convert(g) for g in self.nonzero_gens()])
-        k = len(drop)
-        kept = []
-        for g in gb:
-            if all(sum(e[:k]) == 0 for e in g.terms):
-                kept.append(small.poly({e[k:]: c for e, c in g.terms.items()}))
-        result = Ideal(small, kept)
-        result._prime_cache(kept)
-        return result
+        front = tuple(self.ring.names[i] for i in sorted(drop))
+        return _eliminate_front(front, small, lambda ext: (
+            [ext.convert(g) for g in self.nonzero_gens()]))
 
     # -- localization-at-origin predicate ------------------------------------
 
@@ -338,6 +305,30 @@ def _rank_of_sparse_vectors(vectors, field) -> int:
     return rank
 
 
+def _block_ring(front, back: Ring) -> Ring:
+    """k[front, back] under degrevlex on `front`, then back's own order."""
+    return Ring(back.field, tuple(front) + back.names,
+                Block((DegRevLex(len(front)), back.order)))
+
+
+def _eliminate_front(front, back: Ring, gens) -> Ideal:
+    """Eliminate the `front` variables from the ideal that gens(ext) generates.
+
+    ext is `_block_ring(front, back)` and gens(ext) returns the generators
+    as polynomials of ext. The result is an ideal of `back`.
+    """
+    k = len(front)
+    ext = _block_ring(front, back)
+    kept = [back.poly({e[k:]: c for e, c in g.terms.items()})
+            for g in buchberger(gens(ext))
+            if not any(any(e[:k]) for e in g.terms)]
+    result = Ideal(back, kept)
+    # the front-free slice of the reduced basis is itself a reduced basis
+    # because the block order restricts to back's own order
+    result._gb_cache[back.order] = kept
+    return result
+
+
 def kernel_of_map(images, target_names=None) -> Ideal:
     """Kernel of the ring map X_i -> images[i] from a fresh target ring.
 
@@ -366,21 +357,8 @@ def kernel_of_map(images, target_names=None) -> Ideal:
     if clash:
         raise ValueError(f"target names collide with parameters: {sorted(clash)}")
     target = Ring(pring.field, target_names)
-    ext = Ring(
-        pring.field,
-        pring.names + target_names,
-        Block((DegRevLex(pring.nvars), target.order)),
-    )
-    gens = [ext.var(pring.nvars + i) - ext.convert(images[i]) for i in range(n)]
-    gb = buchberger(gens)
-    k = pring.nvars
-    kept = []
-    for g in gb:
-        if all(sum(e[:k]) == 0 for e in g.terms):
-            kept.append(target.poly({e[k:]: c for e, c in g.terms.items()}))
-    result = Ideal(target, kept)
-    result._prime_cache(kept)
-    return result
+    return _eliminate_front(pring.names, target, lambda ext: (
+        [ext.var(pring.nvars + i) - ext.convert(images[i]) for i in range(n)]))
 
 
 def rees_ring(ring: Ring, n: int) -> Ring:
@@ -389,11 +367,7 @@ def rees_ring(ring: Ring, n: int) -> Ring:
     clash = set(tnames) & set(ring.names)
     if clash:
         raise ValueError(f"Rees variables collide with ring names: {sorted(clash)}")
-    return Ring(
-        ring.field,
-        tnames + ring.names,
-        Block((DegRevLex(n), ring.order)),
-    )
+    return _block_ring(tnames, ring)
 
 
 def rees_ideal(ideal: Ideal) -> Ideal:
@@ -407,25 +381,8 @@ def rees_ideal(ideal: Ideal) -> Ideal:
     gens = ideal.nonzero_gens()
     n = len(gens)
     rring = rees_ring(ring, n)
-    if n == 0:
-        return Ideal(rring, [])
-    ext = Ring(
-        ring.field,
-        ("@t",) + rring.names,
-        Block((DegRevLex(1), rring.order)),
-    )
-    tau = ext.var(0)
-    ext_gens = [
-        ext.var(1 + i) - tau * ext.convert(gens[i]) for i in range(n)
-    ]
-    gb = buchberger(ext_gens)
-    kept = []
-    for g in gb:
-        if all(e[0] == 0 for e in g.terms):
-            kept.append(rring.poly({e[1:]: c for e, c in g.terms.items()}))
-    result = Ideal(rring, kept)
-    result._prime_cache(kept)
-    return result
+    return _eliminate_front(("@t",), rring, lambda ext: (
+        [ext.var(1 + i) - ext.var(0) * ext.convert(gens[i]) for i in range(n)]))
 
 
 def linear_type_by_rees(ideal: Ideal) -> bool:

@@ -232,9 +232,6 @@ class PolyMatrix:
         """
         return distinct_up_to_sign(self.minors(min(self.nrows, self.ncols)).values())
 
-    def entries(self):
-        return [e for row in self.rows for e in row]
-
     def __repr__(self):
         return f"PolyMatrix({self.nrows}x{self.ncols} over {self.ring!r})"
 

@@ -32,10 +32,6 @@ def monomial_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def monomial_gcd(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
-
-
 def monomial_deg(a) -> int:
     return sum(a)
 
@@ -94,9 +90,6 @@ class Ring:
 
     def change_order(self, order) -> "Ring":
         return Ring(self.field, self.names, order)
-
-    def change_field(self, field) -> "Ring":
-        return Ring(field, self.names, self.order)
 
     def convert(self, p: "Polynomial") -> "Polynomial":
         """Map a polynomial into this ring, matching variables by name.
@@ -179,13 +172,6 @@ class Polynomial:
         if not self.terms:
             return -1
         return max(sum(e[i] for i in indices) for e in self.terms)
-
-    def weighted_degree(self, weights):
-        """Common weighted degree of all terms, or None if terms disagree."""
-        degs = {sum(w * e for w, e in zip(weights, exps)) for exps in self.terms}
-        if len(degs) != 1:
-            return None
-        return degs.pop()
 
     def constant_term(self):
         return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero)
@@ -309,29 +295,14 @@ class Polynomial:
 
     def divexact(self, d: "Polynomial") -> "Polynomial":
         """Quotient self / d when d divides exactly; raises otherwise."""
+        from .groebner import normal_form
+
         if d.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        field = self.ring.field
-        dl, dc = d.lead_monomial(), d.lead_coeff()
-        work = dict(self.terms)
-        quot: dict = {}
-        key = self.ring.order.key
-        while work:
-            m = max(work, key=key)
-            c = work[m]
-            if not all(a >= b for a, b in zip(m, dl)):
-                raise ArithmeticError("inexact polynomial division")
-            t = tuple(a - b for a, b in zip(m, dl))
-            q = field.div(c, dc)
-            quot[t] = q
-            for e, gc in d.terms.items():
-                e2 = tuple(a + b for a, b in zip(e, t))
-                s = field.sub(work.get(e2, field.zero), field.mul(q, gc))
-                if s == field.zero:
-                    work.pop(e2, None)
-                else:
-                    work[e2] = s
-        return Polynomial(self.ring, quot)
+        r, (q,) = normal_form(self, [d], with_quotients=True)
+        if not r.is_zero():
+            raise ArithmeticError("inexact polynomial division")
+        return q
 
     def monic(self) -> "Polynomial":
         if not self.terms:

@@ -145,6 +145,14 @@ def test_buchsbaum_eisenbud_rank_above_expected():
     assert not wide.minor(rows, cols).is_zero()
 
 
+def test_buchsbaum_eisenbud_zero_first_map():
+    x, _, _ = R3.gens()
+    cd = ComplexData([PolyMatrix(R3, [[0]]), PolyMatrix(R3, [[x]])], [0, 1])
+    rep = buchsbaum_eisenbud(cd, {1: None, 2: None})
+    assert rep.status != "refuted"
+    assert rep.witness["detail"][0]["nonzero_minor"] == {"rows": [], "cols": []}
+
+
 def test_grade_at_least_witness_not_in_target():
     x, y, _ = R3.gens()
     cert = GradeCertificate(1, (y,))

@@ -1,6 +1,8 @@
 """Command-line interface: verify and run subcommands, formats, exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +66,21 @@ def test_verify_json_deterministic(capsys):
         return data
 
     assert snap() == snap()
+
+
+# `verify --lemma <id> --format json --field <f>` with the millis lines
+# removed. Regenerate a file only together with a CHANGES.md entry that
+# says which verdict or witness changed and why.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("field", ["q", "fp:2", "fp:3", "fp:7"])
+@pytest.mark.parametrize("lemma", ["lemma2", "lemma3", "lemma4", "huneke"])
+def test_verify_json_matches_golden(capsys, lemma, field):
+    main(["verify", "--lemma", lemma, "--format", "json", "--field", field])
+    out = re.sub(r',\n *"millis": \d+', "", capsys.readouterr().out)
+    golden = GOLDEN / f"{lemma}_{field.replace(':', '')}.json"
+    assert out == golden.read_text()
 
 
 def test_verify_text_format(capsys):
@@ -226,6 +243,23 @@ def test_run_be_without_certs_is_inconclusive(capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == 1
     assert "inconclusive" in out
+
+
+def test_run_be_expected_rank_zero(capsys, tmp_path):
+    # cols(A) = 2 = rank(B), so r1 = 0 and every 1x1 minor of A must vanish
+    p = tmp_path / "z.ikt"
+    p.write_text("ring Q[x, y];\nmatrix A 1x2 = [x, y];\n"
+                 "matrix B 2x2 = [y, 0; -x, 0];\n")
+    code, data = run_json(
+        capsys, ["run", str(p), "be", "A", "B", "--format", "json"])
+    assert code == 1
+    (claim,) = data["claims"]
+    assert claim["status"] == "refuted"
+    witness = claim["witness"]
+    assert (witness["clause"], witness["position"]) == ("vanishing_minors", 1)
+    rows, cols = witness["offender"]
+    # both entries x, y of A are nonzero
+    assert rows == [0] and cols in ([0], [1])
 
 
 def test_run_eliminate(capsys, tmp_path):

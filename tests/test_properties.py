@@ -3,7 +3,9 @@
 Suites:
   a. reduced bases are invariant under generator shuffles and rescaling
   b. normal forms certify membership and reconstruct the input
-  c. colon and intersection obey their defining containments
+  c. colon and intersection obey their defining containments; every
+     elimination under a lex order caches the reduced basis of its result
+     ring, and saturation matches iterated colons
   d. monomial ideals agree with direct combinatorial oracles
   e. rational and prime-field arithmetic commute with reduction mod p
   f. elimination rank equals the brute-force rank from minors
@@ -16,7 +18,7 @@ from itertools import combinations, product
 
 from idealkit.fields import GF, QQ
 from idealkit.groebner import buchberger, normal_form
-from idealkit.idealops import Ideal
+from idealkit.idealops import Ideal, kernel_of_map, rees_ideal
 from idealkit.matrix import PolyMatrix
 from idealkit.orders import DegRevLex, Lex
 from idealkit.poly import Polynomial, Ring
@@ -91,8 +93,19 @@ def test_suite_b_normal_form_membership():
         assert normal_form(r, gb) == r
 
 
+def saturate_by_colons(I, f):
+    """(I : f^inf) by iterating colon until it stabilizes: the reference."""
+    current = I
+    while True:
+        nxt = current.colon(f)
+        if nxt.equals(current):
+            return current
+        current = nxt
+
+
 def test_suite_c_colon_and_intersection_contracts():
     rng = random.Random(20260803)
+    image_rng = random.Random(20260813)
     for case in range(CASES):
         ring = R2 if case % 2 == 0 else R3
         deg = 3 if ring is R2 else 2
@@ -118,6 +131,20 @@ def test_suite_c_colon_and_intersection_contracts():
         for a in I.gens:
             for b in J.gens:
                 assert meet.contains(a * b)
+        # the same inputs under lex, over Q and GF(32003): an elimination
+        # must cache the reduced basis in its result ring's own order
+        field = QQ if case % 4 < 2 else GF(32003)
+        lex = Ring(field, ring.names, Lex(ring.nvars))
+        Il, Jl, fl = Ideal(lex, I.gens), Ideal(lex, J.gens), lex.convert(f)
+        images = [lex.convert(random_poly(image_rng, ring, 2, 2))
+                  for _ in range(2)]
+        if Il.is_zero() or fl.is_zero() or not all(images):
+            continue
+        sat = Il.saturate(fl)
+        assert sat.equals(saturate_by_colons(Il, fl))
+        for res in (Il.intersect(Jl), Il.eliminate(ring.names[0]),
+                    kernel_of_map(images, ("u", "v")), rees_ideal(Il), sat):
+            assert res.groebner() == buchberger(res.gens)
 
 
 def brute_colength(lead_exps, nvars, cap=6):
