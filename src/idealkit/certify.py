@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
+from .fields import QQ
 from .idealops import Ideal
 from .matrix import PolyMatrix
-from .poly import Polynomial
+from .poly import Polynomial, Ring
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -463,51 +463,31 @@ def smallest_valuation_vector(relations, nsyms: int):
     """Componentwise-smallest strictly positive integer solution.
 
     relations are integer coefficient vectors a with a . v = 0. The solution
-    cone must be one-dimensional; the result is primitive (gcd 1).
+    cone must be one-dimensional; the result is primitive (gcd 1). The rank
+    and a set of independent rows come from `PolyMatrix.rank_profile`.
     """
-    rows = [list(map(Fraction, r)) for r in relations]
-    for r in rows:
-        if len(r) != nsyms:
-            raise ValueError("relation arity mismatch")
-    # row reduce
-    pivots = []
-    row = 0
-    for col in range(nsyms):
-        sel = None
-        for r in range(row, len(rows)):
-            if rows[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        rows[row], rows[sel] = rows[sel], rows[row]
-        pv = rows[row][col]
-        rows[row] = [v / pv for v in rows[row]]
-        for r in range(len(rows)):
-            if r != row and rows[r][col] != 0:
-                c = rows[r][col]
-                rows[r] = [a - c * b for a, b in zip(rows[r], rows[row])]
-        pivots.append(col)
-        row += 1
-    rank = len(pivots)
+    relations = [list(r) for r in relations]
+    if any(len(r) != nsyms for r in relations):
+        raise ValueError("relation arity mismatch")
+    rank, rows = 0, ()
+    if relations and nsyms:
+        m = PolyMatrix(Ring(QQ, ()), relations)
+        rank, rows, _ = m.rank_profile()
     if nsyms - rank != 1:
         raise ValueError(
             f"solution space has dimension {nsyms - rank}, expected 1"
         )
-    free = next(c for c in range(nsyms) if c not in pivots)
-    sol = [Fraction(0)] * nsyms
-    sol[free] = Fraction(1)
-    for r, col in enumerate(pivots):
-        sol[col] = -rows[r][free]
-    denom_lcm = 1
-    for v in sol:
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    ints = [int(v * denom_lcm) for v in sol]
+    # Cramer's rule: the signed maximal minors of the pivot rows span the
+    # null space; with no relation of positive rank it is the empty minor, 1
+    sol = [1]
+    if rank:
+        sol = [(-1) ** j * m.minor(rows, [c for c in range(nsyms) if c != j])
+               .constant_term() for j in range(nsyms)]
+    den = lcm(*(v.denominator for v in sol))
+    ints = [int(v * den) for v in sol]
     if all(v < 0 for v in ints):
         ints = [-v for v in ints]
     if any(v <= 0 for v in ints):
         raise ValueError("no strictly positive solution")
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    g = gcd(*ints)
     return tuple(v // g for v in ints)

@@ -164,12 +164,6 @@ def _negate(inner: CertificateReport, claim: str,
                              inner.millis)
 
 
-def _rebrand(inner: CertificateReport, claim: str,
-             anchor: str) -> CertificateReport:
-    return CertificateReport(claim, inner.status, inner.witness, anchor,
-                             inner.millis)
-
-
 def _verify_lemma2(session: SessionInput):
     ring = session.ring
     f = session.polys["f"]
@@ -232,6 +226,12 @@ def _l3_complex(session: SessionInput) -> ComplexData:
         [session.matrices["phi1"], session.matrices["phi2"]], [1, 3])
 
 
+def _minor_hints(table, *names):
+    """The MinorWitness of each named generator in L3_MINORS or L4_MINORS."""
+    found = {row[-4]: MinorWitness(*row[-3:]) for row in table}
+    return tuple(found[name] for name in names)
+
+
 def _l3_certs(session: SessionInput):
     ring = session.ring
     f1, f2 = session.polys["f1"], session.polys["f2"]
@@ -239,10 +239,7 @@ def _l3_certs(session: SessionInput):
     return {
         1: GradeCertificate(1, (f1,), (MinorWitness((0,), (0,)),)),
         2: GradeCertificate(
-            2, (f1, f2),
-            (MinorWitness((1, 2, 3), (0, 1, 2), 1),
-             MinorWitness((0, 2, 3), (0, 1, 2), -1)),
-            aux=x,
+            2, (f1, f2), _minor_hints(L3_MINORS, "f1", "f2"), aux=x,
             expected=Ideal(ring, [x, y**3, z**3])),
     }
 
@@ -303,12 +300,12 @@ def _verify_lemma3(session: SessionInput):
         "the four 3x3 minors of the 4x3 presentation matrix are the "
         "four generators up to sign"))
 
-    reports.append(_rebrand(
-        verify_complex(cd), "complex",
+    reports.append(verify_complex(
+        cd, "complex",
         "the composite of the two differentials is the zero matrix"))
 
-    reports.append(_rebrand(
-        buchsbaum_eisenbud(cd, _l3_certs(session)), "acyclic",
+    reports.append(buchsbaum_eisenbud(
+        cd, _l3_certs(session), "acyclic",
         "rank and grade clauses hold with expected ranks (1, 3)"))
 
     t0 = time.perf_counter()
@@ -321,8 +318,8 @@ def _verify_lemma3(session: SessionInput):
          "rhs_basis": [str(g) for g in rhs.groebner()]},
         "(f1, f2, x) = (x, y^3, z^3) as ideals", t0))
 
-    minimal = _rebrand(
-        resolution_minimal(cd), "minimal",
+    minimal = resolution_minimal(
+        cd, "minimal",
         "every differential entry vanishes at the origin, so the "
         "resolution is minimal and mu equals the generator count")
     reports.append(minimal)
@@ -361,17 +358,11 @@ def _l4_certs(session: SessionInput):
              MinorWitness((0,), (5,))),
             aux=x, expected=Ideal(ring, [x, y**4, z**3, t**3])),
         2: GradeCertificate(
-            2, (p["g1"], p["g2"]),
-            (MinorWitness((0, 1, 2, 3, 4, 6, 7),
-                          (1, 2, 3, 4, 5, 6, 11), 1),
-             MinorWitness((0, 2, 3, 4, 5, 6, 7),
-                          (0, 1, 4, 7, 8, 9, 10), -1)),
+            2, (p["g1"], p["g2"]), _minor_hints(L4_MINORS, "g1", "g2"),
             aux=x, expected=Ideal(ring, [x, y**10, z**8])),
         3: GradeCertificate(
             3, (p["h1"], p["h2"], p["h3"]),
-            (MinorWitness((0, 7, 8, 9, 10), (0, 1, 2, 3, 4), 1),
-             MinorWitness((2, 3, 5, 6, 11), (0, 1, 2, 3, 4), 1),
-             MinorWitness((0, 1, 3, 4, 7), (0, 1, 2, 3, 4), -1)),
+            _minor_hints(L4_MINORS, "h1", "h2", "h3"),
             aux=x, expected=Ideal(ring, [x, y**6, z**5, t**5])),
     }
 
@@ -385,8 +376,8 @@ def _verify_lemma4(session: SessionInput):
     cd = _l4_complex(session)
     reports = []
 
-    reports.append(_rebrand(
-        verify_complex(cd), "complex",
+    reports.append(verify_complex(
+        cd, "complex",
         "both consecutive composites of the three differentials vanish"))
 
     reports.append(_minor_match_report(
@@ -394,13 +385,13 @@ def _verify_lemma4(session: SessionInput):
         "g1, g2 appear as signed 7x7 minors of the second differential "
         "and h1, h2, h3 as signed 5x5 minors of the third"))
 
-    reports.append(_rebrand(
-        buchsbaum_eisenbud(cd, _l4_certs(session)), "acyclic",
+    reports.append(buchsbaum_eisenbud(
+        cd, _l4_certs(session), "acyclic",
         "rank and grade clauses hold with expected ranks (1, 7, 5); "
         "in particular all 8x8 minors of the middle differential vanish"))
 
-    minimal = _rebrand(
-        resolution_minimal(cd), "minimal",
+    minimal = resolution_minimal(
+        cd, "minimal",
         "every differential entry vanishes at the origin, so the "
         "resolution is minimal and mu = 8")
     reports.append(minimal)

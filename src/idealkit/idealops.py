@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .groebner import buchberger, normal_form
+from .matrix import PolyMatrix
 from .orders import Block, DegRevLex
 from .poly import Polynomial, Ring, monomial_divides
 
@@ -35,7 +36,7 @@ class LocalPredicateResult:
 
 
 class Ideal:
-    """An ideal given by generators, with cached reduced Groebner bases."""
+    """An ideal given by generators, with its cached reduced Groebner basis."""
 
     def __init__(self, ring: Ring, gens):
         self.ring = ring
@@ -46,7 +47,7 @@ class Ideal:
             else:
                 conv.append(ring.const(g))
         self.gens = tuple(conv)
-        self._gb_cache: dict = {}
+        self._gb = None
 
     # -- basics -------------------------------------------------------------
 
@@ -56,12 +57,11 @@ class Ideal:
     def is_zero(self) -> bool:
         return not self.nonzero_gens()
 
-    def groebner(self, order=None):
-        """Reduced Groebner basis as a list; empty for the zero ideal."""
-        key = self.ring.order if order is None else order
-        if key not in self._gb_cache:
-            self._gb_cache[key] = buchberger(self.gens, order=order) if not self.is_zero() else []
-        return self._gb_cache[key]
+    def groebner(self):
+        """Reduced Groebner basis as a list, cached; empty for the zero ideal."""
+        if self._gb is None:
+            self._gb = buchberger(self.gens) if not self.is_zero() else []
+        return self._gb
 
     def contains(self, f) -> bool:
         f = self.ring.convert(f)
@@ -262,8 +262,8 @@ class Ideal:
         """Minimal generator count after localizing at the origin.
 
         This is dim_k I/mI with m the ideal of the variables, computed as
-        the rank of the generators' normal forms modulo a basis of m*I.
-        Requires a proper ideal.
+        the rank of the coefficient matrix of the generators' normal forms
+        modulo a basis of m*I. Requires a proper ideal.
         """
         gens = self.nonzero_gens()
         if not gens:
@@ -273,36 +273,16 @@ class Ideal:
         ring = self.ring
         mi = [v * g for v in ring.gens() for g in gens]
         gb_mi = buchberger(mi)
-        vectors = [dict(normal_form(g, gb_mi).terms) for g in gens]
-        return _rank_of_sparse_vectors(vectors, ring.field)
+        forms = [normal_form(g, gb_mi) for g in gens]
+        monos = sorted({e for nf in forms for e in nf.terms})
+        if not monos:
+            return 0
+        coeffs = PolyMatrix(ring, [[nf.coeff(e) for e in monos] for nf in forms])
+        return coeffs.rank_profile()[0]
 
     def __repr__(self):
         inside = ", ".join(str(g) for g in self.gens) or "0"
         return f"Ideal({inside})"
-
-
-def _rank_of_sparse_vectors(vectors, field) -> int:
-    """Rank over the field of vectors given as {coordinate: coefficient}."""
-    pivots: dict = {}
-    rank = 0
-    for vec in vectors:
-        v = dict(vec)
-        while v:
-            lead = max(v)
-            if lead not in pivots:
-                pivots[lead] = v
-                rank += 1
-                break
-            pivot = pivots[lead]
-            c = field.div(v[lead], pivot[lead])
-            for k, pc in pivot.items():
-                s = field.sub(v.get(k, field.zero), field.mul(c, pc))
-                if s == field.zero:
-                    v.pop(k, None)
-                else:
-                    v[k] = s
-        # empty v: dependent vector, contributes nothing
-    return rank
 
 
 def _block_ring(front, back: Ring) -> Ring:
@@ -325,7 +305,7 @@ def _eliminate_front(front, back: Ring, gens) -> Ideal:
     result = Ideal(back, kept)
     # the front-free slice of the reduced basis is itself a reduced basis
     # because the block order restricts to back's own order
-    result._gb_cache[back.order] = kept
+    result._gb = kept
     return result
 
 

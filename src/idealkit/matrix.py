@@ -1,12 +1,14 @@
 """Dense matrices over a polynomial ring: products, determinants, minors, rank.
 
-Determinants use cofactor expansion below size 4 and fraction-free Bareiss
-elimination from size 4 up. `PolyMatrix.rank_profile` runs the same
-elimination on the rectangular matrix, so one pass decides the rank over the
-fraction field and names a nonzero minor of that size. Bareiss's
-intermediate divisions are exact over the polynomial ring and go through
-`Polynomial.divexact`, which raises on a remainder, so everything stays in
-exact arithmetic. Minor index sets follow the ascending-indices convention.
+One fraction-free (Bareiss) elimination serves every exact determinant,
+rank and null vector: `det` reads it from size 4 up (cofactor expansion
+below), and `rank_profile` runs it on the rectangular matrix, so one pass
+decides the rank over the fraction field and names a nonzero minor of that
+size; `Ideal.min_generators_at_origin` and `smallest_valuation_vector` take
+their ranks from it. Bareiss's intermediate divisions are exact over the
+polynomial ring and go through `Polynomial.divexact`, which raises on a
+remainder, so everything stays in exact arithmetic. Minor index sets follow
+the ascending-indices convention.
 """
 
 from __future__ import annotations
@@ -122,10 +124,12 @@ class PolyMatrix:
     def det(self) -> Polynomial:
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n < 4:
+        if self.nrows < 4:
             return self._det_cofactor()
-        return self._det_bareiss()
+        rank, sign, last, _, _ = self._bareiss()
+        if rank < self.nrows:
+            return self.ring.zero
+        return -last if sign < 0 else last
 
     def _det_cofactor(self) -> Polynomial:
         n = self.nrows
@@ -140,47 +144,20 @@ class PolyMatrix:
             + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
         )
 
-    def _det_bareiss(self) -> Polynomial:
-        n = self.nrows
-        m = [list(row) for row in self.rows]
-        sign = 1
-        prev = self.ring.one
-        for k in range(n - 1):
-            pivot_row = None
-            for r in range(k, n):
-                if not m[r][k].is_zero():
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                return self.ring.zero
-            if pivot_row != k:
-                m[k], m[pivot_row] = m[pivot_row], m[k]
-                sign = -sign
-            pk = m[k][k]
-            for i in range(k + 1, n):
-                mik = m[i][k]
-                for j in range(k + 1, n):
-                    num = m[i][j] * pk - mik * m[k][j]
-                    m[i][j] = num.divexact(prev)
-                m[i][k] = self.ring.zero
-            prev = pk
-        d = m[n - 1][n - 1]
-        return -d if sign < 0 else d
-
-    def rank_profile(self):
-        """(rank, pivot_rows, pivot_cols) by fraction-free elimination.
+    def _bareiss(self):
+        """(rank, sign, last pivot, pivot_rows, pivot_cols) of one elimination.
 
         Bareiss elimination over the whole rectangular matrix, swapping rows
-        to find a pivot and skipping columns that have none. The rank is over
-        the fraction field of the ring. pivot_rows and pivot_cols list the
-        pivots in elimination order; for every k up to the rank, the minor
-        on the first k of each is, up to sign, the k-th pivot, so it is
-        nonzero and every minor of size rank + 1 vanishes.
+        to find a pivot and skipping columns that have none; sign is the
+        parity of the row swaps. The k-th pivot is, up to that sign, the
+        minor on the first k pivot rows and columns, so a square matrix of
+        full rank has determinant sign * last pivot.
         """
         m = [list(row) for row in self.rows]
         order = list(range(self.nrows))
         zero = self.ring.zero
         prev = self.ring.one
+        sign = 1
         pivot_cols = []
         k = 0
         for j in range(self.ncols):
@@ -193,6 +170,7 @@ class PolyMatrix:
             if sel != k:
                 m[k], m[sel] = m[sel], m[k]
                 order[k], order[sel] = order[sel], order[k]
+                sign = -sign
             pk = m[k][j]
             for i in range(k + 1, self.nrows):
                 mij = m[i][j]
@@ -202,7 +180,18 @@ class PolyMatrix:
             prev = pk
             pivot_cols.append(j)
             k += 1
-        return k, tuple(order[:k]), tuple(pivot_cols)
+        return k, sign, prev, tuple(order[:k]), tuple(pivot_cols)
+
+    def rank_profile(self):
+        """(rank, pivot_rows, pivot_cols) by fraction-free elimination.
+
+        The rank is over the fraction field of the ring. pivot_rows and
+        pivot_cols list the pivots in elimination order; for every k up to
+        the rank, the minor on the first k of each is, up to sign, the k-th
+        pivot, so it is nonzero and every minor of size rank + 1 vanishes.
+        """
+        rank, _, _, rows, cols = self._bareiss()
+        return rank, rows, cols
 
     def minor(self, row_idx, col_idx) -> Polynomial:
         """Determinant of the submatrix on the given rows and columns."""

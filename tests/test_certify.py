@@ -268,10 +268,25 @@ def test_syzygetic_obstruction_presentation_mismatch():
         syzygetic_obstruction(Ideal(r2, [x]), r2.zero, Ideal(r2, [x]))
 
 
+def test_syzygetic_obstruction_colon_scan():
+    r2 = Ring(QQ, ("x", "y"))
+    x, y = r2.gens()
+    H = Ideal(r2, [x**3, y**3])
+    f = x * y**2
+    rep = syzygetic_obstruction(H, f, H + Ideal(r2, [f]))
+    assert rep.status == "refuted"
+    assert rep.witness["path"] == "colon-scan"
+    assert rep.witness["element"] == "x"
+
+
 def test_smallest_valuation_vector():
     got = smallest_valuation_vector(
         [(-5, 0, 3, 0), (-2, -3, 0, 3), (-5, 4, 0, 0)], 4)
     assert tuple(got) == (12, 15, 20, 23)
+    # rank 4: the null vector comes from 4x4 minors of the pivot rows
+    rels = [(-2, 1, 0, 0, 0), (-3, 0, 1, 0, 0), (0, 0, -4, 3, 0),
+            (-5, 0, 0, 0, 1), (-7, 1, 0, 0, 1)]
+    assert tuple(smallest_valuation_vector(rels, 5)) == (1, 2, 3, 4, 5)
     assert tuple(smallest_valuation_vector([(-4, 3)], 2)) == (3, 4)
     assert tuple(smallest_valuation_vector([], 1)) == (1,)
 

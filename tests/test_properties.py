@@ -8,7 +8,8 @@ Suites:
      ring, and saturation matches iterated colons
   d. monomial ideals agree with direct combinatorial oracles
   e. rational and prime-field arithmetic commute with reduction mod p
-  f. elimination rank equals the brute-force rank from minors
+  f. elimination rank equals the brute-force rank from Laplace-expanded
+     minors, and determinants of size 4 and 5 equal their Laplace expansion
 """
 
 import math
@@ -239,11 +240,23 @@ def test_suite_e_prime_field_consistency():
                 assert normal_form(spoly, gb).is_zero()
 
 
+def laplace(rows):
+    """Determinant by cofactor expansion along the first row: the reference."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = rows[0][0].ring.zero
+    for j, a in enumerate(rows[0]):
+        if not a.is_zero():
+            term = a * laplace([r[:j] + r[j + 1:] for r in rows[1:]])
+            total = total - term if j % 2 else total + term
+    return total
+
+
 def brute_rank(m):
-    """Largest k with a nonzero k x k minor, found by scanning minors."""
+    """Largest k with a nonzero k x k minor, by Laplace expansion of each."""
     rank = 0
     for k in range(1, min(m.shape) + 1):
-        if not any(not m.minor(rows, cols).is_zero()
+        if not any(not laplace([[m[i, j] for j in cols] for i in rows]).is_zero()
                    for rows in combinations(range(m.nrows), k)
                    for cols in combinations(range(m.ncols), k)):
             break
@@ -277,3 +290,9 @@ def test_suite_f_rank_profile_matches_minors():
         assert len(prows) == len(pcols) == rank
         for k in range(1, rank + 1):
             assert not mat.minor(prows[:k], pcols[:k]).is_zero()
+        # det() eliminates from size 4 up; Laplace expansion is independent
+        for k in (4, 5):
+            for rows in combinations(range(mat.nrows), k):
+                for cols in combinations(range(mat.ncols), k):
+                    sub = mat.submatrix(rows, cols)
+                    assert sub.det() == laplace(sub.rows)
