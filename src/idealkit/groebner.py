@@ -5,15 +5,28 @@ no lead monomial divides another, no term of any element is divisible by the
 lead monomial of another, and the basis is sorted ascending by lead monomial.
 Division is deterministic (lowest-index divisor first) and can record the
 quotients, which is what ideal-membership witnesses are built from.
+
+Division and the Buchberger loop run on packed monomials (Monagan and
+Pearce, JSC 2011; Roune and Stillman, ISSAC 2012). A packed monomial is one
+int: each exponent has a field of `width` bits whose top bit is a guard bit,
+the total degree sits above the exponent fields, and the order key sits
+above the degree. Order keys are additive (see `orders`), so the product of
+two monomials is the sum of their ints, comparing ints compares monomials in
+the ring's order, and a divides b exactly when `(b - a) & guard` is zero. A
+product that sets a guard bit has overflowed its field: the whole call then
+starts again with fields twice as wide (8, 16, 32, ... bits), so no result
+depends on the width. `buchberger` and `normal_form` pack their input once
+and unpack their result once; `Polynomial` and every signature here keep
+exponent tuples.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
+from operator import mul
 
 from .poly import (
     Polynomial,
-    monomial_deg,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -21,57 +34,135 @@ from .poly import (
 )
 
 
-def _neg_key(key):
-    return tuple(-v for v in key)
+class _Overflow(Exception):
+    """A packed exponent outgrew its field; retry with wider fields."""
 
 
-def _divide_terms(ring, terms, gens, leads, record, sugar, sugars):
-    """Core division loop over a mutable term dict.
+class _Packing:
+    """Packed-int monomials of one ring at one field width."""
 
-    leads is [(lm, lc_inv)] per generator. When record is not None it
-    collects quotient terms per generator index. When sugars is given the
-    running sugar degree is threaded through and returned alongside.
+    def __init__(self, ring, width):
+        n = ring.nvars
+        self.max_exp = (1 << (width - 1)) - 1
+        self.field_mask = (1 << width) - 1
+        self.shifts = [width * (n - 1 - i) for i in range(n)]
+        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
+        self.deg_shift = width * n
+        # The degree of a product of two in-range monomials stays below
+        # 2 * n * max_exp, so it never carries into the key.
+        deg_bits = width + n.bit_length()
+        self.deg_mask = (1 << deg_bits) - 1
+        key_shift = self.deg_shift + deg_bits
+        # Key component k is a linear form in the exponents, so over
+        # exponents in [0, max_exp] it spans at most sum_i |c_ik| * max_exp.
+        # Written as digits in a base above that span, the keys compare as
+        # ints exactly as they compare as tuples.
+        cols = [ring.order.key(tuple(int(i == j) for j in range(n)))
+                for i in range(n)]
+        span = max((sum(abs(v) for v in row) for row in zip(*cols)), default=0)
+        base = 1 << (span * self.max_exp).bit_length()
+        self.units = []
+        for i, col in enumerate(cols):
+            weight = 0
+            for v in col:
+                weight = weight * base + v
+            self.units.append((weight << key_shift) | (1 << self.deg_shift)
+                              | (1 << self.shifts[i]))
+
+    def pack(self, exps):
+        if exps and max(exps) > self.max_exp:
+            raise _Overflow
+        return sum(map(mul, exps, self.units))
+
+    def unpack(self, m):
+        f = self.field_mask
+        return tuple((m >> s) & f for s in self.shifts)
+
+    def pack_terms(self, p):
+        """Packed copy of p's term dict, in p's term order."""
+        pack = self.pack
+        return {pack(e): c for e, c in p.terms.items()}
+
+    def unpack_poly(self, ring, terms):
+        unpack = self.unpack
+        return Polynomial(ring, {unpack(m): c for m, c in terms.items()})
+
+
+def _packing(ring, width):
+    """The ring's packing at this width, built on first use."""
+    pk = ring._packings.get(width)
+    if pk is None:
+        pk = ring._packings[width] = _Packing(ring, width)
+    return pk
+
+
+def _widening(ring, run):
+    """run(packing) at field widths 8, 16, 32, ... until nothing overflows."""
+    width = 8
+    while True:
+        try:
+            return run(_packing(ring, width))
+        except _Overflow:
+            width *= 2
+
+
+def _tail(terms, lead):
+    """The (monomial, coeff) pairs of a packed term dict below its lead."""
+    return [(m, c) for m, c in terms.items() if m != lead]
+
+
+def _divide(pk, field, terms, leads, lc_invs, tails, record, sugar, sugars):
+    """Divide the packed term dict `terms` (consumed) by packed divisors.
+
+    Divisor i has lead monomial leads[i], inverse lead coefficient
+    lc_invs[i] and the terms below its lead in tails[i]. The largest
+    remaining term is divided by the lowest-index divisor whose lead
+    divides it. When record is not None it collects quotient terms per
+    divisor. When sugars is given the running sugar degree is threaded
+    through. Returns (remainder, sugar); the remainder lists its terms in
+    descending order.
     """
-    field = ring.field
-    order_key = ring.order.key
+    guard = pk.guard
+    deg_shift, deg_mask = pk.deg_shift, pk.deg_mask
+    fmul, fsub, fneg, zero = field.mul, field.sub, field.neg, field.zero
+    get = terms.get
+    pop = terms.pop
     remainder: dict = {}
-    heap = [(_neg_key(order_key(e)), e) for e in terms]
-    heapq.heapify(heap)
+    heap = [-m for m in terms]
+    heapify(heap)
     while heap:
-        _, m = heapq.heappop(heap)
-        c = terms.get(m)
+        m = -heappop(heap)
+        c = pop(m, None)
         if c is None:
             continue
-        for i, (lm, lc_inv) in enumerate(leads):
-            if monomial_divides(lm, m):
-                t = monomial_div(m, lm)
-                scale = field.mul(c, lc_inv)
-                if record is not None:
-                    record[i][t] = field.add(
-                        record[i].get(t, field.zero), scale
-                    )
-                if sugars is not None:
-                    s = sugars[i] + monomial_deg(t)
-                    if s > sugar:
-                        sugar = s
-                del terms[m]
-                for e, gc in gens[i].terms.items():
-                    e2 = monomial_mul(e, t)
-                    prev = terms.get(e2)
-                    if prev is None:
-                        if e2 != m:
-                            terms[e2] = field.neg(field.mul(scale, gc))
-                            heapq.heappush(heap, (_neg_key(order_key(e2)), e2))
-                    else:
-                        s2 = field.sub(prev, field.mul(scale, gc))
-                        if s2 == field.zero:
-                            del terms[e2]
-                        else:
-                            terms[e2] = s2
+        for i, lm in enumerate(leads):
+            if not (m - lm) & guard:
                 break
         else:
             remainder[m] = c
-            del terms[m]
+            continue
+        t = m - lm
+        scale = fmul(c, lc_invs[i])
+        if record is not None:
+            record[i][t] = field.add(record[i].get(t, zero), scale)
+        if sugars is not None:
+            s = sugars[i] + ((t >> deg_shift) & deg_mask)
+            if s > sugar:
+                sugar = s
+        for e, gc in tails[i]:
+            e += t
+            if e & guard:
+                raise _Overflow
+            prev = get(e)
+            if prev is None:
+                terms[e] = fneg(fmul(scale, gc))
+                heappush(heap, -e)
+            else:
+                prev = fsub(prev, fmul(scale, gc))
+                if not prev:
+                    del terms[e]
+                else:
+                    terms[e] = prev
     return remainder, sugar
 
 
@@ -90,13 +181,24 @@ def normal_form(p, gens, with_quotients=False):
         if g.is_zero():
             raise ValueError("zero generator in division")
     field = ring.field
-    leads = [(g.lead_monomial(), field.inv(g.lead_coeff())) for g in gens]
-    record = [dict() for _ in gens] if with_quotients else None
-    rem, _ = _divide_terms(ring, dict(p.terms), gens, leads, record, 0, None)
-    r = Polynomial(ring, rem)
-    if not with_quotients:
-        return r
-    return r, [Polynomial(ring, q) for q in record]
+
+    def run(pk):
+        leads, lc_invs, tails = [], [], []
+        for g in gens:
+            terms = pk.pack_terms(g)
+            lead = max(terms)
+            leads.append(lead)
+            lc_invs.append(field.inv(terms[lead]))
+            tails.append(_tail(terms, lead))
+        record = [{} for _ in gens] if with_quotients else None
+        rem, _ = _divide(pk, field, pk.pack_terms(p), leads, lc_invs, tails,
+                         record, 0, None)
+        r = pk.unpack_poly(ring, rem)
+        if not with_quotients:
+            return r
+        return r, [pk.unpack_poly(ring, q) for q in record]
+
+    return _widening(ring, run)
 
 
 def s_polynomial(f, g):
@@ -118,30 +220,27 @@ class _Pair:
         self.sugar = sugar
 
 
-def _make_pair(i, j, basis, sugars):
-    li = basis[i].lead_monomial()
-    lj = basis[j].lead_monomial()
+def _make_pair(i, j, leads, sugars):
+    li, lj = leads[i], leads[j]
     lcm = monomial_lcm(li, lj)
-    sugar = max(
-        sugars[i] + monomial_deg(lcm) - monomial_deg(li),
-        sugars[j] + monomial_deg(lcm) - monomial_deg(lj),
-    )
+    deg = sum(lcm)
+    sugar = max(sugars[i] + deg - sum(li), sugars[j] + deg - sum(lj))
     return _Pair(i, j, lcm, sugar)
 
 
-def _update_pairs(pairs, basis, sugars, t):
-    """Gebauer-Moeller update after appending basis[t].
+def _update_pairs(pairs, leads, sugars, t):
+    """Gebauer-Moeller update after appending the element with lead leads[t].
 
     Prunes new pairs by the chain criterion among themselves, drops
     coprime-lead pairs (product criterion), and filters old pairs whose lcm
     is strictly refined by the new element.
     """
-    lt = basis[t].lead_monomial()
-    fresh = [_make_pair(i, t, basis, sugars) for i in range(t)]
+    lt = leads[t]
+    fresh = [_make_pair(i, t, leads, sugars) for i in range(t)]
 
     kept_new = []
     for a, pa in enumerate(fresh):
-        coprime = monomial_mul(basis[pa.i].lead_monomial(), lt) == pa.lcm
+        coprime = monomial_mul(leads[pa.i], lt) == pa.lcm
         if coprime:
             kept_new.append(pa)
             continue
@@ -160,14 +259,14 @@ def _update_pairs(pairs, basis, sugars, t):
 
     survivors = []
     for p in kept_new:
-        if monomial_mul(basis[p.i].lead_monomial(), lt) == p.lcm:
+        if monomial_mul(leads[p.i], lt) == p.lcm:
             continue
         survivors.append(p)
 
     kept_old = []
     for p in pairs:
-        li = basis[p.i].lead_monomial()
-        lj = basis[p.j].lead_monomial()
+        li = leads[p.i]
+        lj = leads[p.j]
         if (
             monomial_divides(lt, p.lcm)
             and monomial_lcm(li, lt) != p.lcm
@@ -196,11 +295,31 @@ def buchberger(polys, order=None):
     for p in polys:
         if p.ring != ring:
             raise ValueError("generators must share one ring")
-    field = ring.field
-    order_key = ring.order.key
+    return _widening(ring, lambda pk: _buchberger(pk, ring, polys))
 
-    basis: list[Polynomial] = []
+
+def _buchberger(pk, ring, polys):
+    field = ring.field
+    one = field.one
+    guard = pk.guard
+
+    # Basis element k: packed terms basis[k], packed lead leads[k] (also as
+    # a tuple in lead_exps[k], for the pair criteria), tail tails[k].
+    basis: list[dict] = []
+    leads: list[int] = []
+    lead_exps: list[tuple] = []
+    tails: list[list] = []
     sugars: list[int] = []
+    ones: list = []
+
+    def add(terms, lead, sugar):
+        basis.append(terms)
+        leads.append(lead)
+        lead_exps.append(pk.unpack(lead))
+        tails.append(_tail(terms, lead))
+        sugars.append(sugar)
+        ones.append(one)
+
     pairs: list[_Pair] = []
     seen = set()
     for p in polys:
@@ -209,35 +328,53 @@ def buchberger(polys, order=None):
         if key in seen:
             continue
         seen.add(key)
-        basis.append(m)
-        sugars.append(m.degree())
-        pairs = _update_pairs(pairs, basis, sugars, len(basis) - 1)
+        terms = pk.pack_terms(m)
+        add(terms, max(terms), m.degree())
+        pairs = _update_pairs(pairs, lead_exps, sugars, len(basis) - 1)
 
-    heap = [
-        (p.sugar, order_key(p.lcm), p.i, p.j, p) for p in pairs
-    ]
-    heapq.heapify(heap)
+    heap = [(p.sugar, pk.pack(p.lcm), p.i, p.j, p) for p in pairs]
+    heapify(heap)
     alive = {(p.i, p.j) for p in pairs}
 
     while heap:
-        sugar, _, i, j, pair = heapq.heappop(heap)
+        _, lcm, i, j, pair = heappop(heap)
         if (i, j) not in alive:
             continue
         alive.discard((i, j))
-        s = s_polynomial(basis[i], basis[j])
-        if s.is_zero():
+        # The S-polynomial of the monic basis[i] and basis[j]: their lead
+        # terms cancel, so it is built from the tails.
+        s = {}
+        t = lcm - leads[i]
+        for e, c in tails[i]:
+            e += t
+            if e & guard:
+                raise _Overflow
+            s[e] = c
+        t = lcm - leads[j]
+        for e, c in tails[j]:
+            e += t
+            if e & guard:
+                raise _Overflow
+            prev = s.get(e)
+            if prev is None:
+                s[e] = field.neg(c)
+            else:
+                prev = field.sub(prev, c)
+                if not prev:
+                    del s[e]
+                else:
+                    s[e] = prev
+        if not s:
             continue
-        leads = [(g.lead_monomial(), field.one) for g in basis]
-        rem, sugar = _divide_terms(
-            ring, dict(s.terms), basis, leads, None, pair.sugar, sugars
-        )
+        rem, sugar = _divide(pk, field, s, leads, ones, tails, None,
+                             pair.sugar, sugars)
         if not rem:
             continue
-        h = Polynomial(ring, rem).monic()
-        basis.append(h)
-        sugars.append(sugar)
+        lead = next(iter(rem))
+        add(_monic(field, rem, lead), lead, sugar)
         new_pairs = _update_pairs(
-            [p for p in pairs if (p.i, p.j) in alive], basis, sugars, len(basis) - 1
+            [p for p in pairs if (p.i, p.j) in alive],
+            lead_exps, sugars, len(basis) - 1,
         )
         added = []
         next_alive = set()
@@ -248,28 +385,45 @@ def buchberger(polys, order=None):
         alive = next_alive
         pairs = new_pairs
         for p in added:
-            heapq.heappush(heap, (p.sugar, order_key(p.lcm), p.i, p.j, p))
+            heappush(heap, (p.sugar, pk.pack(p.lcm), p.i, p.j, p))
 
-    return _reduce_basis(basis)
+    return [pk.unpack_poly(ring, terms)
+            for terms in _reduce_basis(pk, field, basis, leads, tails)]
 
 
-def _reduce_basis(basis):
-    """Minimize and inter-reduce a Groebner basis; monic, sorted ascending."""
-    ring = basis[0].ring
-    order_key = ring.order.key
-    by_lm = sorted(basis, key=lambda g: order_key(g.lead_monomial()))
-    minimal: list[Polynomial] = []
-    for g in by_lm:
-        lm = g.lead_monomial()
-        if any(monomial_divides(h.lead_monomial(), lm) for h in minimal):
+def _monic(field, terms, lead):
+    lc = terms[lead]
+    if lc == field.one:
+        return terms
+    inv = field.inv(lc)
+    fmul = field.mul
+    return {m: fmul(c, inv) for m, c in terms.items()}
+
+
+def _reduce_basis(pk, field, basis, leads, tails):
+    """Minimize and inter-reduce a packed monic Groebner basis.
+
+    Returns the packed term dicts, sorted ascending by lead monomial.
+    """
+    guard = pk.guard
+    minimal: list[int] = []
+    for k in sorted(range(len(basis)), key=leads.__getitem__):
+        lm = leads[k]
+        if any(not (lm - leads[h]) & guard for h in minimal):
             continue
-        minimal.append(g)
+        minimal.append(k)
     reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        r = normal_form(g, others) if others else g
-        reduced.append(r.monic())
-    reduced.sort(key=lambda g: order_key(g.lead_monomial()))
+    for pos, k in enumerate(minimal):
+        others = minimal[:pos] + minimal[pos + 1:]
+        if not others:
+            reduced.append(basis[k])
+            continue
+        rem, _ = _divide(
+            pk, field, dict(basis[k]), [leads[h] for h in others],
+            [field.one] * len(others), [tails[h] for h in others],
+            None, 0, None,
+        )
+        reduced.append(_monic(field, rem, leads[k]))
     return reduced
 
 

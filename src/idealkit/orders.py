@@ -4,6 +4,12 @@ Every order exposes ``key(exps) -> tuple`` such that comparing keys with
 Python's tuple order realizes the monomial order (bigger key = bigger
 monomial). Keys are built in time linear in the number of variables, so all
 Groebner-layer comparisons stay allocation-cheap.
+
+Every key is additive: ``key(a + b)`` is the componentwise sum of ``key(a)``
+and ``key(b)``, and the key of the zero vector is all zeros, so each key
+component is an integer linear form in the exponents. The packed monomials
+of `groebner` rely on this to fold a key into one int; a new order must keep
+it.
 """
 
 from __future__ import annotations

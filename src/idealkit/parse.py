@@ -11,16 +11,59 @@ Multiplication is always explicit (`*`), powers use `^`, and rational
 coefficients may be written `p/q`. Expressions may reference previously
 declared polynomials by name. All declared names share one namespace and
 must be unique. Errors carry line and column.
+
+Sizes are bounded: no exponent of a variable may pass MAX_EXPONENT, a power
+of a sum may not pass MAX_SUM_POWER, no integer literal (in any field) and,
+over Q, no numerator or denominator may pass MAX_COEFF_BITS bits. Literals
+and powers are checked before they are computed, every sum and product right
+after it is computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .fields import GF, QQ
 from .matrix import PolyMatrix
 from .poly import Polynomial, Ring
+
+
+MAX_EXPONENT = 100_000
+MAX_SUM_POWER = 64
+MAX_COEFF_BITS = 4096
+
+
+def _top_exponent(p: Polynomial) -> int:
+    return max(map(max, p.terms)) if p.terms and p.ring.nvars else 0
+
+
+def _size_error(p: Polynomial) -> str | None:
+    """Which bound p breaks, if any."""
+    if _top_exponent(p) > MAX_EXPONENT:
+        return "exponent too large"
+    if not p.ring.field.char:
+        for c in p.terms.values():
+            if (c.numerator.bit_length() > MAX_COEFF_BITS
+                    or c.denominator.bit_length() > MAX_COEFF_BITS):
+                return "coefficient too large"
+    return None
+
+
+def _power_bits(p: Polynomial, n: int) -> int:
+    """An upper bound on the coefficient bit length of p**n over Q.
+
+    With p = P/d for an integer polynomial P, the coefficients of P**n are
+    at most |P|_1**n, where |P|_1 is the sum of P's absolute coefficients.
+    """
+    if p.ring.field.char:
+        return 0
+    coeffs = p.terms.values()
+    den = lcm(*(c.denominator for c in coeffs))
+    height = sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)
+    return n * max((max(height, 1) - 1).bit_length(),
+                   (den - 1).bit_length()) + 1
 
 
 class InputError(Exception):
@@ -291,40 +334,67 @@ class _Parser:
     # -- expressions ------------------------------------------------------
 
     def _expr(self) -> Polynomial:
+        start = self.peek()
         negate = False
         if self.peek().kind == "-":
             self.next()
             negate = True
-        value = self._term()
+        value = self._term(start)
         if negate:
             value = -value
         while self.peek().kind in ("+", "-"):
             op = self.next()
-            rhs = self._term()
+            rhs = self._term(start)
             value = value + rhs if op.kind == "+" else value - rhs
+            self._check_size(value, start)
         return value
 
-    def _term(self) -> Polynomial:
+    def _term(self, start: Token) -> Polynomial:
         value = self._factor()
         while self.peek().kind == "*":
             self.next()
             value = value * self._factor()
+            self._check_size(value, start)
         return value
+
+    @staticmethod
+    def _check_size(value: Polynomial, start: Token) -> None:
+        """Refuse a sum or product past the bounds, at its expression's start.
+
+        Both operands are within bounds, so what is computed before this
+        check is at most about twice a bounded size.
+        """
+        error = _size_error(value)
+        if error:
+            raise InputError(error, start.line, start.col)
 
     def _factor(self) -> Polynomial:
         base = self._base()
-        if self.peek().kind == "^":
-            caret = self.next()
-            exp_tok = self.expect("INT", "an exponent")
-            exp = int(exp_tok.text)
-            if len(base) == 1:
-                exps, coeff = next(iter(base.terms.items()))
-                if coeff == base.ring.field.one:
-                    return base.ring.monomial(tuple(e * exp for e in exps))
-            if exp > 64 and len(base) > 1:
-                raise InputError("exponent too large", caret.line, caret.col)
-            return base**exp
-        return base
+        if self.peek().kind != "^":
+            return base
+        caret = self.next()
+        exp_tok = self.expect("INT", "an exponent")
+        digits = exp_tok.text.lstrip("0") or "0"
+        exp = int(digits) if len(digits) <= 9 else None
+        if (exp is None or exp * _top_exponent(base) > MAX_EXPONENT
+                or (exp > MAX_SUM_POWER and len(base) > 1)):
+            raise InputError("exponent too large", caret.line, caret.col)
+        if len(base) == 1:
+            exps, coeff = next(iter(base.terms.items()))
+            if coeff == base.ring.field.one:
+                return base.ring.monomial(tuple(e * exp for e in exps))
+        if _power_bits(base, exp) > MAX_COEFF_BITS:
+            raise InputError("coefficient too large", caret.line, caret.col)
+        return base**exp
+
+    def _coefficient(self, tok: Token) -> int:
+        digits = tok.text.lstrip("0") or "0"
+        # d digits mean more than 3.3 * (d - 1) bits, so a longer literal is
+        # too large without converting it.
+        value = int(digits) if len(digits) <= MAX_COEFF_BITS // 3 else None
+        if value is None or value.bit_length() > MAX_COEFF_BITS:
+            self.error("coefficient too large", tok)
+        return value
 
     def _base(self) -> Polynomial:
         session = self._require_ring()
@@ -332,11 +402,11 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "INT":
             self.next()
-            num = int(tok.text)
+            num = self._coefficient(tok)
             if self.peek().kind == "/":
                 self.next()
                 den_tok = self.expect("INT", "a denominator")
-                den = int(den_tok.text)
+                den = self._coefficient(den_tok)
                 if den == 0:
                     raise InputError("zero denominator",
                                      den_tok.line, den_tok.col)

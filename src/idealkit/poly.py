@@ -10,30 +10,27 @@ construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, le, sub
 
 from .orders import DegRevLex
 
 
 def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a, b) -> bool:
     """True when a | b, i.e. every exponent of a is <= that of b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_div(a, b):
     """Exponent vector of a/b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomial_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def monomial_deg(a) -> int:
-    return sum(a)
+    return tuple(map(max, a, b))
 
 
 class Ring:
@@ -49,6 +46,8 @@ class Ring:
         if self.order.nvars != self.nvars:
             raise ValueError("order arity does not match variable count")
         self._index = {n: i for i, n in enumerate(self.names)}
+        # Packed-monomial layouts by field width, built by groebner on use.
+        self._packings: dict = {}
         self.zero = Polynomial(self, {})
         self.one = Polynomial(self, {(0,) * self.nvars: field.one})
 
@@ -294,15 +293,31 @@ class Polynomial:
         return Polynomial(self.ring, out)
 
     def divexact(self, d: "Polynomial") -> "Polynomial":
-        """Quotient self / d when d divides exactly; raises otherwise."""
-        from .groebner import normal_form
+        """Quotient self / d when d divides exactly; raises otherwise.
 
+        A single-term divisor divides term by term; a longer one goes
+        through one division in `groebner.normal_form`.
+        """
         if d.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        r, (q,) = normal_form(self, [d], with_quotients=True)
-        if not r.is_zero():
-            raise ArithmeticError("inexact polynomial division")
-        return q
+        if d.ring is not self.ring and d.ring != self.ring:
+            raise ValueError("mixing polynomials from different rings")
+        if len(d.terms) > 1:
+            from .groebner import normal_form
+
+            r, (q,) = normal_form(self, [d], with_quotients=True)
+            if not r.is_zero():
+                raise ArithmeticError("inexact polynomial division")
+            return q
+        ((a, c),) = d.terms.items()
+        field = self.ring.field
+        inv = field.inv(c)
+        out = {}
+        for e, v in self.terms.items():
+            if not monomial_divides(a, e):
+                raise ArithmeticError("inexact polynomial division")
+            out[monomial_div(e, a)] = field.mul(v, inv)
+        return Polynomial(self.ring, out)
 
     def monic(self) -> "Polynomial":
         if not self.terms:

@@ -313,6 +313,15 @@ def test_exit_2_on_parse_error(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_exit_2_on_oversized_power(capsys, tmp_path):
+    p = tmp_path / "big.ikt"
+    p.write_text("ring Q[x];\npoly f = 2^200000;\n")
+    code = main(["run", str(p), "gb", "f"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 2, column 11: coefficient too large" in err
+
+
 def test_exit_2_on_unknown_name(capsys, demo):
     code = main(["run", demo, "gb", "missing"])
     assert code == 2

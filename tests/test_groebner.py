@@ -174,3 +174,106 @@ def test_block_order_gb():
     gb = buchberger([u * x - 1, u * y - 1])
     free = [g for g in gb if g.degree_in((0,)) == 0]
     assert free == [x - y]
+
+
+# -- packed monomials: widening past the 8-bit fields -----------------------
+
+def _scaled(p, ring, k):
+    """p with every exponent multiplied by k, in ring."""
+    return ring.poly({tuple(k * e for e in exps): c
+                      for exps, c in p.terms.items()})
+
+
+SCALING_ORDERS = [
+    Lex(3),
+    DegRevLex(3),
+    Block((DegRevLex(1), Lex(2))),
+    Block((Block((Lex(1), DegRevLex(1))), DegRevLex(1))),
+]
+
+
+@pytest.mark.parametrize("order", SCALING_ORDERS, ids=str)
+@pytest.mark.parametrize("k, width", [(50, 16), (65537, 32)])
+def test_buchberger_large_exponents_match_scaled_basis(order, k, width):
+    # e -> k*e preserves every order here and divisibility, so the basis of
+    # the scaled ideal is the scaled basis; k = 50 needs 16-bit fields and
+    # k = 2^16 + 1 needs 32-bit ones.
+    small = Ring(QQ, ("x", "y", "z"), order)
+    x, y, z = small.gens()
+    gens = [x**2 * y - z**3 + 2 * x, x * y * z - 3 * y**2, z**2 * x - y + 1]
+    big = Ring(QQ, ("x", "y", "z"), order)
+    expected = [_scaled(g, big, k) for g in buchberger(gens)]
+    assert buchberger([_scaled(g, big, k) for g in gens]) == expected
+    assert max(big._packings) == width
+
+
+def test_exponents_first_pass_127_during_buchberger():
+    ring = Ring(GF(32003), ("x", "y"), Lex(2))
+    x, y = ring.gens()
+    # x = y^64 turns x^2 - y into y^128 - y, the first exponent above 127.
+    gb = buchberger([x - y**64, x**2 - y])
+    assert gb == [y**128 - y, x - y**64]
+    assert sorted(ring._packings) == [8, 16]
+
+
+@pytest.mark.parametrize("order", [Lex(2), DegRevLex(2)], ids=str)
+def test_s_polynomial_first_passes_127(order):
+    # Inputs stay at 100; the one S-polynomial has the term y^150.
+    small = Ring(QQ, ("x", "y"), order)
+    x, y = small.gens()
+    gens = [x**2 - y**2, x * y - 1]
+    big = Ring(QQ, ("x", "y"), order)
+    expected = [_scaled(g, big, 50) for g in buchberger(gens)]
+    assert buchberger([_scaled(g, big, 50) for g in gens]) == expected
+    assert sorted(big._packings) == [8, 16]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_s_polynomial_term_past_127_reducible_by_no_lead(field):
+    # S(w - y^100, w*y^30 - 2x) = 2x - y^130, and no lead divides x or y^130,
+    # so y^130 goes into the basis as computed and is never multiplied again.
+    ring = Ring(field, ("w", "x", "y"), Lex(3))
+    w, x, y = ring.gens()
+    gb = buchberger([w - y**100, w * y**30 - 2 * x])
+    assert gb == [(2 * x - y**130).monic(), w - y**100]
+    assert all(g.lead_coeff() == field.one for g in gb)
+    assert sorted(ring._packings) == [8, 16]
+
+
+def test_normal_form_quotients_across_widening():
+    ring = Ring(QQ, ("x", "y"), Lex(2))
+    x, y = ring.gens()
+    gens = [x**2 - 3 * y**127, x * y - 1]
+    p = x**4 + 5 * x**3 * y**2 - y
+    # Reducing x^4 by x^2 - 3y^127 twice reaches y^254.
+    r, qs = normal_form(p, gens, with_quotients=True)
+    assert sorted(ring._packings) == [8, 16]
+    assert r.coeff((0, 254)) == 9
+    acc = r
+    for q, g in zip(qs, gens):
+        acc = acc + q * g
+    assert acc == p
+    for g in gens:
+        for exps in r.terms:
+            assert not all(a <= b for a, b in zip(g.lead_monomial(), exps))
+
+
+def test_input_exponent_at_least_128():
+    ring = Ring(QQ, ("x", "y"))
+    x, y = ring.gens()
+    gb = buchberger([x**130 - y, y**2])
+    assert gb == [y**2, x**130 - y]
+    assert sorted(ring._packings) == [8, 16]
+    # x^260 = (x^130)^2 -> y^2 -> 0
+    assert normal_form(x**260 + x * y, gb) == x * y
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_zero_variable_ring(field):
+    ring = Ring(field, ())
+    three, two = ring.const(3), ring.const(2)
+    assert buchberger([three, two]) == [ring.one]
+    r, (q,) = normal_form(ring.const(5), [two], with_quotients=True)
+    assert r.is_zero()
+    assert q * two == ring.const(5)
+    assert GroebnerBasis([three]).contains(ring.const(4))

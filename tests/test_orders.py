@@ -82,3 +82,20 @@ def test_orders_are_values():
     assert DegRevLex(3) != DegRevLex(2)
     assert Lex(2) != DegRevLex(2)
     assert hash(Block((Lex(1), Lex(1)))) == hash(Block((Lex(1), Lex(1))))
+
+
+@pytest.mark.parametrize("order", [
+    Lex(4), DegRevLex(4), Block((DegRevLex(1), Lex(3))),
+    Block((Block((Lex(1), DegRevLex(2))), DegRevLex(1))),
+], ids=str)
+def test_key_is_additive(order):
+    # Packed monomials in groebner rely on this: key(a + b) is the
+    # componentwise sum of key(a) and key(b), and key(0) is all zeros.
+    assert not any(order.key((0,) * 4))
+    rng = random.Random(5)
+    for _ in range(300):
+        a = tuple(rng.randrange(200) for _ in range(4))
+        b = tuple(rng.randrange(200) for _ in range(4))
+        ab = tuple(x + y for x, y in zip(a, b))
+        assert order.key(ab) == tuple(
+            x + y for x, y in zip(order.key(a), order.key(b)))

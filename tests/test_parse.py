@@ -137,6 +137,30 @@ def test_comments_and_blank_lines():
     ("ring Q[x] poly f = x;", 1, 11, "expected"),
     ("ring Q[x];\nfrobnicate f;", 2, 1, "statement"),
     ("ring Q[x];\npoly f = x $ x;", 2, 12, "character"),
+    ("ring Q[x];\npoly f = 2^200000;", 2, 11, "coefficient too large"),
+    ("ring Q[x];\npoly f = x^100000000000000000000;", 2, 11,
+     "exponent too large"),
+    ("ring Q[x];\npoly f = (2*x)^5000;", 2, 15, "coefficient too large"),
+    ("ring Q[x];\npoly f = x^100001;", 2, 11, "exponent too large"),
+    ("ring Q[x];\npoly f = (x^2)^50001;", 2, 15, "exponent too large"),
+    ("ring Q[x];\npoly f = x^60000*x^60000;", 2, 10, "exponent too large"),
+    ("ring Q[x];\npoly f = 2^4000*2^4000;", 2, 10, "coefficient too large"),
+    ("ring Q[x];\npoly f = 2^4000*2^4000*2^4000;", 2, 10,
+     "coefficient too large"),
+    ("ring Q[x];\npoly f = 1 + 2^4000*2^4000*x;", 2, 10,
+     "coefficient too large"),
+    ("ring Q[x];\npoly f = 2^4095 + 2^4095 - 1;", 2, 10,
+     "coefficient too large"),
+    ("ring Q[x];\npoly f = x^60000*x^40000 + x^60000*x^60000;", 2, 10,
+     "exponent too large"),
+    ("ring Fp(7)[x];\npoly f = " + "1" * 1400 + ";", 2, 10,
+     "coefficient too large"),
+    ("ring Q[x];\npoly f = 1 + (2^4000*2^4000)^1;", 2, 15,
+     "coefficient too large"),
+    ("ring Q[x];\npoly f = (1/2*x + 1)^64*(x + 3)^4000;", 2, 32,
+     "exponent too large"),
+    ("ring Q[x];\npoly f = 1/" + "7" * 2000 + ";", 2, 12,
+     "coefficient too large"),
 ])
 def test_error_positions(src, line, col, fragment):
     with pytest.raises(InputError) as exc:
@@ -159,3 +183,14 @@ def test_big_exponent_guard():
     # single variables may use large exponents
     s = parse_session("ring Q[x];\npoly f = x^100;\n")
     assert s.polys["f"].degree() == 100
+
+
+def test_size_bounds_allow_what_fits():
+    s = parse_session("ring Q[x, y];\npoly f = x^100000*y;\n"
+                      "poly g = (1/2*x + 3)^64;\npoly h = 2^4000;\n")
+    assert s.polys["f"].degree() == 100001
+    assert s.polys["h"] == 2**4000
+    # Over GF(p) coefficients stay reduced, so powers and products of
+    # literals are not bounded; only each literal and each exponent is.
+    s = parse_session("ring Fp(7)[x];\npoly f = 3^200000*x^0;\n")
+    assert s.polys["f"] == pow(3, 200000, 7)

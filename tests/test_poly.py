@@ -103,6 +103,35 @@ def test_divexact():
         p.divexact(R2.zero)
 
 
+def test_divexact_single_term_divisor():
+    x, y = R2.gens()
+    p = 6 * x**3 * y - 4 * x * y**2
+    assert p.divexact(2 * x * y) == 3 * x**2 - 2 * y
+    assert p.divexact(R2.const(2)) == 3 * x**3 * y - 2 * x * y**2
+    assert p.divexact(R2.one) == p
+    assert R2.zero.divexact(x) == R2.zero
+    f5 = Ring(GF(5), ("x", "y"))
+    u, v = f5.gens()
+    assert (3 * u**2 * v).divexact(2 * u) == 4 * u * v
+
+
+def test_divexact_single_term_errors():
+    x, y = R2.gens()
+    with pytest.raises(ZeroDivisionError):
+        x.divexact(R2.zero)
+    with pytest.raises(ArithmeticError):
+        (x**2 + y).divexact(x)  # y is not a multiple of x
+    with pytest.raises(ArithmeticError):
+        (x * y).divexact(x**2)
+    other = Ring(QQ, ("a", "b"))
+    with pytest.raises(ValueError):
+        x.divexact(other.var(0))
+    with pytest.raises(ValueError):
+        x.divexact(other.const(2))
+    with pytest.raises(ValueError):
+        (x * y).divexact(other.var(0) + 1)
+
+
 def test_pow():
     x, y = R2.gens()
     assert (x + y) ** 0 == R2.one
