@@ -6,18 +6,18 @@ lead monomial of another, and the basis is sorted ascending by lead monomial.
 Division is deterministic (lowest-index divisor first) and can record the
 quotients, which is what ideal-membership witnesses are built from.
 
-Division and the Buchberger loop run on packed monomials (Monagan and
-Pearce, JSC 2011; Roune and Stillman, ISSAC 2012). A packed monomial is one
-int: each exponent has a field of `width` bits whose top bit is a guard bit,
-the total degree sits above the exponent fields, and the order key sits
-above the degree. Order keys are additive (see `orders`), so the product of
-two monomials is the sum of their ints, comparing ints compares monomials in
-the ring's order, and a divides b exactly when `(b - a) & guard` is zero. A
-product that sets a guard bit has overflowed its field: the whole call then
-starts again with fields twice as wide (8, 16, 32, ... bits), so no result
-depends on the width. `buchberger` and `normal_form` pack their input once
-and unpack their result once; `Polynomial` and every signature here keep
-exponent tuples.
+Division, the Buchberger loop and its Gebauer-Moeller pair criteria run on
+packed monomials (Monagan and Pearce, JSC 2011; Roune and Stillman, ISSAC
+2012). A packed monomial is one int: each exponent has a field of `width`
+bits whose top bit is a guard bit, the total degree sits above the exponent
+fields, and the order key sits above the degree. Order keys are additive
+(see `orders`), so the product of two monomials is the sum of their ints,
+comparing ints compares monomials in the ring's order, and a divides b
+exactly when `(b - a) & guard` is zero. A product that sets a guard bit has
+overflowed its field: the whole call then starts again with fields twice as
+wide (8, 16, 32, ... bits), so no result depends on the width. `buchberger`
+and `normal_form` pack their input once and unpack their result once;
+`Polynomial` and every public signature here keep exponent tuples.
 """
 
 from __future__ import annotations
@@ -25,13 +25,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from operator import mul
 
-from .poly import (
-    Polynomial,
-    monomial_div,
-    monomial_divides,
-    monomial_lcm,
-    monomial_mul,
-)
+from .poly import Polynomial, monomial_div, monomial_lcm
 
 
 class _Overflow(Exception):
@@ -73,6 +67,9 @@ class _Packing:
         if exps and max(exps) > self.max_exp:
             raise _Overflow
         return sum(map(mul, exps, self.units))
+
+    def degree(self, m):
+        return (m >> self.deg_shift) & self.deg_mask
 
     def unpack(self, m):
         f = self.field_mask
@@ -210,72 +207,44 @@ def s_polynomial(f, g):
     return a - b
 
 
-class _Pair:
-    __slots__ = ("i", "j", "lcm", "sugar")
-
-    def __init__(self, i, j, lcm, sugar):
-        self.i = i
-        self.j = j
-        self.lcm = lcm
-        self.sugar = sugar
-
-
-def _make_pair(i, j, leads, sugars):
-    li, lj = leads[i], leads[j]
-    lcm = monomial_lcm(li, lj)
-    deg = sum(lcm)
-    sugar = max(sugars[i] + deg - sum(li), sugars[j] + deg - sum(lj))
-    return _Pair(i, j, lcm, sugar)
-
-
-def _update_pairs(pairs, leads, sugars, t):
+def _update_pairs(pk, live, leads, sugars, t):
     """Gebauer-Moeller update after appending the element with lead leads[t].
 
-    Prunes new pairs by the chain criterion among themselves, drops
-    coprime-lead pairs (product criterion), and filters old pairs whose lcm
-    is strictly refined by the new element.
+    Pairs are heap entries (sugar, lcm, i, j) with a packed lcm. Among the
+    new pairs (i, t), a pair is kept when its leads are not coprime (product
+    criterion) and no other new pair's lcm strictly divides its lcm or
+    equals it at a lower index (chain criterion). An old pair (i, j) leaves
+    `live` when the new lead divides its lcm and its lcm differs from those
+    of (i, t) and (j, t). Returns the surviving new pairs.
     """
+    guard, pack, unpack, degree = pk.guard, pk.pack, pk.unpack, pk.degree
     lt = leads[t]
-    fresh = [_make_pair(i, t, leads, sugars) for i in range(t)]
-
-    kept_new = []
-    for a, pa in enumerate(fresh):
-        coprime = monomial_mul(leads[pa.i], lt) == pa.lcm
-        if coprime:
-            kept_new.append(pa)
-            continue
-        dominated = False
-        for b, pb in enumerate(fresh):
-            if b == a or pb.lcm == pa.lcm and b > a:
-                continue
-            if monomial_divides(pb.lcm, pa.lcm) and pb.lcm != pa.lcm:
-                dominated = True
-                break
-            if pb.lcm == pa.lcm and b < a:
-                dominated = True
-                break
-        if not dominated:
-            kept_new.append(pa)
+    et = unpack(lt)
+    sugar_t = sugars[t] - degree(lt)
+    fresh = []
+    for i in range(t):
+        li = leads[i]
+        lcm = pack(tuple(map(max, unpack(li), et)))
+        sugar = max(sugars[i] - degree(li), sugar_t) + degree(lcm)
+        fresh.append((sugar, lcm, i, t))
 
     survivors = []
-    for p in kept_new:
-        if monomial_mul(leads[p.i], lt) == p.lcm:
+    for i, pair in enumerate(fresh):
+        la = pair[1]
+        if leads[i] + lt == la:
             continue
-        survivors.append(p)
+        for b, (_, lb, _, _) in enumerate(fresh):
+            if not (la - lb) & guard and b != i and (lb != la or b < i):
+                break
+        else:
+            survivors.append(pair)
 
-    kept_old = []
-    for p in pairs:
-        li = leads[p.i]
-        lj = leads[p.j]
-        if (
-            monomial_divides(lt, p.lcm)
-            and monomial_lcm(li, lt) != p.lcm
-            and monomial_lcm(lj, lt) != p.lcm
-        ):
-            continue
-        kept_old.append(p)
-    kept_old.extend(survivors)
-    return kept_old
+    live.difference_update([
+        (sugar, lcm, i, j) for sugar, lcm, i, j in live
+        if not (lcm - lt) & guard
+        and fresh[i][1] != lcm and fresh[j][1] != lcm
+    ])
+    return survivors
 
 
 def buchberger(polys, order=None):
@@ -303,24 +272,27 @@ def _buchberger(pk, ring, polys):
     one = field.one
     guard = pk.guard
 
-    # Basis element k: packed terms basis[k], packed lead leads[k] (also as
-    # a tuple in lead_exps[k], for the pair criteria), tail tails[k].
+    # Basis element k: packed terms basis[k], packed lead leads[k], tail
+    # tails[k]. Pairs wait in `heap`; `live` holds those not yet popped or
+    # pruned, so a popped pair outside it is skipped.
     basis: list[dict] = []
     leads: list[int] = []
-    lead_exps: list[tuple] = []
     tails: list[list] = []
     sugars: list[int] = []
     ones: list = []
+    heap: list[tuple] = []
+    live: set[tuple] = set()
 
     def add(terms, lead, sugar):
         basis.append(terms)
         leads.append(lead)
-        lead_exps.append(pk.unpack(lead))
         tails.append(_tail(terms, lead))
         sugars.append(sugar)
         ones.append(one)
+        for pair in _update_pairs(pk, live, leads, sugars, len(basis) - 1):
+            live.add(pair)
+            heappush(heap, pair)
 
-    pairs: list[_Pair] = []
     seen = set()
     for p in polys:
         m = p.monic()
@@ -330,17 +302,13 @@ def _buchberger(pk, ring, polys):
         seen.add(key)
         terms = pk.pack_terms(m)
         add(terms, max(terms), m.degree())
-        pairs = _update_pairs(pairs, lead_exps, sugars, len(basis) - 1)
-
-    heap = [(p.sugar, pk.pack(p.lcm), p.i, p.j, p) for p in pairs]
-    heapify(heap)
-    alive = {(p.i, p.j) for p in pairs}
 
     while heap:
-        _, lcm, i, j, pair = heappop(heap)
-        if (i, j) not in alive:
+        pair = heappop(heap)
+        if pair not in live:
             continue
-        alive.discard((i, j))
+        live.remove(pair)
+        sugar, lcm, i, j = pair
         # The S-polynomial of the monic basis[i] and basis[j]: their lead
         # terms cancel, so it is built from the tails.
         s = {}
@@ -366,26 +334,12 @@ def _buchberger(pk, ring, polys):
                     s[e] = prev
         if not s:
             continue
-        rem, sugar = _divide(pk, field, s, leads, ones, tails, None,
-                             pair.sugar, sugars)
+        rem, sugar = _divide(pk, field, s, leads, ones, tails, None, sugar,
+                             sugars)
         if not rem:
             continue
         lead = next(iter(rem))
         add(_monic(field, rem, lead), lead, sugar)
-        new_pairs = _update_pairs(
-            [p for p in pairs if (p.i, p.j) in alive],
-            lead_exps, sugars, len(basis) - 1,
-        )
-        added = []
-        next_alive = set()
-        for p in new_pairs:
-            next_alive.add((p.i, p.j))
-            if (p.i, p.j) not in alive:
-                added.append(p)
-        alive = next_alive
-        pairs = new_pairs
-        for p in added:
-            heappush(heap, (p.sugar, pk.pack(p.lcm), p.i, p.j, p))
 
     return [pk.unpack_poly(ring, terms)
             for terms in _reduce_basis(pk, field, basis, leads, tails)]

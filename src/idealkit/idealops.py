@@ -211,44 +211,34 @@ class Ideal:
                     return size
         return 0
 
-    def _pure_power_bounds(self):
-        """Per-variable minimal pure-power exponent in LT(I), or None."""
-        gb = self.groebner()
-        leads = [g.lead_monomial() for g in gb]
-        n = self.ring.nvars
-        bounds: list = [None] * n
-        for lm in leads:
-            support = [i for i, e in enumerate(lm) if e]
-            if len(support) == 1:
-                i = support[0]
-                if bounds[i] is None or lm[i] < bounds[i]:
-                    bounds[i] = lm[i]
-        return bounds, leads
-
     def standard_monomials(self):
-        """Monomials outside LT(I), ascending; None when infinitely many."""
+        """Monomials outside LT(I), ascending; None when infinitely many.
+
+        They are finite exactly when every variable has a pure power among
+        the lead monomials. The walk raises one exponent per step, never
+        before the last one raised, so it meets each monomial once; it stops
+        at multiples of a lead monomial.
+        """
         gb = self.groebner()
         if not gb:
             return None
         if gb[0].degree() == 0:
             return []
-        bounds, leads = self._pure_power_bounds()
-        if any(b is None for b in bounds):
+        leads = [g.lead_monomial() for g in gb]
+        n = self.ring.nvars
+        pure = {i for lm in leads for i, e in enumerate(lm) if e == sum(lm)}
+        if len(pure) < n:
             return None
         out = []
-
-        def scan(prefix, i):
-            if i == len(bounds):
-                exps = tuple(prefix)
-                if not any(monomial_divides(lm, exps) for lm in leads):
-                    out.append(exps)
-                return
-            for e in range(bounds[i]):
-                scan(prefix + [e], i + 1)
-
-        scan([], 0)
-        key = self.ring.order.key
-        out.sort(key=key)
+        stack = [((0,) * n, 0)]
+        while stack:
+            exps, first = stack.pop()
+            if any(monomial_divides(lm, exps) for lm in leads):
+                continue
+            out.append(exps)
+            for i in range(first, n):
+                stack.append((exps[:i] + (exps[i] + 1,) + exps[i + 1:], i))
+        out.sort(key=self.ring.order.key)
         return [self.ring.monomial(e) for e in out]
 
     def colength(self):

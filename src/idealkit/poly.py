@@ -10,13 +10,9 @@ construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, le, sub
+from operator import le, sub
 
 from .orders import DegRevLex
-
-
-def monomial_mul(a, b):
-    return tuple(map(add, a, b))
 
 
 def monomial_divides(a, b) -> bool:

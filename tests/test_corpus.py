@@ -14,6 +14,7 @@ from idealkit.corpus import (
     verify_lemma,
 )
 from idealkit.fields import GF
+from idealkit.idealops import Ideal, kernel_of_map
 from idealkit.parse import parse_session, render_session
 
 
@@ -164,3 +165,29 @@ def test_negated_claims_carry_inner_property():
     rep = by_claim["not_syzygetic"]
     assert rep.status == "verified"
     assert rep.witness["refuted_property"] == "syzygetic"
+
+
+def huneke_kernel_gf2():
+    """The kernel of s -> (s^6, s^7 + s^10, s^8) over GF(2), in k[x, y, z]."""
+    s = CORPUS["huneke"].session(GF(2))
+    return kernel_of_map([s.polys[n] for n in ("cx", "cy", "cz")],
+                         ("x", "y", "z"))
+
+
+def test_huneke_over_gf2_is_a_complete_intersection():
+    """Over GF(2) the `minimal_generators` claim is correctly refuted.
+
+    In characteristic 2, y^2 = s^14 + s^20 = xz + x^2*z, so the kernel is
+    (z^3 + x^4, y^2 + x*z + x^2*z), a complete intersection with two
+    generators at the origin. Huneke's four generators need a
+    characteristic other than 2.
+    """
+    kernel = huneke_kernel_gf2()
+    x, y, z = kernel.ring.gens()
+    assert kernel.equals(Ideal(kernel.ring,
+                               [z**3 + x**4, y**2 + x * z + x**2 * z]))
+    assert kernel.min_generators_at_origin() == 2
+    by_claim = {r.claim: r for r in verify_lemma("huneke", GF(2))}
+    report = by_claim["minimal_generators"]
+    assert report.status == "refuted"
+    assert report.witness["mu"] == 2

@@ -8,6 +8,8 @@ import pytest
 from idealkit.fields import GF, QQ
 from idealkit.groebner import (
     GroebnerBasis,
+    _packing,
+    _update_pairs,
     buchberger,
     normal_form,
     s_polynomial,
@@ -277,3 +279,87 @@ def test_zero_variable_ring(field):
     assert r.is_zero()
     assert q * two == ring.const(5)
     assert GroebnerBasis([three]).contains(ring.const(4))
+
+
+# -- Gebauer-Moeller criteria on packed leads against a tuple reference -----
+
+def _reference_update_pairs(pairs, leads, sugars, t):
+    """The pair update on exponent tuples, kept as the oracle.
+
+    Pairs are (sugar, lcm, i, j) with a tuple lcm; returns the old pairs
+    that stay followed by the new survivors.
+    """
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    def lcm(a, b):
+        return tuple(map(max, a, b))
+
+    def times(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    lt = leads[t]
+    fresh = []
+    for i in range(t):
+        m = lcm(leads[i], lt)
+        sugar = max(sugars[i] + sum(m) - sum(leads[i]),
+                    sugars[t] + sum(m) - sum(lt))
+        fresh.append((sugar, m, i, t))
+
+    kept_new = []
+    for a, pa in enumerate(fresh):
+        if times(leads[pa[2]], lt) == pa[1]:
+            kept_new.append(pa)
+            continue
+        dominated = False
+        for b, pb in enumerate(fresh):
+            if b == a or pb[1] == pa[1] and b > a:
+                continue
+            if divides(pb[1], pa[1]) and pb[1] != pa[1]:
+                dominated = True
+                break
+            if pb[1] == pa[1] and b < a:
+                dominated = True
+                break
+        if not dominated:
+            kept_new.append(pa)
+    survivors = [p for p in kept_new if times(leads[p[2]], lt) != p[1]]
+
+    kept_old = []
+    for p in pairs:
+        if (divides(lt, p[1]) and lcm(leads[p[2]], lt) != p[1]
+                and lcm(leads[p[3]], lt) != p[1]):
+            continue
+        kept_old.append(p)
+    return kept_old + survivors
+
+
+PAIR_ORDERS = [Lex(4), DegRevLex(4), Block((DegRevLex(2), Lex(2)))]
+
+
+@pytest.mark.parametrize("order", PAIR_ORDERS, ids=str)
+@pytest.mark.parametrize("width, scale", [(8, 1), (16, 50)])
+@pytest.mark.parametrize("seed", range(4))
+def test_packed_pair_update_matches_tuple_reference(order, width, scale, seed):
+    # Small exponents make equal and dividing lcms common; scale 50 pushes
+    # them past 8 bits. Between updates some live pairs are popped.
+    rng = random.Random(seed)
+    pk = _packing(Ring(GF(32003), ("a", "b", "c", "d"), order), width)
+    exps = [tuple(scale * rng.randint(0, 3) for _ in range(4))
+            for _ in range(24)]
+    leads = [pk.pack(e) for e in exps]
+    sugars = [sum(e) + rng.randint(0, 3) for e in exps]
+
+    def unpacked(pair):
+        return pair[0], pk.unpack(pair[1]), pair[2], pair[3]
+
+    ref, live = [], set()
+    for t in range(len(exps)):
+        ref = _reference_update_pairs(ref, exps, sugars, t)
+        new = _update_pairs(pk, live, leads, sugars, t)
+        live.update(new)
+        assert [unpacked(p) for p in new] == [p for p in ref if p[3] == t]
+        assert {unpacked(p) for p in live} == set(ref)
+        for pair in rng.sample(sorted(live), len(live) // 3):
+            live.remove(pair)
+            ref.remove(unpacked(pair))

@@ -270,6 +270,17 @@ def test_colength_edge_cases():
     assert Ideal(R2, [x - 1, y]).colength() == 1  # point at (1, 0)
 
 
+def test_colength_thin_staircase_with_high_pure_powers():
+    # The standard monomials are 1 and x^a, y^a, z^a for 1 <= a <= 119; a
+    # walk of the whole 120^3 box would visit 1.7 million monomials.
+    x, y, z = R3.gens()
+    I = Ideal(R3, [x**120, y**120, z**120, x * y, y * z, x * z])
+    std = I.standard_monomials()
+    assert len(std) == 1 + 3 * 119
+    assert str(std[0]) == "1"
+    assert sum(1 for m in std if m.degree() == 119) == 3
+
+
 def test_min_generators_at_origin():
     x, y = R2.gens()
     assert Ideal(R2, [x**2, x * y, y**2]).min_generators_at_origin() == 3

@@ -1,4 +1,4 @@
-"""Differential suite: reduced Groebner bases against sympy's `groebner`.
+"""Differential suite: reduced Groebner bases and matrices against sympy.
 
 Seeded random ideals in Q[x, y, z] and GF(32003)[x, y, z], in lex and
 grevlex order, must give the same reduced basis as sympy, an independent
@@ -7,6 +7,9 @@ with exponents up to 3, a lex-over-Q case takes minutes here (intermediate
 coefficient growth, recorded in CHANGES.md), which is not a suite to run on
 every change. A few fixed cases have one variable at an exponent of 128 or
 more, so the basis is computed on widened packed monomials.
+
+The same oracle checks the Huneke kernel over GF(2), and determinants and
+ranks of seeded polynomial matrices over Q against sympy's `Matrix`.
 """
 
 import random
@@ -15,9 +18,13 @@ from fractions import Fraction
 import pytest
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
+from idealkit.corpus import CORPUS  # noqa: E402
 from idealkit.fields import GF, QQ  # noqa: E402
 from idealkit.groebner import buchberger  # noqa: E402
+from idealkit.idealops import kernel_of_map  # noqa: E402
+from idealkit.matrix import PolyMatrix  # noqa: E402
 from idealkit.orders import DegRevLex, Lex  # noqa: E402
 from idealkit.poly import Ring  # noqa: E402
 
@@ -89,3 +96,89 @@ def test_wide_exponents_match_sympy(case, field, order):
     gens = WIDE[case]
     expected = theirs(gens, FIELDS[field], ORDERS[order], order)
     assert ours(gens, FIELDS[field], ORDERS[order]) == expected
+
+
+def test_huneke_kernel_over_gf2_matches_sympy():
+    # sympy eliminates s from (x - s^6, y - s^7 - s^10, z - s^8) in lex with
+    # s first; the s-free part of its basis is the lex basis of the kernel,
+    # and it equals the lex basis of the two generators over GF(2).
+    session = CORPUS["huneke"].session(GF(2))
+    kernel = kernel_of_map([session.polys[n] for n in ("cx", "cy", "cz")],
+                           NAMES)
+    ours_lex = buchberger(kernel.gens, order=Lex(3))
+    s = sympy.Symbol("s")
+    x, y, z = SYMBOLS
+    full = sympy.groebner([x - s**6, y - s**7 - s**10, z - s**8],
+                          s, x, y, z, order="lex", modulus=2)
+    ring = Ring(GF(2), NAMES, Lex(3))
+    eliminated = sorted(
+        (ring.poly({exps[1:]: int(c) % 2
+                    for exps, c in sympy.Poly(g, s, x, y, z).as_dict().items()})
+         for g in full.exprs if not g.has(s)),
+        key=lambda g: g.lead_key())
+    assert ours_lex == eliminated
+    pair = sympy.groebner([z**3 + x**4, y**2 + x * z + x**2 * z],
+                          x, y, z, order="lex", modulus=2)
+    assert list(pair.exprs) == [g for g in full.exprs if not g.has(s)]
+
+
+# -- determinants and ranks against sympy `Matrix` ---------------------------
+
+def random_entry(rng):
+    """0-2 terms in x, y, z, exponents at most 1, coefficients like -3/2."""
+    terms = {}
+    for _ in range(rng.randint(0, 2)):
+        exps = tuple(rng.randint(0, 1) for _ in NAMES)
+        terms[exps] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)),
+                               rng.randint(1, 2))
+    return terms
+
+
+def as_sympy(terms):
+    return sum(sympy.Rational(c.numerator, c.denominator)
+               * sympy.prod(s**e for s, e in zip(SYMBOLS, exps))
+               for exps, c in terms.items())
+
+
+def from_sympy(ring, expr):
+    terms = sympy.Poly(expr, *SYMBOLS).as_dict()
+    return ring.poly({exps: Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
+                      for exps, c in terms.items()})
+
+
+def random_matrix(rng, nrows, ncols):
+    """The same random matrix as a PolyMatrix over Q and a sympy Matrix."""
+    ring = Ring(QQ, NAMES)
+    entries = [[random_entry(rng) for _ in range(ncols)]
+               for _ in range(nrows)]
+    ours = PolyMatrix(ring, [[ring.poly(e) for e in row] for row in entries])
+    return ours, sympy.Matrix([[as_sympy(e) for e in row] for row in entries])
+
+
+@pytest.mark.parametrize("size", [4, 5])
+@pytest.mark.parametrize("seed", range(5))
+def test_det_matches_sympy(size, seed):
+    ours, theirs = random_matrix(random.Random(seed), size, size)
+    expected = sympy.expand(theirs.det(method="berkowitz"))
+    assert ours.det() == from_sympy(ours.ring, expected)
+
+
+@pytest.mark.parametrize("nrows, inner, ncols", [
+    (4, 1, 4), (5, 2, 4), (4, 3, 5), (5, 3, 5)])
+@pytest.mark.parametrize("seed", range(3))
+def test_rank_of_thin_product_matches_sympy(nrows, inner, ncols, seed):
+    # A product through `inner` dimensions has rank exactly `inner` when
+    # both factors have that rank (Sylvester); sympy checks both factors and
+    # the product over the fraction field.
+    rng = random.Random(seed)
+    a, sa = random_matrix(rng, nrows, inner)
+    b, sb = random_matrix(rng, inner, ncols)
+
+    def sympy_rank(m):
+        return DomainMatrix.from_Matrix(m).to_field().rank()
+
+    assert sympy_rank(sa) == sympy_rank(sb) == inner
+    assert sympy_rank(sa * sb) == inner
+    assert (a * b).rank_profile()[0] == inner
+    if nrows == ncols:
+        assert (a * b).det().is_zero()
