@@ -1,7 +1,7 @@
 """Exact Groebner-basis ideal arithmetic with a certificate layer."""
 
 from .fields import GF, QQ, PrimeField, RationalField, is_prime
-from .orders import Block, DegRevLex, Lex, elimination_order
+from .orders import Block, DegRevLex, Lex
 from .poly import Polynomial, Ring
 from .groebner import GroebnerBasis, buchberger, normal_form, s_polynomial
 from .matrix import PolyMatrix, canonical_sign
@@ -41,7 +41,6 @@ __all__ = [
     "Block",
     "DegRevLex",
     "Lex",
-    "elimination_order",
     "Polynomial",
     "Ring",
     "GroebnerBasis",

@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .certify import (
-    CertificateReport,
     ComplexData,
+    _finish,
     buchsbaum_eisenbud,
     is_regular_sequence,
     syzygetic_obstruction,
@@ -157,8 +158,6 @@ def _run_command(sess: _Session, op: str, args, fmt: str) -> int:
     if op == "nf":
         name, expr = _need(args, 2, "nf <ideal> <poly>")
         basis = sess.ideal(name).groebner()
-        if not basis:
-            return _emit_values([str(sess.poly(expr))], fmt)
         return _emit_values([str(normal_form(sess.poly(expr), basis))], fmt)
 
     if op == "colon":
@@ -198,13 +197,14 @@ def _run_command(sess: _Session, op: str, args, fmt: str) -> int:
     if op == "lineartype":
         (name,) = _need(args, 1, "lineartype <ideal>")
         I = sess.ideal(name)
+        t0 = time.perf_counter()
         linear = linear_type_by_rees(I)
-        report = CertificateReport(
+        report = _finish(
             "linear_type",
             "verified" if linear else "refuted",
             {"rees_ideal_generated_in_degree_one": linear},
             "the defining ideal of the blowup algebra is generated by "
-            "its degree-one part exactly for ideals of linear type")
+            "its degree-one part exactly for ideals of linear type", t0)
         return _emit_reports([report], fmt)
 
     if op == "dim":
@@ -261,28 +261,6 @@ def _run_command(sess: _Session, op: str, args, fmt: str) -> int:
     raise UsageError(f"unknown command {op!r}")
 
 
-def _reorder(session, order_name):
-    if order_name is None:
-        return session
-    ring = session.ring
-    order = Lex(ring.nvars) if order_name == "lex" else DegRevLex(ring.nvars)
-    if ring.order == order:
-        return session
-    new_ring = ring.change_order(order)
-    session.ring = new_ring
-    session.polys = {k: new_ring.convert(p) for k, p in session.polys.items()}
-    session.ideals = {
-        k: [new_ring.convert(p) for p in gens]
-        for k, gens in session.ideals.items()
-    }
-    from .matrix import PolyMatrix
-    session.matrices = {
-        k: PolyMatrix(new_ring, [list(row) for row in m.rows])
-        for k, m in session.matrices.items()
-    }
-    return session
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="idealkit",
@@ -330,8 +308,8 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: cannot read {ns.file}: {exc}", file=sys.stderr)
             return 2
-        session = _reorder(parse_session(text, _parse_field(ns.field)),
-                           ns.order)
+        order = {"lex": Lex, "degrevlex": DegRevLex}.get(ns.order)
+        session = parse_session(text, _parse_field(ns.field), order)
         return _run_command(_Session(session), ns.op, ns.args, ns.format)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

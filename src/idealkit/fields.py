@@ -76,10 +76,6 @@ class RationalField:
         return a * b
 
     @staticmethod
-    def div(a, b):
-        return a / b
-
-    @staticmethod
     def neg(a):
         return -a
 
@@ -131,9 +127,6 @@ class PrimeField:
 
     def mul(self, a, b):
         return a * b % self.p
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
 
     def neg(self, a):
         return -a % self.p

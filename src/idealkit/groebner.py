@@ -247,20 +247,17 @@ def _update_pairs(pk, live, leads, sugars, t):
     return survivors
 
 
-def buchberger(polys, order=None):
+def buchberger(polys):
     """Reduced Groebner basis of the given polynomials.
 
     Uses sugar-degree pair selection with Gebauer-Moeller pruning, then
-    minimizes and inter-reduces. An optional order recomputes in the same
-    ring under that order. Returns a list sorted ascending by lead monomial.
+    minimizes and inter-reduces. Returns a list sorted ascending by lead
+    monomial.
     """
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         return []
     ring = polys[0].ring
-    if order is not None and order != ring.order:
-        ring = ring.change_order(order)
-        polys = [ring.convert(p) for p in polys]
     for p in polys:
         if p.ring != ring:
             raise ValueError("generators must share one ring")
@@ -332,8 +329,6 @@ def _buchberger(pk, ring, polys):
                     del s[e]
                 else:
                     s[e] = prev
-        if not s:
-            continue
         rem, sugar = _divide(pk, field, s, leads, ones, tails, None, sugar,
                              sugars)
         if not rem:
@@ -369,9 +364,6 @@ def _reduce_basis(pk, field, basis, leads, tails):
     reduced = []
     for pos, k in enumerate(minimal):
         others = minimal[:pos] + minimal[pos + 1:]
-        if not others:
-            reduced.append(basis[k])
-            continue
         rem, _ = _divide(
             pk, field, dict(basis[k]), [leads[h] for h in others],
             [field.one] * len(others), [tails[h] for h in others],
@@ -384,17 +376,13 @@ def _reduce_basis(pk, field, basis, leads, tails):
 class GroebnerBasis:
     """A reduced Groebner basis with membership and witness queries."""
 
-    def __init__(self, gens, order=None):
+    def __init__(self, gens):
         gens = list(gens)
         if not gens:
             raise ValueError("GroebnerBasis needs at least one generator")
         self.gens = gens
-        self.basis = buchberger(gens, order=order)
-        if self.basis:
-            self.ring = self.basis[0].ring
-        else:
-            ring = gens[0].ring
-            self.ring = ring if order is None else ring.change_order(order)
+        self.basis = buchberger(gens)
+        self.ring = self.basis[0].ring if self.basis else gens[0].ring
 
     def __iter__(self):
         return iter(self.basis)

@@ -60,24 +60,19 @@ class Ideal:
     def groebner(self):
         """Reduced Groebner basis as a list, cached; empty for the zero ideal."""
         if self._gb is None:
-            self._gb = buchberger(self.gens) if not self.is_zero() else []
+            self._gb = buchberger(self.gens)
         return self._gb
 
     def contains(self, f) -> bool:
         f = self.ring.convert(f)
         if f.is_zero():
             return True
-        gb = self.groebner()
-        if not gb:
-            return False
-        return normal_form(f, gb).is_zero()
+        return normal_form(f, self.groebner()).is_zero()
 
     def membership_witness(self, f):
         """(quotients, basis) with f = sum q_i b_i, or None when f not in I."""
         f = self.ring.convert(f)
         gb = self.groebner()
-        if not gb:
-            return ([], []) if f.is_zero() else None
         r, qs = normal_form(f, gb, with_quotients=True)
         if not r.is_zero():
             return None
@@ -132,8 +127,6 @@ class Ideal:
         f = self.ring.convert(f)
         if f.is_zero():
             raise ValueError("colon by the zero polynomial")
-        if self.is_zero():
-            return Ideal(self.ring, [])
         inter = self.intersect(Ideal(self.ring, [f]))
         gens = [g.divexact(f) for g in inter.gens]
         return Ideal(self.ring, gens)
@@ -196,9 +189,7 @@ class Ideal:
         monomial entirely.
         """
         gb = self.groebner()
-        if not gb:
-            return self.ring.nvars
-        if gb[0].degree() == 0:
+        if gb and gb[0].degree() == 0:
             return -1
         leads = [g.lead_monomial() for g in gb]
         n = self.ring.nvars
@@ -220,9 +211,7 @@ class Ideal:
         at multiples of a lead monomial.
         """
         gb = self.groebner()
-        if not gb:
-            return None
-        if gb[0].degree() == 0:
+        if gb and gb[0].degree() == 0:
             return []
         leads = [g.lead_monomial() for g in gb]
         n = self.ring.nvars
@@ -256,8 +245,6 @@ class Ideal:
         modulo a basis of m*I. Requires a proper ideal.
         """
         gens = self.nonzero_gens()
-        if not gens:
-            return 0
         if not self.is_proper():
             raise ValueError("minimal generators at the origin need a proper ideal")
         ring = self.ring

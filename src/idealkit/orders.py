@@ -72,13 +72,3 @@ class Block:
 
     def __str__(self):
         return "block(" + ", ".join(str(b) for b in self.blocks) + ")"
-
-
-def elimination_order(n_front: int, n_back: int):
-    """Order that eliminates the first n_front variables.
-
-    Any polynomial whose lead monomial avoids the front block lies entirely
-    in the back variables, so intersecting a Groebner basis with the back
-    ring is a matter of inspecting lead terms.
-    """
-    return Block((DegRevLex(n_front), DegRevLex(n_back)))

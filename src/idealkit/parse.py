@@ -106,11 +106,12 @@ def _tokenize(source: str):
         if ch == "#":
             while i < n and source[i] != "\n":
                 i += 1
+                col += 1
             continue
         start_col = col
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isdecimal():
                 j += 1
             tokens.append(Token("INT", source[i:j], line, start_col))
             col += j - i
@@ -143,15 +144,6 @@ class SessionInput:
     ideals: dict = field(default_factory=dict)
     matrices: dict = field(default_factory=dict)
 
-    def lookup(self, name: str):
-        if name in self.polys:
-            return self.polys[name]
-        if name in self.ideals:
-            return self.ideals[name]
-        if name in self.matrices:
-            return self.matrices[name]
-        raise KeyError(name)
-
 
 def render_session(session: SessionInput) -> str:
     """Canonical text for a session; parsing it back reproduces the data."""
@@ -170,11 +162,12 @@ def render_session(session: SessionInput) -> str:
 
 
 class _Parser:
-    def __init__(self, tokens, field_override=None):
+    def __init__(self, tokens, field_override=None, order=None):
         self.tokens = tokens
         self.pos = 0
         self.session: SessionInput | None = None
         self.field_override = field_override
+        self.order = order
 
     # -- token plumbing ---------------------------------------------------
 
@@ -269,7 +262,8 @@ class _Parser:
         if len(set(names)) != len(names):
             raise InputError("duplicate variable name", close.line, close.col)
         self.expect(";")
-        self.session = SessionInput(Ring(coeff_field, names))
+        order = None if self.order is None else self.order(len(names))
+        self.session = SessionInput(Ring(coeff_field, names, order))
 
     def _poly_stmt(self):
         self.next()
@@ -320,7 +314,7 @@ class _Parser:
         if tok.text == "x":
             cols_tok = self.expect("INT", "a column count")
             return rows, int(cols_tok.text)
-        if tok.text.startswith("x") and tok.text[1:].isdigit():
+        if tok.text.startswith("x") and tok.text[1:].isdecimal():
             return rows, int(tok.text[1:])
         self.error("expected matrix dimensions like 4x3", tok)
 
@@ -335,13 +329,7 @@ class _Parser:
 
     def _expr(self) -> Polynomial:
         start = self.peek()
-        negate = False
-        if self.peek().kind == "-":
-            self.next()
-            negate = True
         value = self._term(start)
-        if negate:
-            value = -value
         while self.peek().kind in ("+", "-"):
             op = self.next()
             rhs = self._term(start)
@@ -434,9 +422,14 @@ class _Parser:
         self.error("expected a polynomial term")
 
 
-def parse_session(source: str, field_override=None) -> SessionInput:
-    """Parse a full session text; optionally force the coefficient field."""
-    return _Parser(_tokenize(source), field_override).parse_session()
+def parse_session(source: str, field_override=None, order=None) -> SessionInput:
+    """Parse a full session text; optionally force the field or the order.
+
+    field_override replaces the coefficient field the ring statement names.
+    order, when given, maps the variable count to the ring's monomial order
+    (for example `Lex` or `DegRevLex`); without it the ring uses degrevlex.
+    """
+    return _Parser(_tokenize(source), field_override, order).parse_session()
 
 
 def parse_poly(ring: Ring, source: str) -> Polynomial:

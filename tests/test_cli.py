@@ -1,7 +1,9 @@
 """Command-line interface: verify and run subcommands, formats, exit codes."""
 
+import itertools
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -215,6 +217,15 @@ def test_run_lineartype(capsys, demo):
     assert main(["run", demo, "lineartype", "M2"]) == 1
     capsys.readouterr()
     assert main(["run", demo, "lineartype", "K"]) == 0
+
+
+def test_run_lineartype_reports_its_time(capsys, demo, monkeypatch):
+    clock = itertools.count(0.0, 0.25)
+    monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
+    code, data = run_json(
+        capsys, ["run", demo, "lineartype", "K", "--format", "json"])
+    assert code == 0
+    assert data["claims"][0]["millis"] == 250
 
 
 def test_run_syzygetic(capsys, tmp_path):

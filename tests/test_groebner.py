@@ -164,8 +164,9 @@ def test_groebner_over_prime_field():
 
 def test_order_parameter():
     x, y = R2.gens()
-    gb_lex = buchberger([x - y**2], order=Lex(2))
-    assert gb_lex == [R2.change_order(Lex(2)).convert(x - y**2)]
+    lex = R2.change_order(Lex(2))
+    gb_lex = buchberger([lex.convert(x - y**2)])
+    assert gb_lex == [lex.convert(x - y**2)]
     gb_drl = buchberger([x - y**2])
     assert gb_drl[0].lead_monomial() == (0, 2)
 

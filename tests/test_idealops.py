@@ -5,7 +5,9 @@ import math
 
 import pytest
 
-from idealkit.fields import QQ
+from idealkit.cli import main
+from idealkit.fields import GF, QQ
+from idealkit.groebner import buchberger
 from idealkit.idealops import (
     Ideal,
     kernel_of_map,
@@ -306,3 +308,60 @@ def test_zero_ideal():
     assert not Z.contains(R2.var(0))
     assert Z.contains(R2.zero)
     assert Z.krull_dim_quotient() == 2
+
+
+def _zero_ideal_operations(field, tmp_path, capsys):
+    ring = Ring(field, ("x", "y"))
+    x, y = ring.gens()
+    Z = Ideal(ring, [ring.zero])
+    assert Z.groebner() == []
+    assert Z.contains(ring.zero) and not Z.contains(x)
+    assert Z.membership_witness(ring.zero) == ([], [])
+    assert Z.membership_witness(x) is None
+    assert Z.colon(x).groebner() == []
+    assert Z.krull_dim_quotient() == 2
+    assert Z.standard_monomials() is None and Z.colength() == math.inf
+    assert Z.min_generators_at_origin() == 0
+
+
+def _nf_by_zero_ideal_on_the_command_line(field, tmp_path, capsys):
+    path = tmp_path / "z.ikt"
+    path.write_text("ring Q[x, y];\nideal Z = 0;\n")
+    name = "q" if field == QQ else f"fp:{field.p}"
+    assert main(["run", str(path), "nf", "Z", "x + y", "--field", name]) == 0
+    assert capsys.readouterr().out == "x + y\n"
+
+
+def _zero_ideal_of_a_ring_without_variables(field, tmp_path, capsys):
+    Z = Ideal(Ring(field, ()), [])
+    assert Z.standard_monomials() == [Z.ring.one]
+    assert Z.colength() == 1
+    assert Z.krull_dim_quotient() == 0
+
+
+def _one_element_reduced_basis(field, tmp_path, capsys):
+    ring = Ring(field, ("x", "y"))
+    x, y = ring.gens()
+    f = 2 * x * y + 3
+    assert buchberger([f, f * f]) == [f.monic()]
+
+
+def _only_s_polynomial_is_empty(field, tmp_path, capsys):
+    ring = Ring(field, ("x", "y"))
+    x, y = ring.gens()
+    # y*(x^2 + x) and x*(x*y + y) are both x^2*y + x*y
+    assert buchberger([x**2 + x, x * y + y]) == [x * y + y, x**2 + x]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("case", [
+    _zero_ideal_operations,
+    _nf_by_zero_ideal_on_the_command_line,
+    _zero_ideal_of_a_ring_without_variables,
+    _one_element_reduced_basis,
+    _only_s_polynomial_is_empty,
+], ids=lambda case: case.__name__.lstrip("_"))
+def test_inputs_on_the_edge_of_the_general_path(case, field, tmp_path, capsys):
+    """Zero ideals, empty bases, empty S-polynomials and single-element
+    reductions go through the same code as every other input."""
+    case(field, tmp_path, capsys)

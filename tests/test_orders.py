@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from idealkit.orders import Block, DegRevLex, Lex, elimination_order
+from idealkit.orders import Block, DegRevLex, Lex
 
 
 def exps(n, bound=4, count=120, seed=7):
@@ -67,7 +67,7 @@ def test_block_nested():
 
 
 def test_elimination_order():
-    o = elimination_order(2, 2)
+    o = Block((DegRevLex(2), DegRevLex(2)))
     assert o.nvars == 4
     assert o.key((0, 1, 0, 0)) > o.key((0, 0, 8, 8))
     # within the back block, ordering matches a plain degrevlex

@@ -30,15 +30,6 @@ def test_parse_statements():
     assert s.matrices["M"].rows[1][0] == -y
 
 
-def test_lookup():
-    s = parse_session(BASIC)
-    assert s.lookup("f") == s.polys["f"]
-    assert s.lookup("I") is s.ideals["I"]
-    assert s.lookup("M") is s.matrices["M"]
-    with pytest.raises(KeyError):
-        s.lookup("missing")
-
-
 def test_fraction_literals():
     s = parse_session("ring Q[x];\npoly f = 1/2*x + 3/4;\n")
     x, = s.ring.gens()
@@ -161,6 +152,9 @@ def test_comments_and_blank_lines():
      "exponent too large"),
     ("ring Q[x];\npoly f = 1/" + "7" * 2000 + ";", 2, 12,
      "coefficient too large"),
+    ("ring Q[x];\npoly f = ²;", 2, 10, "character"),
+    ("ring Q[x];\nmatrix M 1x² = [ x ];", 2, 11, "matrix dimensions"),
+    ("ring Q[x] # note", 1, 17, "end of input"),
 ])
 def test_error_positions(src, line, col, fragment):
     with pytest.raises(InputError) as exc:

@@ -1,0 +1,24 @@
+"""The runtime imports nothing outside the standard library."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# -S keeps site hooks out: with them, third-party modules such as
+# _distutils_hack load before idealkit does.
+PROBE = """
+import sys
+import idealkit, idealkit.cli
+loaded = {name.partition(".")[0] for name in sys.modules}
+print(sorted(loaded - set(sys.stdlib_module_names) - {"idealkit", "__main__"}))
+"""
+
+
+def test_runtime_loads_only_the_standard_library():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
