@@ -4,7 +4,10 @@ Field objects follow the domain-object convention: the polynomial layer never
 touches coefficient internals, it calls ``field.add``, ``field.mul`` and so on.
 Rational coefficients are `fractions.Fraction` (canonical lowest terms,
 positive denominator by construction); prime-field coefficients are plain
-ints in ``range(p)``.
+ints in ``range(p)``. Polynomials over Q hold `Fraction` coefficients, but
+the Groebner kernel does not compute with them: it keeps every divisor and
+basis element as a primitive integer polynomial and makes the basis monic,
+as Fractions, only on output (see `groebner`).
 """
 
 from __future__ import annotations

@@ -18,12 +18,25 @@ overflowed its field: the whole call then starts again with fields twice as
 wide (8, 16, 32, ... bits), so no result depends on the width. `buchberger`
 and `normal_form` pack their input once and unpack their result once;
 `Polynomial` and every public signature here keep exponent tuples.
+
+Coefficients are fraction-free inside the kernel. Over GF(p) every divisor
+and basis element is monic. Over Q each one is a primitive integer
+polynomial (coprime integer coefficients, positive lead coefficient a), as
+in sympy's `groebnertools`: to cancel a term c*m, the working polynomial is
+multiplied by a/gcd(a, c) and (c/gcd(a, c)) times the divisor is subtracted,
+so no `Fraction` is built per term, and each finished remainder is divided
+by its content once. The basis is made monic only when it is unpacked, and
+`normal_form` divides its integer remainder and quotients by the product
+of the scale factors, so both fields give the same results as monic
+division over the field.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import mul
+from math import gcd, lcm
+from operator import mul, neg, sub
 
 from .poly import Polynomial, monomial_div, monomial_lcm
 
@@ -80,10 +93,6 @@ class _Packing:
         pack = self.pack
         return {pack(e): c for e, c in p.terms.items()}
 
-    def unpack_poly(self, ring, terms):
-        unpack = self.unpack
-        return Polynomial(ring, {unpack(m): c for m, c in terms.items()})
-
 
 def _packing(ring, width):
     """The ring's packing at this width, built on first use."""
@@ -108,23 +117,68 @@ def _tail(terms, lead):
     return [(m, c) for m, c in terms.items() if m != lead]
 
 
-def _divide(pk, field, terms, leads, lc_invs, tails, record, sugar, sugars):
+def _ops(field):
+    """(mul, sub, neg) on the kernel's coefficients: ints over Q, GF(p) else."""
+    if field.char:
+        return field.mul, field.sub, field.neg
+    return mul, sub, neg
+
+
+def _normalize(field, terms, lead):
+    """(k * terms, k) for the k that puts terms in the kernel's form.
+
+    Over Q the result has coprime integer coefficients and a positive lead;
+    over GF(p) it is monic. k is a field element.
+    """
+    if field.char:
+        k = field.inv(terms[lead])
+        if k == 1:
+            return terms, k
+        fmul = field.mul
+        return {m: fmul(c, k) for m, c in terms.items()}, k
+    den = lcm(*[c.denominator for c in terms.values()])
+    ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+    g = gcd(*ints.values())
+    if ints[lead] < 0:
+        g = -g
+    if g != 1:
+        ints = {m: c // g for m, c in ints.items()}
+    return ints, Fraction(den, g)
+
+
+def _unpack(pk, ring, terms, k):
+    """Polynomial of the packed kernel terms times the field element k."""
+    unpack = pk.unpack
+    if ring.field.char:
+        fmul = ring.field.mul
+        return Polynomial(ring, {unpack(m): fmul(c, k) if k != 1 else c
+                                 for m, c in terms.items()})
+    num, den = k.numerator, k.denominator
+    return Polynomial(ring, {unpack(m): Fraction(c * num, den)
+                             for m, c in terms.items()})
+
+
+def _divide(pk, ops, terms, leads, lcs, tails, record, sugar, sugars):
     """Divide the packed term dict `terms` (consumed) by packed divisors.
 
-    Divisor i has lead monomial leads[i], inverse lead coefficient
-    lc_invs[i] and the terms below its lead in tails[i]. The largest
-    remaining term is divided by the lowest-index divisor whose lead
-    divides it. When record is not None it collects quotient terms per
-    divisor. When sugars is given the running sugar degree is threaded
-    through. Returns (remainder, sugar); the remainder lists its terms in
-    descending order.
+    Divisor i has lead monomial leads[i], lead coefficient lcs[i] (1 over
+    GF(p)) and the terms below its lead in tails[i]. The largest remaining
+    term c*m goes to the lowest-index divisor whose lead divides it; with
+    a = lcs[i] and g = gcd(a, c), the working terms, the remainder and the
+    recorded quotients are first multiplied by a/g, then (c/g) * m/lead_i
+    times divisor i is subtracted. When record is not None it collects
+    quotient terms per divisor. When sugars is given the running sugar
+    degree is threaded through. Returns (remainder, sugar, u), with u the
+    product of the multipliers: u * dividend == remainder + sum(record[i] *
+    divisor_i). The remainder lists its terms in descending order.
     """
     guard = pk.guard
     deg_shift, deg_mask = pk.deg_shift, pk.deg_mask
-    fmul, fsub, fneg, zero = field.mul, field.sub, field.neg, field.zero
+    cmul, csub, cneg = ops
     get = terms.get
     pop = terms.pop
     remainder: dict = {}
+    u = 1
     heap = [-m for m in terms]
     heapify(heap)
     while heap:
@@ -139,9 +193,18 @@ def _divide(pk, field, terms, leads, lc_invs, tails, record, sugar, sugars):
             remainder[m] = c
             continue
         t = m - lm
-        scale = fmul(c, lc_invs[i])
+        a = lcs[i]
+        if a != 1:
+            g = gcd(a, c)
+            c //= g
+            f = a // g
+            if f != 1:
+                u *= f
+                for part in (terms, remainder, *(record or ())):
+                    for e, v in part.items():
+                        part[e] = v * f
         if record is not None:
-            record[i][t] = field.add(record[i].get(t, zero), scale)
+            record[i][t] = c
         if sugars is not None:
             s = sugars[i] + ((t >> deg_shift) & deg_mask)
             if s > sugar:
@@ -152,15 +215,15 @@ def _divide(pk, field, terms, leads, lc_invs, tails, record, sugar, sugars):
                 raise _Overflow
             prev = get(e)
             if prev is None:
-                terms[e] = fneg(fmul(scale, gc))
+                terms[e] = cneg(cmul(c, gc))
                 heappush(heap, -e)
             else:
-                prev = fsub(prev, fmul(scale, gc))
+                prev = csub(prev, cmul(c, gc))
                 if not prev:
                     del terms[e]
                 else:
                     terms[e] = prev
-    return remainder, sugar
+    return remainder, sugar, u
 
 
 def normal_form(p, gens, with_quotients=False):
@@ -180,20 +243,28 @@ def normal_form(p, gens, with_quotients=False):
     field = ring.field
 
     def run(pk):
-        leads, lc_invs, tails = [], [], []
+        leads, lcs, tails, scales = [], [], [], []
         for g in gens:
             terms = pk.pack_terms(g)
             lead = max(terms)
+            terms, k = _normalize(field, terms, lead)
             leads.append(lead)
-            lc_invs.append(field.inv(terms[lead]))
+            lcs.append(terms[lead])
             tails.append(_tail(terms, lead))
+            scales.append(k)
+        terms, k = pk.pack_terms(p), field.one
+        if terms:
+            terms, k = _normalize(field, terms, max(terms))
         record = [{} for _ in gens] if with_quotients else None
-        rem, _ = _divide(pk, field, pk.pack_terms(p), leads, lc_invs, tails,
-                         record, 0, None)
-        r = pk.unpack_poly(ring, rem)
+        rem, _, u = _divide(pk, _ops(field), terms, leads, lcs, tails,
+                            record, 0, None)
+        # u * k * p == rem + sum(record[i] * scales[i] * gens[i])
+        w = field.inv(field.mul(field.coerce(u), k))
+        r = _unpack(pk, ring, rem, w)
         if not with_quotients:
             return r
-        return r, [pk.unpack_poly(ring, q) for q in record]
+        return r, [_unpack(pk, ring, q, field.mul(s, w))
+                   for q, s in zip(record, scales)]
 
     return _widening(ring, run)
 
@@ -266,39 +337,42 @@ def buchberger(polys):
 
 def _buchberger(pk, ring, polys):
     field = ring.field
-    one = field.one
+    ops = _ops(field)
+    _, csub, cneg = ops
     guard = pk.guard
 
-    # Basis element k: packed terms basis[k], packed lead leads[k], tail
-    # tails[k]. Pairs wait in `heap`; `live` holds those not yet popped or
-    # pruned, so a popped pair outside it is skipped.
+    # Basis element k: packed terms basis[k] in the form `_normalize` gives,
+    # packed lead leads[k], lead coefficient lcs[k], tail tails[k]. Pairs
+    # wait in `heap`; `live` holds those not yet popped or pruned, so a
+    # popped pair outside it is skipped.
     basis: list[dict] = []
     leads: list[int] = []
+    lcs: list[int] = []
     tails: list[list] = []
     sugars: list[int] = []
-    ones: list = []
     heap: list[tuple] = []
     live: set[tuple] = set()
 
     def add(terms, lead, sugar):
         basis.append(terms)
         leads.append(lead)
+        lcs.append(terms[lead])
         tails.append(_tail(terms, lead))
         sugars.append(sugar)
-        ones.append(one)
         for pair in _update_pairs(pk, live, leads, sugars, len(basis) - 1):
             live.add(pair)
             heappush(heap, pair)
 
     seen = set()
     for p in polys:
-        m = p.monic()
-        key = frozenset(m.terms.items())
+        terms = pk.pack_terms(p)
+        lead = max(terms)
+        terms, _ = _normalize(field, terms, lead)
+        key = frozenset(terms.items())
         if key in seen:
             continue
         seen.add(key)
-        terms = pk.pack_terms(m)
-        add(terms, max(terms), m.degree())
+        add(terms, lead, p.degree())
 
     while heap:
         pair = heappop(heap)
@@ -306,54 +380,50 @@ def _buchberger(pk, ring, polys):
             continue
         live.remove(pair)
         sugar, lcm, i, j = pair
-        # The S-polynomial of the monic basis[i] and basis[j]: their lead
-        # terms cancel, so it is built from the tails.
+        # S = (a_j/g) * lcm/lead_i * basis[i] - (a_i/g) * lcm/lead_j *
+        # basis[j], with a = lcs and g = gcd(a_i, a_j) (1 over GF(p)): the
+        # lead terms cancel, so it is built from the tails.
+        g = gcd(lcs[i], lcs[j])
+        fi, fj = lcs[j] // g, lcs[i] // g
         s = {}
         t = lcm - leads[i]
         for e, c in tails[i]:
             e += t
             if e & guard:
                 raise _Overflow
-            s[e] = c
+            s[e] = c * fi
         t = lcm - leads[j]
         for e, c in tails[j]:
             e += t
             if e & guard:
                 raise _Overflow
+            c *= fj
             prev = s.get(e)
             if prev is None:
-                s[e] = field.neg(c)
+                s[e] = cneg(c)
             else:
-                prev = field.sub(prev, c)
+                prev = csub(prev, c)
                 if not prev:
                     del s[e]
                 else:
                     s[e] = prev
-        rem, sugar = _divide(pk, field, s, leads, ones, tails, None, sugar,
-                             sugars)
+        rem, sugar, _ = _divide(pk, ops, s, leads, lcs, tails, None, sugar,
+                                sugars)
         if not rem:
             continue
         lead = next(iter(rem))
-        add(_monic(field, rem, lead), lead, sugar)
+        add(_normalize(field, rem, lead)[0], lead, sugar)
 
-    return [pk.unpack_poly(ring, terms)
-            for terms in _reduce_basis(pk, field, basis, leads, tails)]
-
-
-def _monic(field, terms, lead):
-    lc = terms[lead]
-    if lc == field.one:
-        return terms
-    inv = field.inv(lc)
-    fmul = field.mul
-    return {m: fmul(c, inv) for m, c in terms.items()}
+    return _reduce_basis(pk, ring, basis, leads, lcs, tails)
 
 
-def _reduce_basis(pk, field, basis, leads, tails):
-    """Minimize and inter-reduce a packed monic Groebner basis.
+def _reduce_basis(pk, ring, basis, leads, lcs, tails):
+    """Minimize and inter-reduce a packed Groebner basis in kernel form.
 
-    Returns the packed term dicts, sorted ascending by lead monomial.
+    Returns the monic polynomials, sorted ascending by lead monomial.
     """
+    field = ring.field
+    ops = _ops(field)
     guard = pk.guard
     minimal: list[int] = []
     for k in sorted(range(len(basis)), key=leads.__getitem__):
@@ -364,12 +434,13 @@ def _reduce_basis(pk, field, basis, leads, tails):
     reduced = []
     for pos, k in enumerate(minimal):
         others = minimal[:pos] + minimal[pos + 1:]
-        rem, _ = _divide(
-            pk, field, dict(basis[k]), [leads[h] for h in others],
-            [field.one] * len(others), [tails[h] for h in others],
+        rem, _, _ = _divide(
+            pk, ops, dict(basis[k]), [leads[h] for h in others],
+            [lcs[h] for h in others], [tails[h] for h in others],
             None, 0, None,
         )
-        reduced.append(_monic(field, rem, leads[k]))
+        lc = field.coerce(rem[leads[k]])
+        reduced.append(_unpack(pk, ring, rem, field.inv(lc)))
     return reduced
 
 

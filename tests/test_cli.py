@@ -366,3 +366,24 @@ def test_exit_2_on_unknown_lemma(capsys):
         main(["verify", "--lemma", "lemma9"])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_main_reuses_one_parser_across_calls(capsys, demo):
+    # One parser serves every call: options given to one call (--field,
+    # --format) must not carry into the next, and an argparse error must
+    # leave it usable.
+    code, data = run_json(
+        capsys, ["run", demo, "gb", "I", "--field", "fp:7",
+                 "--format", "json"])
+    assert code == 0
+    code = main(["verify", "--lemma", "2"])
+    assert code == 0
+    assert capsys.readouterr().out.endswith("all claims verified\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", demo, "nosuchcommand"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert main(["run", demo, "nf", "I", "x^2"]) == 0
+    assert capsys.readouterr().out == "y^2\n"
+    code, data = run_json(capsys, ["run", demo, "gb", "I", "--format", "json"])
+    assert data["result"] == ["x*y", "x^2 - y^2", "y^3"]

@@ -364,3 +364,75 @@ def test_packed_pair_update_matches_tuple_reference(order, width, scale, seed):
         for pair in rng.sample(sorted(live), len(live) // 3):
             live.remove(pair)
             ref.remove(unpacked(pair))
+
+
+# -- division over Q against a Fraction reference on exponent tuples --------
+
+def _reference_divide(p, gens):
+    """Division with Fraction coefficients on exponent tuples, the oracle.
+
+    The largest remaining term goes to the lowest-index generator whose
+    lead divides it. Returns (remainder, quotients) as term dicts.
+    """
+    key = p.ring.order.key
+    work, rem, quotients = dict(p.terms), {}, [{} for _ in gens]
+    leads = [g.lead_monomial() for g in gens]
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        i = next((i for i, lm in enumerate(leads)
+                  if all(a <= b for a, b in zip(lm, m))), None)
+        if i is None:
+            rem[m] = c
+            continue
+        t = tuple(a - b for a, b in zip(m, leads[i]))
+        q = quotients[i][t] = c / gens[i].lead_coeff()
+        for e, gc in gens[i].terms.items():
+            if e != leads[i]:
+                e = tuple(a + b for a, b in zip(e, t))
+                v = work.pop(e, 0) - q * gc
+                if v:
+                    work[e] = v
+    return rem, quotients
+
+
+def _random_rational_poly(rng, ring, nterms, top):
+    return ring.poly({
+        tuple(rng.randint(0, top) for _ in range(ring.nvars)):
+            Fraction(rng.choice((-1, 1)) * rng.randint(1, 40),
+                     rng.randint(1, 12))
+        for _ in range(nterms)})
+
+
+def _check_against_reference(p, gens):
+    r, qs = normal_form(p, gens, with_quotients=True)
+    ref_r, ref_qs = _reference_divide(p, gens)
+    assert r.terms == ref_r
+    assert [q.terms for q in qs] == ref_qs
+    assert sum((q * g for q, g in zip(qs, gens)), r) == p
+
+
+@pytest.mark.parametrize("order", [Lex(3), DegRevLex(3)], ids=str)
+@pytest.mark.parametrize("seed", range(12))
+def test_division_over_q_matches_fraction_reference(order, seed):
+    # Non-monic divisors with fractional coefficients; every other seed
+    # makes each lead coefficient negative.
+    rng = random.Random(seed)
+    ring = Ring(QQ, ("x", "y", "z"), order)
+    gens = [_random_rational_poly(rng, ring, rng.randint(2, 4), 2)
+            for _ in range(rng.randint(1, 3))]
+    if seed % 2:
+        gens = [g if g.lead_coeff() < 0 else -g for g in gens]
+    assert any(g.lead_coeff() != 1 for g in gens)
+    p = _random_rational_poly(rng, ring, rng.randint(3, 8), 5)
+    _check_against_reference(p, gens)
+
+
+def test_division_over_q_matches_fraction_reference_across_widening():
+    ring = Ring(QQ, ("x", "y"), Lex(2))
+    x, y = ring.gens()
+    gens = [Fraction(-2, 3) * x**2 + Fraction(5, 7) * y**127,
+            3 * x * y - Fraction(1, 2)]
+    p = Fraction(1, 5) * x**4 - 4 * x**3 * y**2 + Fraction(7, 3) * y
+    _check_against_reference(p, gens)
+    assert sorted(ring._packings) == [8, 16]

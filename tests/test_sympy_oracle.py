@@ -3,9 +3,12 @@
 Seeded random ideals in Q[x, y, z] and GF(32003)[x, y, z], in lex and
 grevlex order, must give the same reduced basis as sympy, an independent
 implementation. Exponents stay at most 2 per variable in the random cases:
-with exponents up to 3, a lex-over-Q case takes minutes here (intermediate
-coefficient growth, recorded in CHANGES.md), which is not a suite to run on
-every change. A few fixed cases have one variable at an exponent of 128 or
+with exponents up to 3, a lex-over-Q case (three generators in Q[x, y, z],
+recorded in CHANGES.md) takes 143 s with the fraction-free integer kernel
+(311 s when the kernel computed with `Fraction`; 2-core Xeon, CPython
+3.11.7), against about 0.4 s over GF(32003). That is intermediate
+coefficient growth, which only a multi-modular method removes; it is not a
+suite to run on every change. A few fixed cases have one variable at an exponent of 128 or
 more, so the basis is computed on widened packed monomials.
 
 The same oracle checks the Huneke kernel over GF(2), and determinants and
@@ -21,6 +24,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from idealkit.corpus import CORPUS  # noqa: E402
+from idealkit import groebner  # noqa: E402
 from idealkit.fields import GF, QQ  # noqa: E402
 from idealkit.groebner import buchberger  # noqa: E402
 from idealkit.idealops import kernel_of_map  # noqa: E402
@@ -96,6 +100,46 @@ def test_wide_exponents_match_sympy(case, field, order):
     gens = WIDE[case]
     expected = theirs(gens, FIELDS[field], ORDERS[order], order)
     assert ours(gens, FIELDS[field], ORDERS[order]) == expected
+
+
+# Over Q the basis is kept as primitive integer polynomials with positive
+# leads; these inputs exercise the content, the sign and the denominators.
+F = Fraction
+SCALAR_EDGES = {
+    # Scalar multiples of 2x - 5y: one element enters the basis.
+    "multiples": [{(1, 0, 0): F(6, 35), (0, 1, 0): F(-3, 7)},
+                  {(1, 0, 0): -2, (0, 1, 0): 5},
+                  {(1, 0, 0): F(-2, 9), (0, 1, 0): F(5, 9)}],
+    # Large common integer factors, and a denominator sharing a factor.
+    "big_content": [{(2, 0, 0): 10**30, (0, 1, 1): -3 * 10**30},
+                    {(1, 1, 0): -7 * 10**25, (0, 0, 1): 14 * 10**25},
+                    {(0, 2, 0): F(6 * 10**20, 7), (1, 0, 0): 2 * 10**20}],
+    # x = 1/3 and x = 1/2: the unit ideal, reached by a constant remainder.
+    "unit_by_remainder": [{(1, 0, 0): 1, (0, 0, 0): F(-1, 3)},
+                          {(1, 0, 0): 1, (0, 0, 0): F(-1, 2)},
+                          {(0, 1, 1): 2, (0, 0, 0): 1}],
+    # A fractional constant among the generators.
+    "unit_constant": [{(1, 1, 0): 3, (0, 0, 2): -1},
+                      {(0, 0, 0): F(-2, 3)}],
+}
+
+
+@pytest.mark.parametrize("case", SCALAR_EDGES)
+@pytest.mark.parametrize("order", ORDERS)
+def test_integer_basis_edge_cases_match_sympy(case, order, monkeypatch):
+    added = []
+    update = groebner._update_pairs
+
+    def counting(pk, live, leads, sugars, t):
+        added.append(t)
+        return update(pk, live, leads, sugars, t)
+
+    monkeypatch.setattr(groebner, "_update_pairs", counting)
+    gens = SCALAR_EDGES[case]
+    expected = theirs(gens, QQ, ORDERS[order], order)
+    assert ours(gens, QQ, ORDERS[order]) == expected
+    if case == "multiples":
+        assert added == [0]
 
 
 def test_huneke_kernel_over_gf2_matches_sympy():
