@@ -47,9 +47,10 @@ def _parse_field(text):
     low = text.lower()
     if low == "q":
         return QQ
-    if low.startswith("fp:"):
+    digits = low[3:]
+    if low.startswith("fp:") and digits.isascii() and digits.isdecimal():
         try:
-            return GF(int(low[3:]))
+            return GF(int(digits))
         except ValueError as exc:
             raise UsageError(f"bad --field value {text!r}: {exc}") from None
     raise UsageError(
@@ -221,10 +222,9 @@ def _run_command(sess: _Session, op: str, args, fmt: str) -> int:
     if op == "minors":
         name, size_text = _need(args, 2, "minors <matrix> <size>")
         m = sess.matrix(name)
-        try:
-            size = int(size_text)
-        except ValueError:
-            raise UsageError("minor size must be an integer") from None
+        if not (size_text.isascii() and size_text.isdecimal()):
+            raise UsageError("minor size must be written in digits 0-9")
+        size = int(size_text)
         if size < 1 or size > min(m.shape):
             raise UsageError(
                 f"minor size must lie in 1..{min(m.shape)}")

@@ -1,13 +1,15 @@
 """Exact coefficient fields: arbitrary-precision rationals and prime fields.
 
-Field objects follow the domain-object convention: the polynomial layer never
+Field objects follow the domain-object convention: `Polynomial` never
 touches coefficient internals, it calls ``field.add``, ``field.mul`` and so on.
 Rational coefficients are `fractions.Fraction` (canonical lowest terms,
 positive denominator by construction); prime-field coefficients are plain
-ints in ``range(p)``. Polynomials over Q hold `Fraction` coefficients, but
-the Groebner kernel does not compute with them: it keeps every divisor and
-basis element as a primitive integer polynomial and makes the basis monic,
-as Fractions, only on output (see `groebner`).
+ints in ``range(p)``. The Groebner kernel computes on plain ints in one loop
+for both fields and uses only ``field.char`` there (see `groebner`). Over Q
+it keeps every divisor and basis element as a primitive integer polynomial
+and makes the basis monic, as Fractions, only on output. Over GF(p) it
+holds unreduced ints, reduces each one mod p when it is popped, and returns
+coefficients in ``range(p)``.
 """
 
 from __future__ import annotations

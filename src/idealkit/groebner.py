@@ -19,16 +19,20 @@ wide (8, 16, 32, ... bits), so no result depends on the width. `buchberger`
 and `normal_form` pack their input once and unpack their result once;
 `Polynomial` and every public signature here keep exponent tuples.
 
-Coefficients are fraction-free inside the kernel. Over GF(p) every divisor
-and basis element is monic. Over Q each one is a primitive integer
-polynomial (coprime integer coefficients, positive lead coefficient a), as
-in sympy's `groebnertools`: to cancel a term c*m, the working polynomial is
-multiplied by a/gcd(a, c) and (c/gcd(a, c)) times the divisor is subtracted,
-so no `Fraction` is built per term, and each finished remainder is divided
-by its content once. The basis is made monic only when it is unpacked, and
-`normal_form` divides its integer remainder and quotients by the product
-of the scale factors, so both fields give the same results as monic
-division over the field.
+Coefficients are plain ints inside the kernel, one loop for both fields.
+Over GF(p) every divisor and basis element is monic, and the kernel
+reduces lazily (Monagan and Pearce): working terms hold unreduced ints,
+each is reduced mod p only when it is popped, and a popped zero is
+skipped, so every coefficient that leaves the kernel lies in range(p).
+Over Q each divisor is a primitive integer polynomial (coprime integer
+coefficients, positive lead coefficient a), as in sympy's `groebnertools`:
+to cancel a term c*m, the working polynomial is multiplied by a/gcd(a, c)
+and (c/gcd(a, c)) times the divisor is subtracted, so no `Fraction` is
+built per term, and each finished remainder is divided by its content
+once. The basis is made monic only when it is unpacked, and `normal_form`
+divides its integer remainder and quotients by the product of the scale
+factors, so both fields give the same results as monic division over the
+field.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import mul, neg, sub
+from operator import mul
 
 from .poly import Polynomial, monomial_div, monomial_lcm
 
@@ -117,13 +121,6 @@ def _tail(terms, lead):
     return [(m, c) for m, c in terms.items() if m != lead]
 
 
-def _ops(field):
-    """(mul, sub, neg) on the kernel's coefficients: ints over Q, GF(p) else."""
-    if field.char:
-        return field.mul, field.sub, field.neg
-    return mul, sub, neg
-
-
 def _normalize(field, terms, lead):
     """(k * terms, k) for the k that puts terms in the kernel's form.
 
@@ -158,23 +155,26 @@ def _unpack(pk, ring, terms, k):
                              for m, c in terms.items()})
 
 
-def _divide(pk, ops, terms, leads, lcs, tails, record, sugar, sugars):
+def _divide(pk, p, terms, leads, lcs, tails, record, sugar, sugars):
     """Divide the packed term dict `terms` (consumed) by packed divisors.
 
-    Divisor i has lead monomial leads[i], lead coefficient lcs[i] (1 over
-    GF(p)) and the terms below its lead in tails[i]. The largest remaining
-    term c*m goes to the lowest-index divisor whose lead divides it; with
+    p is the field's characteristic. Divisor i has lead monomial leads[i],
+    lead coefficient lcs[i] (1 over GF(p)) and the terms below its lead in
+    tails[i]. Working terms are unreduced ints: the largest one is popped,
+    reduced mod p when p is set and skipped when zero, so a term that
+    cancels stays in `terms` as an int that is 0 (mod p). The popped c*m
+    goes to the lowest-index divisor whose lead divides it; over Q, with
     a = lcs[i] and g = gcd(a, c), the working terms, the remainder and the
-    recorded quotients are first multiplied by a/g, then (c/g) * m/lead_i
+    recorded quotients are first multiplied by a/g. Then (c/g) * m/lead_i
     times divisor i is subtracted. When record is not None it collects
     quotient terms per divisor. When sugars is given the running sugar
     degree is threaded through. Returns (remainder, sugar, u), with u the
-    product of the multipliers: u * dividend == remainder + sum(record[i] *
-    divisor_i). The remainder lists its terms in descending order.
+    product of the multipliers (1 over GF(p)): u * dividend == remainder +
+    sum(record[i] * divisor_i). The remainder lists its terms in descending
+    order; its coefficients and the quotients' lie in range(p) over GF(p).
     """
     guard = pk.guard
     deg_shift, deg_mask = pk.deg_shift, pk.deg_mask
-    cmul, csub, cneg = ops
     get = terms.get
     pop = terms.pop
     remainder: dict = {}
@@ -183,8 +183,10 @@ def _divide(pk, ops, terms, leads, lcs, tails, record, sugar, sugars):
     heapify(heap)
     while heap:
         m = -heappop(heap)
-        c = pop(m, None)
-        if c is None:
+        c = pop(m)
+        if p:
+            c %= p
+        if not c:
             continue
         for i, lm in enumerate(leads):
             if not (m - lm) & guard:
@@ -215,14 +217,10 @@ def _divide(pk, ops, terms, leads, lcs, tails, record, sugar, sugars):
                 raise _Overflow
             prev = get(e)
             if prev is None:
-                terms[e] = cneg(cmul(c, gc))
+                terms[e] = -c * gc
                 heappush(heap, -e)
             else:
-                prev = csub(prev, cmul(c, gc))
-                if not prev:
-                    del terms[e]
-                else:
-                    terms[e] = prev
+                terms[e] = prev - c * gc
     return remainder, sugar, u
 
 
@@ -256,7 +254,7 @@ def normal_form(p, gens, with_quotients=False):
         if terms:
             terms, k = _normalize(field, terms, max(terms))
         record = [{} for _ in gens] if with_quotients else None
-        rem, _, u = _divide(pk, _ops(field), terms, leads, lcs, tails,
+        rem, _, u = _divide(pk, field.char, terms, leads, lcs, tails,
                             record, 0, None)
         # u * k * p == rem + sum(record[i] * scales[i] * gens[i])
         w = field.inv(field.mul(field.coerce(u), k))
@@ -337,8 +335,6 @@ def buchberger(polys):
 
 def _buchberger(pk, ring, polys):
     field = ring.field
-    ops = _ops(field)
-    _, csub, cneg = ops
     guard = pk.guard
 
     # Basis element k: packed terms basis[k] in the form `_normalize` gives,
@@ -382,7 +378,8 @@ def _buchberger(pk, ring, polys):
         sugar, lcm, i, j = pair
         # S = (a_j/g) * lcm/lead_i * basis[i] - (a_i/g) * lcm/lead_j *
         # basis[j], with a = lcs and g = gcd(a_i, a_j) (1 over GF(p)): the
-        # lead terms cancel, so it is built from the tails.
+        # lead terms cancel, so it is built from the tails; a term that
+        # cancels here is skipped when `_divide` pops it.
         g = gcd(lcs[i], lcs[j])
         fi, fj = lcs[j] // g, lcs[i] // g
         s = {}
@@ -397,18 +394,9 @@ def _buchberger(pk, ring, polys):
             e += t
             if e & guard:
                 raise _Overflow
-            c *= fj
-            prev = s.get(e)
-            if prev is None:
-                s[e] = cneg(c)
-            else:
-                prev = csub(prev, c)
-                if not prev:
-                    del s[e]
-                else:
-                    s[e] = prev
-        rem, sugar, _ = _divide(pk, ops, s, leads, lcs, tails, None, sugar,
-                                sugars)
+            s[e] = s.get(e, 0) - c * fj
+        rem, sugar, _ = _divide(pk, field.char, s, leads, lcs, tails, None,
+                                sugar, sugars)
         if not rem:
             continue
         lead = next(iter(rem))
@@ -423,7 +411,6 @@ def _reduce_basis(pk, ring, basis, leads, lcs, tails):
     Returns the monic polynomials, sorted ascending by lead monomial.
     """
     field = ring.field
-    ops = _ops(field)
     guard = pk.guard
     minimal: list[int] = []
     for k in sorted(range(len(basis)), key=leads.__getitem__):
@@ -435,7 +422,7 @@ def _reduce_basis(pk, ring, basis, leads, lcs, tails):
     for pos, k in enumerate(minimal):
         others = minimal[:pos] + minimal[pos + 1:]
         rem, _, _ = _divide(
-            pk, ops, dict(basis[k]), [leads[h] for h in others],
+            pk, field.char, dict(basis[k]), [leads[h] for h in others],
             [lcs[h] for h in others], [tails[h] for h in others],
             None, 0, None,
         )

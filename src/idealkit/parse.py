@@ -109,9 +109,9 @@ def _tokenize(source: str):
                 col += 1
             continue
         start_col = col
-        if ch.isdecimal():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and source[j].isdecimal():
+            while j < n and "0" <= source[j] <= "9":
                 j += 1
             tokens.append(Token("INT", source[i:j], line, start_col))
             col += j - i
@@ -314,8 +314,9 @@ class _Parser:
         if tok.text == "x":
             cols_tok = self.expect("INT", "a column count")
             return rows, int(cols_tok.text)
-        if tok.text.startswith("x") and tok.text[1:].isdecimal():
-            return rows, int(tok.text[1:])
+        cols = tok.text[1:]
+        if tok.text.startswith("x") and cols.isascii() and cols.isdecimal():
+            return rows, int(cols)
         self.error("expected matrix dimensions like 4x3", tok)
 
     def _expr_list(self):

@@ -351,6 +351,29 @@ def test_exit_2_on_bad_field(capsys, demo):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["fp:\u0667", "fp:1_000_003", "fp: 7"])
+def test_exit_2_on_field_not_in_ascii_digits(capsys, demo, field):
+    code = main(["run", demo, "gb", "I", "--field", field])
+    assert code == 2
+    assert f"error: bad --field value {field!r}" in capsys.readouterr().err
+
+
+def test_exit_2_on_exponent_not_in_ascii_digits(capsys, tmp_path):
+    p = tmp_path / "s.ikt"
+    p.write_text("ring Q[x];\npoly f = x^\u0663;\n", encoding="utf-8")
+    code = main(["run", str(p), "gb", "f"])
+    assert code == 2
+    assert "line 2, column 12" in capsys.readouterr().err
+
+
+def test_exit_2_on_minor_size_not_in_ascii_digits(capsys, tmp_path):
+    p = tmp_path / "m.ikt"
+    p.write_text("ring Q[x];\nmatrix M 1x1 = [ x ];\n")
+    code = main(["run", str(p), "minors", "M", "\u0661"])
+    assert code == 2
+    assert "digits 0-9" in capsys.readouterr().err
+
+
 def test_exit_2_on_modulus_beyond_proven_primality(capsys):
     code = main(["verify", "--lemma", "lemma2",
                  "--field", "fp:3317044064679887385961981"])

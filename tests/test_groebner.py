@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from idealkit.fields import GF, QQ
+from idealkit import groebner
+from idealkit.fields import GF, MR_PROVEN_BOUND, QQ, is_prime
 from idealkit.groebner import (
     GroebnerBasis,
     _packing,
@@ -366,14 +367,15 @@ def test_packed_pair_update_matches_tuple_reference(order, width, scale, seed):
             ref.remove(unpacked(pair))
 
 
-# -- division over Q against a Fraction reference on exponent tuples --------
+# -- division against a reference on exponent tuples ----------------------
 
 def _reference_divide(p, gens):
-    """Division with Fraction coefficients on exponent tuples, the oracle.
+    """Division with the field's own arithmetic on exponent tuples, the oracle.
 
     The largest remaining term goes to the lowest-index generator whose
     lead divides it. Returns (remainder, quotients) as term dicts.
     """
+    field = p.ring.field
     key = p.ring.order.key
     work, rem, quotients = dict(p.terms), {}, [{} for _ in gens]
     leads = [g.lead_monomial() for g in gens]
@@ -386,11 +388,11 @@ def _reference_divide(p, gens):
             rem[m] = c
             continue
         t = tuple(a - b for a, b in zip(m, leads[i]))
-        q = quotients[i][t] = c / gens[i].lead_coeff()
+        q = quotients[i][t] = field.mul(c, field.inv(gens[i].lead_coeff()))
         for e, gc in gens[i].terms.items():
             if e != leads[i]:
                 e = tuple(a + b for a, b in zip(e, t))
-                v = work.pop(e, 0) - q * gc
+                v = field.sub(work.pop(e, field.zero), field.mul(q, gc))
                 if v:
                     work[e] = v
     return rem, quotients
@@ -436,3 +438,100 @@ def test_division_over_q_matches_fraction_reference_across_widening():
     p = Fraction(1, 5) * x**4 - 4 * x**3 * y**2 + Fraction(7, 3) * y
     _check_against_reference(p, gens)
     assert sorted(ring._packings) == [8, 16]
+
+
+# The largest prime that `is_prime` accepts below `MR_PROVEN_BOUND`: there
+# p * p is largest, so the kernel's unreduced ints grow most.
+LARGEST_PROVEN_PRIME = 3317044064679887385961813
+
+GF_PRIMES = [2, 32003, 2**61 - 1, LARGEST_PROVEN_PRIME]
+
+
+def test_largest_proven_prime_is_the_largest():
+    assert LARGEST_PROVEN_PRIME < MR_PROVEN_BOUND
+    assert is_prime(LARGEST_PROVEN_PRIME)
+    assert not any(is_prime(n)
+                   for n in range(LARGEST_PROVEN_PRIME + 1, MR_PROVEN_BOUND))
+
+
+def _assert_reduced_coefficients(field, polys):
+    for f in polys:
+        for c in f.terms.values():
+            assert type(c) is int and 0 < c < field.p
+
+
+@pytest.mark.parametrize("order", [Lex(3), DegRevLex(3)], ids=str)
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("prime", GF_PRIMES)
+def test_division_over_gf_p_matches_reference(prime, order, seed):
+    # Coefficients are drawn far beyond p, so divisors are not monic.
+    rng = random.Random(seed)
+    field = GF(prime)
+    ring = Ring(field, ("x", "y", "z"), order)
+
+    def poly(nterms, top):
+        return ring.poly({
+            tuple(rng.randint(0, top) for _ in range(3)):
+                field.coerce(rng.randrange(-10**30, 10**30))
+            for _ in range(nterms)})
+
+    gens = [g for g in (poly(rng.randint(2, 4), 2)
+                        for _ in range(rng.randint(1, 3))) if not g.is_zero()]
+    p = poly(rng.randint(3, 8), 5)
+    _check_against_reference(p, gens)
+    r, qs = normal_form(p, gens, with_quotients=True)
+    _assert_reduced_coefficients(field, [r, *qs])
+    basis = buchberger(gens)
+    _assert_reduced_coefficients(field, basis)
+    r, qs = normal_form(p, basis, with_quotients=True)
+    _assert_reduced_coefficients(field, [r, *qs])
+
+
+class _LoggedTerms(dict):
+    """A term dict that logs every coefficient the kernel stores in it."""
+
+    def __init__(self, terms, log):
+        super().__init__(terms)
+        self.log = log
+
+    def __setitem__(self, m, c):
+        self.log.append((m, c))
+        super().__setitem__(m, c)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_division_skips_terms_that_cancel_mid_loop(monkeypatch, field):
+    # Lex x > y > z. Popping x*y*z (by g0) cancels y^2*z, which is skipped
+    # when popped although g1's lead y^2 divides it. Popping x*z (by g0)
+    # cancels y*z: to 0 over Q, to 12 - 3*4 = -7 over GF(7), as the kernel
+    # does not reduce until a pop. Popping y^2 (by g1) then creates y*z
+    # again, and it ends in the remainder.
+    ring = Ring(field, ("x", "y", "z"), Lex(3))
+    x, y, z = ring.gens()
+    gens = [x + 4 * y, 3 * y**2 + 2 * y * z]
+    p = x * y * z + 3 * x * z + 4 * y**2 * z + y**2 + 12 * y * z
+    log, divide = [], groebner._divide
+
+    def logged_divide(pk, char, terms, *rest):
+        stored = []
+        out = divide(pk, char, _LoggedTerms(terms, stored), *rest)
+        log.extend((pk.unpack(m), c) for m, c in stored)
+        return out
+
+    monkeypatch.setattr(groebner, "_divide", logged_divide)
+    r, qs = normal_form(p, gens, with_quotients=True)
+
+    def stored(m):
+        return [c for e, c in log if e == m]
+
+    def reduced(cs):
+        return [c % field.char for c in cs] if field.char else cs
+
+    assert reduced(stored((0, 2, 1))) == [0]
+    yz = stored((0, 1, 1))
+    assert yz[0] == (-7 if field.char else 0)
+    assert reduced(yz)[-1] != 0
+    assert list(r.terms) == [(0, 1, 1)]
+    assert qs[0].terms.keys() == {(0, 1, 1), (0, 0, 1)}
+    assert qs[1].terms.keys() == {(0, 0, 0)}
+    _check_against_reference(p, gens)

@@ -154,6 +154,10 @@ def test_comments_and_blank_lines():
      "coefficient too large"),
     ("ring Q[x];\npoly f = ²;", 2, 10, "character"),
     ("ring Q[x];\nmatrix M 1x² = [ x ];", 2, 11, "matrix dimensions"),
+    # Only ASCII 0-9 are digits; other decimal digits are not read as ints.
+    ("ring Q[x];\npoly f = x^\u0663;", 2, 12, "character"),
+    ("ring Q[x];\nmatrix M 1x\u0663 = [ x ];", 2, 11, "matrix dimensions"),
+    ("ring Fp(\u0667)[x];", 1, 9, "character"),
     ("ring Q[x] # note", 1, 17, "end of input"),
 ])
 def test_error_positions(src, line, col, fragment):
