@@ -125,7 +125,7 @@ class _Session:
             return parse_poly(self.ring, text)
         except InputError as exc:
             raise UsageError(
-                f"cannot read {text!r} as a polynomial: {exc.reason}"
+                f"cannot read {text!r} as a polynomial: {exc}"
             ) from None
 
 

@@ -1,15 +1,15 @@
 """Exact coefficient fields: arbitrary-precision rationals and prime fields.
 
-Field objects follow the domain-object convention: `Polynomial` never
-touches coefficient internals, it calls ``field.add``, ``field.mul`` and so on.
-Rational coefficients are `fractions.Fraction` (canonical lowest terms,
-positive denominator by construction); prime-field coefficients are plain
-ints in ``range(p)``. The Groebner kernel computes on plain ints in one loop
-for both fields and uses only ``field.char`` there (see `groebner`). Over Q
-it keeps every divisor and basis element as a primitive integer polynomial
-and makes the basis monic, as Fractions, only on output. Over GF(p) it
-holds unreduced ints, reduces each one mod p when it is popped, and returns
-coefficients in ``range(p)``.
+One coefficient convention holds everywhere: over Q a coefficient is a
+`fractions.Fraction` (lowest terms, positive denominator), over GF(p) an
+int in ``range(p)``, and no stored coefficient is zero. Values enter a
+field through ``coerce``, the one place that converts them. `Polynomial`
+and the Groebner kernel compute on coefficients with Python operators and
+reduce mod ``char`` when it is set, so a field object supplies only
+``char``, ``name``, ``zero``, ``one``, ``coerce`` and ``inv`` (and ``p``
+over GF(p)). Inside the kernel (see `groebner`) divisors over Q are
+primitive integer polynomials, and over GF(p) working terms are unreduced
+ints; every coefficient that leaves it follows the convention.
 """
 
 from __future__ import annotations
@@ -69,28 +69,8 @@ class RationalField:
         raise TypeError(f"cannot coerce {v!r} into Q")
 
     @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
     def inv(a):
         return 1 / a
-
-    @staticmethod
-    def to_str(a) -> str:
-        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -124,26 +104,10 @@ class PrimeField:
             return v.numerator * pow(den, self.p - 2, self.p) % self.p
         raise TypeError(f"cannot coerce {v!r} into GF({self.p})")
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError(f"0 is not invertible in GF({self.p})")
         return pow(a, self.p - 2, self.p)
-
-    @staticmethod
-    def to_str(a) -> str:
-        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -127,12 +127,12 @@ def _normalize(field, terms, lead):
     Over Q the result has coprime integer coefficients and a positive lead;
     over GF(p) it is monic. k is a field element.
     """
-    if field.char:
+    p = field.char
+    if p:
         k = field.inv(terms[lead])
         if k == 1:
             return terms, k
-        fmul = field.mul
-        return {m: fmul(c, k) for m, c in terms.items()}, k
+        return {m: c * k % p for m, c in terms.items()}, k
     den = lcm(*[c.denominator for c in terms.values()])
     ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
     g = gcd(*ints.values())
@@ -146,9 +146,9 @@ def _normalize(field, terms, lead):
 def _unpack(pk, ring, terms, k):
     """Polynomial of the packed kernel terms times the field element k."""
     unpack = pk.unpack
-    if ring.field.char:
-        fmul = ring.field.mul
-        return Polynomial(ring, {unpack(m): fmul(c, k) if k != 1 else c
+    p = ring.field.char
+    if p:
+        return Polynomial(ring, {unpack(m): c * k % p
                                  for m, c in terms.items()})
     num, den = k.numerator, k.denominator
     return Polynomial(ring, {unpack(m): Fraction(c * num, den)
@@ -257,11 +257,11 @@ def normal_form(p, gens, with_quotients=False):
         rem, _, u = _divide(pk, field.char, terms, leads, lcs, tails,
                             record, 0, None)
         # u * k * p == rem + sum(record[i] * scales[i] * gens[i])
-        w = field.inv(field.mul(field.coerce(u), k))
+        w = field.inv(u * k)
         r = _unpack(pk, ring, rem, w)
         if not with_quotients:
             return r
-        return r, [_unpack(pk, ring, q, field.mul(s, w))
+        return r, [_unpack(pk, ring, q, s * w)
                    for q, s in zip(record, scales)]
 
     return _widening(ring, run)

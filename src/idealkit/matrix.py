@@ -13,30 +13,12 @@ the ascending-indices convention.
 
 from __future__ import annotations
 
-import os
+# Unused here: the benchmark's tracer patches `matrix.ThreadPoolExecutor`
+# by name, and this binding is the only reason for the import.
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 from .poly import Polynomial
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("IDEALKIT_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def parallel_map(fn, items):
-    """Map fn over items, fanning out when IDEALKIT_THREADS asks for it."""
-    items = list(items)
-    workers = _worker_count()
-    if workers == 1 or len(items) < 2:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 class PolyMatrix:
@@ -206,13 +188,11 @@ class PolyMatrix:
         """All size x size minors, keyed by (rows, cols) ascending tuples."""
         if size < 1 or size > min(self.nrows, self.ncols):
             raise ValueError("minor size out of range")
-        keys = [
-            (r, c)
+        return {
+            (r, c): self.minor(r, c)
             for r in combinations(range(self.nrows), size)
             for c in combinations(range(self.ncols), size)
-        ]
-        vals = parallel_map(lambda rc: self.minor(*rc), keys)
-        return dict(zip(keys, vals))
+        }
 
     def maximal_minors(self):
         """Minors of maximal size, deduplicated up to sign.

@@ -16,7 +16,9 @@ Sizes are bounded: no exponent of a variable may pass MAX_EXPONENT, a power
 of a sum may not pass MAX_SUM_POWER, no integer literal (in any field) and,
 over Q, no numerator or denominator may pass MAX_COEFF_BITS bits. Literals
 and powers are checked before they are computed, every sum and product right
-after it is computed.
+after it is computed. Open parentheses and unary minus signs may nest at
+most MAX_NESTING deep, which keeps the recursive descent far from Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .poly import Polynomial, Ring
 
 
 MAX_EXPONENT = 100_000
+MAX_NESTING = 100
 MAX_SUM_POWER = 64
 MAX_COEFF_BITS = 4096
 
@@ -168,6 +171,7 @@ class _Parser:
         self.session: SessionInput | None = None
         self.field_override = field_override
         self.order = order
+        self.depth = 0
 
     # -- token plumbing ---------------------------------------------------
 
@@ -397,9 +401,11 @@ class _Parser:
                 den_tok = self.expect("INT", "a denominator")
                 den = self._coefficient(den_tok)
                 if den == 0:
-                    raise InputError("zero denominator",
-                                     den_tok.line, den_tok.col)
-                return ring.const(Fraction(num, den))
+                    self.error("zero denominator", den_tok)
+                try:
+                    return ring.const(Fraction(num, den))
+                except ZeroDivisionError as exc:  # den vanishes mod p
+                    self.error(str(exc), den_tok)
             return ring.const(num)
         if tok.kind == "IDENT":
             self.next()
@@ -412,14 +418,18 @@ class _Parser:
                     f"{tok.text!r} names an ideal or matrix, not a polynomial",
                     tok)
             self.error(f"unknown name {tok.text!r}", tok)
-        if tok.kind == "(":
+        if tok.kind in ("(", "-"):
             self.next()
-            value = self._expr()
-            self.expect(")")
+            if self.depth == MAX_NESTING:
+                self.error("expression nested too deeply", tok)
+            self.depth += 1
+            if tok.kind == "(":
+                value = self._expr()
+                self.expect(")")
+            else:
+                value = -self._factor()
+            self.depth -= 1
             return value
-        if tok.kind == "-":
-            self.next()
-            return -self._factor()
         self.error("expected a polynomial term")
 
 

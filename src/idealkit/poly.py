@@ -5,12 +5,16 @@ tuples to nonzero coefficients, and a ring bundles the field, the variable
 names and the monomial order. Polynomials are immutable by convention: all
 arithmetic returns fresh objects and the term dict is never mutated after
 construction.
+
+Coefficients follow the one convention stated in `fields`; arithmetic
+applies Python operators to them and reduces mod ``ring.field.char`` when
+it is set.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import le, sub
+from operator import add, le, sub
 
 from .orders import DegRevLex
 
@@ -205,66 +209,73 @@ class Polynomial:
             return other
         return self.ring.const(other)
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         other = self._coerce_other(other)
-        field = self.ring.field
+        p = self.ring.field.char
+        zero = self.ring.field.zero
         out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = field.add(out.get(exps, field.zero), c)
-            if s == field.zero:
-                out.pop(exps, None)
+        for e, c in other.terms.items():
+            s = op(out.get(e, zero), c)
+            if p:
+                s %= p
+            if s:
+                out[e] = s
             else:
-                out[exps] = s
+                del out[e]
         return Polynomial(self.ring, out)
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    def __add__(self, other):
+        return self._combine(other, add)
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce_other(other)
-        field = self.ring.field
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = field.sub(out.get(exps, field.zero), c)
-            if s == field.zero:
-                out.pop(exps, None)
-            else:
-                out[exps] = s
-        return Polynomial(self.ring, out)
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         return self.ring.const(other).__sub__(self)
 
     def __neg__(self):
-        neg = self.ring.field.neg
-        return Polynomial(self.ring, {e: neg(c) for e, c in self.terms.items()})
+        p = self.ring.field.char
+        terms = self.terms.items()
+        if p:
+            return Polynomial(self.ring, {e: -c % p for e, c in terms})
+        return Polynomial(self.ring, {e: -c for e, c in terms})
+
+    def _scale(self, k):
+        """self times the nonzero field element k."""
+        p = self.ring.field.char
+        terms = self.terms.items()
+        if p:
+            return Polynomial(self.ring, {e: c * k % p for e, c in terms})
+        return Polynomial(self.ring, {e: c * k for e, c in terms})
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             c = self.ring.field.coerce(other)
-            if c == self.ring.field.zero:
-                return self.ring.zero
-            mul = self.ring.field.mul
-            return Polynomial(self.ring, {e: mul(v, c) for e, v in self.terms.items()})
+            return self._scale(c) if c else self.ring.zero
         if other.ring != self.ring:
             raise ValueError("mixing polynomials from different rings")
-        field = self.ring.field
+        p = self.ring.field.char
+        zero = self.ring.field.zero
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
         out: dict = {}
+        get = out.get
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = field.add(out.get(e, field.zero), field.mul(ca, cb))
-                if s == field.zero:
-                    out.pop(e, None)
-                else:
+                e = tuple(map(add, ea, eb))
+                s = get(e, zero) + ca * cb
+                if p:
+                    s %= p
+                if s:
                     out[e] = s
+                else:
+                    del out[e]
         return Polynomial(self.ring, out)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
@@ -279,13 +290,14 @@ class Polynomial:
         return result
 
     def term_mul(self, coeff, exps) -> "Polynomial":
-        """Multiply by a single term coeff * x^exps."""
-        field = self.ring.field
-        if coeff == field.zero:
+        """Multiply by the single term coeff * x^exps, coeff a field element."""
+        if not coeff:
             return self.ring.zero
+        p = self.ring.field.char
         out = {}
         for e, c in self.terms.items():
-            out[tuple(x + y for x, y in zip(e, exps))] = field.mul(c, coeff)
+            c *= coeff
+            out[tuple(map(add, e, exps))] = c % p if p else c
         return Polynomial(self.ring, out)
 
     def divexact(self, d: "Polynomial") -> "Polynomial":
@@ -306,24 +318,23 @@ class Polynomial:
                 raise ArithmeticError("inexact polynomial division")
             return q
         ((a, c),) = d.terms.items()
-        field = self.ring.field
-        inv = field.inv(c)
+        p = self.ring.field.char
+        inv = self.ring.field.inv(c)
         out = {}
         for e, v in self.terms.items():
             if not monomial_divides(a, e):
                 raise ArithmeticError("inexact polynomial division")
-            out[monomial_div(e, a)] = field.mul(v, inv)
+            v *= inv
+            out[monomial_div(e, a)] = v % p if p else v
         return Polynomial(self.ring, out)
 
     def monic(self) -> "Polynomial":
         if not self.terms:
             return self
         lc = self.lead_coeff()
-        if lc == self.ring.field.one:
+        if lc == 1:
             return self
-        inv = self.ring.field.inv(lc)
-        mul = self.ring.field.mul
-        return Polynomial(self.ring, {e: mul(c, inv) for e, c in self.terms.items()})
+        return self._scale(self.ring.field.inv(lc))
 
     def substitute(self, images, target_ring: Ring) -> "Polynomial":
         """Evaluate at images[i] in place of variable i; images live in target_ring."""
@@ -371,11 +382,10 @@ class Polynomial:
     def __str__(self):
         if not self.terms:
             return "0"
-        field = self.ring.field
         pieces = []
         for exps, c in self.sorted_terms():
             mono = self._mono_str(exps)
-            cs = field.to_str(c)
+            cs = str(c)
             neg = cs.startswith("-")
             if neg:
                 cs = cs[1:]

@@ -374,6 +374,35 @@ def test_exit_2_on_minor_size_not_in_ascii_digits(capsys, tmp_path):
     assert "digits 0-9" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, command, where", [
+    ("ring Fp(7)[x];\nideal I = 1/7*x;\n", ["gb", "I"], "line 2, column 13"),
+    ("ring Q[x];\nideal I = 1/7*x;\n", ["gb", "I", "--field", "fp:7"],
+     "line 2, column 13"),
+    ("ring Fp(7)[x];\nideal I = x;\n", ["nf", "I", "1/7"],
+     "'1/7' as a polynomial: line 1, column 3"),
+], ids=["file", "field-override", "expression"])
+def test_exit_2_on_denominator_vanishing_mod_p(capsys, tmp_path, text,
+                                               command, where):
+    p = tmp_path / "s.ikt"
+    p.write_text(text)
+    code = main(["run", str(p), *command])
+    assert code == 2
+    assert f"{where}: denominator of 1/7 vanishes mod 7" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "expr", ["(" * 250 + "x" + ")" * 250, "-" * 500 + "x"],
+    ids=["parentheses", "minus-signs"])
+def test_exit_2_on_deep_nesting(capsys, tmp_path, expr):
+    p = tmp_path / "deep.ikt"
+    p.write_text(f"ring Q[x];\nideal I = {expr};\n")
+    code = main(["run", str(p), "gb", "I"])
+    assert code == 2
+    assert "line 2, column 111: expression nested too deeply" in \
+        capsys.readouterr().err
+
+
 def test_exit_2_on_modulus_beyond_proven_primality(capsys):
     code = main(["verify", "--lemma", "lemma2",
                  "--field", "fp:3317044064679887385961981"])

@@ -369,16 +369,25 @@ def test_packed_pair_update_matches_tuple_reference(order, width, scale, seed):
 
 # -- division against a reference on exponent tuples ----------------------
 
+def _reference_ops(field):
+    """(mul, sub) as the field objects once defined them: reduced per call."""
+    if field.char:
+        p = field.char
+        return (lambda a, b: a * b % p), (lambda a, b: (a - b) % p)
+    return (lambda a, b: a * b), (lambda a, b: a - b)
+
+
 def _reference_divide(p, gens):
-    """Division with the field's own arithmetic on exponent tuples, the oracle.
+    """Division on exponent tuples, reducing after every operation: the oracle.
 
     The largest remaining term goes to the lowest-index generator whose
     lead divides it. Returns (remainder, quotients) as term dicts.
     """
     field = p.ring.field
+    mul, sub = _reference_ops(field)
     key = p.ring.order.key
     work, rem, quotients = dict(p.terms), {}, [{} for _ in gens]
-    leads = [g.lead_monomial() for g in gens]
+    leads = [max(g.terms, key=key) for g in gens]
     while work:
         m = max(work, key=key)
         c = work.pop(m)
@@ -388,11 +397,11 @@ def _reference_divide(p, gens):
             rem[m] = c
             continue
         t = tuple(a - b for a, b in zip(m, leads[i]))
-        q = quotients[i][t] = field.mul(c, field.inv(gens[i].lead_coeff()))
+        q = quotients[i][t] = mul(c, field.inv(gens[i].terms[leads[i]]))
         for e, gc in gens[i].terms.items():
             if e != leads[i]:
                 e = tuple(a + b for a, b in zip(e, t))
-                v = field.sub(work.pop(e, field.zero), field.mul(q, gc))
+                v = sub(work.pop(e, field.zero), mul(q, gc))
                 if v:
                     work[e] = v
     return rem, quotients

@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 
 from idealkit.fields import GF, QQ
-from idealkit.parse import InputError, parse_poly, parse_session, render_session
+from idealkit.parse import (
+    MAX_NESTING,
+    InputError,
+    parse_poly,
+    parse_session,
+    render_session,
+)
 from idealkit.poly import Ring
 
 BASIC = """\
@@ -159,6 +165,12 @@ def test_comments_and_blank_lines():
     ("ring Q[x];\nmatrix M 1x\u0663 = [ x ];", 2, 11, "matrix dimensions"),
     ("ring Fp(\u0667)[x];", 1, 9, "character"),
     ("ring Q[x] # note", 1, 17, "end of input"),
+    ("ring Fp(7)[x];\npoly f = 1/7*x;", 2, 12, "1/7 vanishes mod 7"),
+    ("ring Q[x];\npoly f = " + "(" * 101 + "x" + ")" * 101 + ";", 2, 110,
+     "nested too deeply"),
+    ("ring Q[x];\npoly f = " + "-" * 101 + "x;", 2, 110, "nested too deeply"),
+    ("ring Q[x];\npoly f = " + "-(" * 51 + "x" + ")" * 51 + ";", 2, 110,
+     "nested too deeply"),
 ])
 def test_error_positions(src, line, col, fragment):
     with pytest.raises(InputError) as exc:
@@ -168,6 +180,21 @@ def test_error_positions(src, line, col, fragment):
     assert err.col == col
     assert fragment in err.reason
     assert f"line {line}, column {col}" in str(err)
+
+
+def test_nesting_up_to_the_bound_parses():
+    parens = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    minus = "-" * MAX_NESTING + "x"
+    mixed = "-(" * (MAX_NESTING // 2) + "x" + ")" * (MAX_NESTING // 2)
+    s = parse_session(f"ring Q[x];\npoly f = {parens};\npoly g = {minus};\n"
+                      f"poly h = {mixed};\npoly k = {parens} + {minus};\n")
+    x = s.ring.var("x")
+    sign = (-1) ** MAX_NESTING
+    assert s.polys["f"] == x
+    assert s.polys["g"] == sign * x
+    assert s.polys["h"] == (-1) ** (MAX_NESTING // 2) * x
+    assert s.polys["k"] == x + sign * x
+    assert parse_poly(s.ring, parens) == x
 
 
 def test_unterminated_statement():

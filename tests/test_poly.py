@@ -1,5 +1,6 @@
 """Sparse polynomial arithmetic: canonical form, ring laws, printing."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -217,3 +218,45 @@ def test_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
     assert a + R2.zero == a
     assert a * R2.one == a
+
+
+def _check_convention(p):
+    """No stored zero; Fractions over Q, ints in range(p) over GF(p)."""
+    char = p.ring.field.char
+    for c in p.terms.values():
+        if char:
+            assert type(c) is int and 0 < c < char
+        else:
+            assert type(c) is Fraction and c != 0
+    return p
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, GF(2), GF(7), GF(32003), GF(2**61 - 1)], ids=repr)
+def test_coefficient_convention(field):
+    # Few monomials and small coefficients, so sums and products cancel
+    # terms often, and over GF(2) and GF(7) scalars are often zero.
+    rng = random.Random(20261018 + field.char)
+    ring = Ring(field, ("x", "y", "z"))
+    dens = (1,) if field.char else (1, 2, 3)
+
+    def rand(max_terms=5):
+        return ring.poly({
+            tuple(rng.randint(0, 2) for _ in range(3)):
+                Fraction(rng.randint(-9, 9), rng.choice(dens))
+            for _ in range(rng.randint(1, max_terms))})
+
+    for _ in range(60):
+        a, b, c = rand(), rand(), rand()
+        k = field.coerce(rng.randint(-9, 9))
+        shift = tuple(rng.randint(0, 2) for _ in range(3))
+        for p in (a + b, a - b, a - a, -a, a * b, a * k, k * a, a * 0,
+                  a ** 3, a.term_mul(k, shift), a.monic(),
+                  a.substitute([b, c, a], ring)):
+            _check_convention(p)
+        assert _check_convention(a + b) - b == a
+        assert _check_convention(a * (b + c)) == a * b + a * c
+        if b:
+            assert _check_convention((a * b).divexact(b)) == a
+            m = ring.monomial(shift, k or 1)
+            assert _check_convention((a * m).divexact(m)) == a

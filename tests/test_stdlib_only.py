@@ -1,4 +1,5 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library and reads no
+environment variable."""
 
 import os
 import subprocess
@@ -22,3 +23,12 @@ def test_runtime_loads_only_the_standard_library():
     out = subprocess.run([sys.executable, "-S", "-c", PROBE], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_runtime_reads_no_environment_variable():
+    # Behaviour is set by arguments only; an environment option would be a
+    # setting that no test or benchmark run sees.
+    for path in sorted((SRC / "idealkit").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for needle in ("os.environ", "getenv"):
+            assert needle not in text, f"{path.name} reads {needle}"
