@@ -224,12 +224,9 @@ def _run_command(sess: _Session, op: str, args, fmt: str) -> int:
         m = sess.matrix(name)
         if not (size_text.isascii() and size_text.isdecimal()):
             raise UsageError("minor size must be written in digits 0-9")
-        size = int(size_text)
-        if size < 1 or size > min(m.shape):
-            raise UsageError(
-                f"minor size must lie in 1..{min(m.shape)}")
+        minors = m.minors(int(size_text))
         return _emit_values(
-            [str(v) for v in distinct_up_to_sign(m.minors(size).values())], fmt)
+            [str(v) for v in distinct_up_to_sign(minors.values())], fmt)
 
     if op == "regseq":
         if not args:
@@ -314,13 +311,7 @@ def main(argv=None) -> int:
         order = {"lex": Lex, "degrevlex": DegRevLex}.get(ns.order)
         session = parse_session(text, _parse_field(ns.field), order)
         return _run_command(_Session(session), ns.op, ns.args, ns.format)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (InputError, UsageError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 
 from .poly import Polynomial, monomial_div, monomial_lcm
 
@@ -84,9 +84,6 @@ class _Packing:
         if exps and max(exps) > self.max_exp:
             raise _Overflow
         return sum(map(mul, exps, self.units))
-
-    def degree(self, m):
-        return (m >> self.deg_shift) & self.deg_mask
 
     def unpack(self, m):
         f = self.field_mask
@@ -276,25 +273,29 @@ def s_polynomial(f, g):
     return a - b
 
 
-def _update_pairs(pk, live, leads, sugars, t):
+def _update_pairs(pk, live, leads, exps, sugars, t):
     """Gebauer-Moeller update after appending the element with lead leads[t].
 
-    Pairs are heap entries (sugar, lcm, i, j) with a packed lcm. Among the
-    new pairs (i, t), a pair is kept when its leads are not coprime (product
-    criterion) and no other new pair's lcm strictly divides its lcm or
-    equals it at a lower index (chain criterion). An old pair (i, j) leaves
-    `live` when the new lead divides its lcm and its lcm differs from those
-    of (i, t) and (j, t). Returns the surviving new pairs.
+    exps[k] is the exponent tuple of leads[k]. Pairs are heap entries
+    (sugar, lcm, i, j) with a packed lcm. Among the new pairs (i, t), a pair
+    is kept when its leads are not coprime (product criterion) and no other
+    new pair's lcm strictly divides its lcm or equals it at a lower index
+    (chain criterion). An old pair (i, j) leaves `live` when the new lead
+    divides its lcm and its lcm differs from those of (i, t) and (j, t).
+    Returns the surviving new pairs.
     """
-    guard, pack, unpack, degree = pk.guard, pk.pack, pk.unpack, pk.degree
-    lt = leads[t]
-    et = unpack(lt)
-    sugar_t = sugars[t] - degree(lt)
+    guard, units = pk.guard, pk.units
+    deg_shift, deg_mask = pk.deg_shift, pk.deg_mask
+    lt, et = leads[t], exps[t]
+    sugar_t = sugars[t] - ((lt >> deg_shift) & deg_mask)
     fresh = []
     for i in range(t):
-        li = leads[i]
-        lcm = pack(tuple(map(max, unpack(li), et)))
-        sugar = max(sugars[i] - degree(li), sugar_t) + degree(lcm)
+        li, ei = leads[i], exps[i]
+        # Packing is linear, so adding the packed increments max(ei, et) - ei
+        # to li packs the lcm; in-range monomials have an in-range lcm.
+        lcm = li + sum(map(mul, map(sub, map(max, ei, et), ei), units))
+        sugar = (max(sugars[i] - ((li >> deg_shift) & deg_mask), sugar_t)
+                 + ((lcm >> deg_shift) & deg_mask))
         fresh.append((sugar, lcm, i, t))
 
     survivors = []
@@ -338,13 +339,14 @@ def _buchberger(pk, ring, polys):
     guard = pk.guard
 
     # Basis element k: packed terms basis[k] in the form `_normalize` gives,
-    # packed lead leads[k], lead coefficient lcs[k], tail tails[k]. Pairs
-    # wait in `heap`; `live` holds those not yet popped or pruned, so a
-    # popped pair outside it is skipped.
+    # packed lead leads[k] with exponent tuple exps[k], lead coefficient
+    # lcs[k], tail tails[k]. Pairs wait in `heap`; `live` holds those not
+    # yet popped or pruned, so a popped pair outside it is skipped.
     basis: list[dict] = []
     leads: list[int] = []
     lcs: list[int] = []
     tails: list[list] = []
+    exps: list[tuple] = []
     sugars: list[int] = []
     heap: list[tuple] = []
     live: set[tuple] = set()
@@ -354,8 +356,10 @@ def _buchberger(pk, ring, polys):
         leads.append(lead)
         lcs.append(terms[lead])
         tails.append(_tail(terms, lead))
+        exps.append(pk.unpack(lead))
         sugars.append(sugar)
-        for pair in _update_pairs(pk, live, leads, sugars, len(basis) - 1):
+        for pair in _update_pairs(pk, live, leads, exps, sugars,
+                                  len(basis) - 1):
             live.add(pair)
             heappush(heap, pair)
 

@@ -17,8 +17,12 @@ from __future__ import annotations
 # by name, and this binding is the only reason for the import.
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
+from math import comb
 
 from .poly import Polynomial
+
+# 20x the largest minor ideal in the bundles (lemma4: 495 minors of 8 x 12).
+MAX_MINORS = 10_000
 
 
 class PolyMatrix:
@@ -185,9 +189,16 @@ class PolyMatrix:
         return sub.det()
 
     def minors(self, size: int):
-        """All size x size minors, keyed by (rows, cols) ascending tuples."""
+        """All size x size minors, keyed by (rows, cols) ascending tuples.
+
+        More than MAX_MINORS minors are refused before any is built.
+        """
         if size < 1 or size > min(self.nrows, self.ncols):
-            raise ValueError("minor size out of range")
+            raise ValueError("minor size must lie in "
+                             f"1..{min(self.nrows, self.ncols)}")
+        count = comb(self.nrows, size) * comb(self.ncols, size)
+        if count > MAX_MINORS:
+            raise ValueError(f"{count} minors of size {size} exceed {MAX_MINORS}")
         return {
             (r, c): self.minor(r, c)
             for r in combinations(range(self.nrows), size)

@@ -12,12 +12,17 @@ coefficients may be written `p/q`. Expressions may reference previously
 declared polynomials by name. All declared names share one namespace and
 must be unique. Errors carry line and column.
 
+Expressions are parsed into term dicts {exponent tuple: coefficient}, and
+only a whole expression becomes a `Polynomial`. A sum adds into one dict; a
+product with a sum on either side goes through `Polynomial.__mul__`.
+
 Sizes are bounded: no exponent of a variable may pass MAX_EXPONENT, a power
 of a sum may not pass MAX_SUM_POWER, no integer literal (in any field) and,
 over Q, no numerator or denominator may pass MAX_COEFF_BITS bits. Literals
-and powers are checked before they are computed, every sum and product right
-after it is computed. Open parentheses and unary minus signs may nest at
-most MAX_NESTING deep, which keeps the recursive descent far from Python's
+and powers are checked before they are computed, a product right after it
+is computed, and a sum at each coefficient it changes (its operands are
+within bounds). Open parentheses and unary minus signs may nest at most
+MAX_NESTING deep, which keeps the recursive descent far from Python's
 recursion limit.
 """
 
@@ -26,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import add, sub
 
 from .fields import GF, QQ
 from .matrix import PolyMatrix
@@ -38,31 +44,25 @@ MAX_SUM_POWER = 64
 MAX_COEFF_BITS = 4096
 
 
-def _top_exponent(p: Polynomial) -> int:
-    return max(map(max, p.terms)) if p.terms and p.ring.nvars else 0
+def _top_exponent(terms) -> int:
+    return max(map(max, terms)) if terms and next(iter(terms)) else 0
 
 
-def _size_error(p: Polynomial) -> str | None:
-    """Which bound p breaks, if any."""
-    if _top_exponent(p) > MAX_EXPONENT:
-        return "exponent too large"
-    if not p.ring.field.char:
-        for c in p.terms.values():
-            if (c.numerator.bit_length() > MAX_COEFF_BITS
-                    or c.denominator.bit_length() > MAX_COEFF_BITS):
-                return "coefficient too large"
-    return None
+def _coeff_too_large(c) -> bool:
+    """Whether a coefficient over Q breaks MAX_COEFF_BITS."""
+    return (c.numerator.bit_length() > MAX_COEFF_BITS
+            or c.denominator.bit_length() > MAX_COEFF_BITS)
 
 
-def _power_bits(p: Polynomial, n: int) -> int:
-    """An upper bound on the coefficient bit length of p**n over Q.
+def _power_bits(char: int, terms, n: int) -> int:
+    """An upper bound on the coefficient bit length of terms**n over Q.
 
     With p = P/d for an integer polynomial P, the coefficients of P**n are
     at most |P|_1**n, where |P|_1 is the sum of P's absolute coefficients.
     """
-    if p.ring.field.char:
+    if char:
         return 0
-    coeffs = p.terms.values()
+    coeffs = terms.values()
     den = lcm(*(c.denominator for c in coeffs))
     height = sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)
     return n * max((max(height, 1) - 1).bit_length(),
@@ -267,7 +267,13 @@ class _Parser:
             raise InputError("duplicate variable name", close.line, close.col)
         self.expect(";")
         order = None if self.order is None else self.order(len(names))
-        self.session = SessionInput(Ring(coeff_field, names, order))
+        self._open(Ring(coeff_field, names, order))
+
+    def _open(self, ring: Ring):
+        """Start a session in ring; each variable's unit term is built here."""
+        self.session = SessionInput(ring)
+        self.char = ring.field.char
+        self.units = {name: ring.var(name).terms for name in ring.names}
 
     def _poly_stmt(self):
         self.next()
@@ -334,34 +340,47 @@ class _Parser:
 
     def _expr(self) -> Polynomial:
         start = self.peek()
-        value = self._term(start)
+        value = dict(self._term(start))
+        get, p = value.get, self.char
         while self.peek().kind in ("+", "-"):
-            op = self.next()
-            rhs = self._term(start)
-            value = value + rhs if op.kind == "+" else value - rhs
-            self._check_size(value, start)
-        return value
+            op = add if self.next().kind == "+" else sub
+            for e, c in self._term(start).items():
+                c = op(get(e, 0), c)
+                if p:
+                    c %= p
+                if not c:
+                    del value[e]
+                    continue
+                value[e] = c
+                if not p and _coeff_too_large(c):
+                    raise InputError("coefficient too large",
+                                     start.line, start.col)
+        return Polynomial(self.session.ring, value)
 
-    def _term(self, start: Token) -> Polynomial:
+    def _term(self, start: Token) -> dict:
         value = self._factor()
         while self.peek().kind == "*":
             self.next()
-            value = value * self._factor()
-            self._check_size(value, start)
+            other = self._factor()
+            if len(value) == 1 == len(other):
+                ((ea, ca),), ((eb, cb),) = value.items(), other.items()
+                c = ca * cb
+                value = {tuple(map(add, ea, eb)): c % self.char
+                         if self.char else c}
+            elif value and other:
+                ring = self.session.ring
+                value = (Polynomial(ring, value)
+                         * Polynomial(ring, other)).terms
+            else:
+                value = {}
+            if _top_exponent(value) > MAX_EXPONENT:
+                raise InputError("exponent too large", start.line, start.col)
+            if not self.char and any(map(_coeff_too_large, value.values())):
+                raise InputError("coefficient too large",
+                                 start.line, start.col)
         return value
 
-    @staticmethod
-    def _check_size(value: Polynomial, start: Token) -> None:
-        """Refuse a sum or product past the bounds, at its expression's start.
-
-        Both operands are within bounds, so what is computed before this
-        check is at most about twice a bounded size.
-        """
-        error = _size_error(value)
-        if error:
-            raise InputError(error, start.line, start.col)
-
-    def _factor(self) -> Polynomial:
+    def _factor(self) -> dict:
         base = self._base()
         if self.peek().kind != "^":
             return base
@@ -373,12 +392,12 @@ class _Parser:
                 or (exp > MAX_SUM_POWER and len(base) > 1)):
             raise InputError("exponent too large", caret.line, caret.col)
         if len(base) == 1:
-            exps, coeff = next(iter(base.terms.items()))
-            if coeff == base.ring.field.one:
-                return base.ring.monomial(tuple(e * exp for e in exps))
-        if _power_bits(base, exp) > MAX_COEFF_BITS:
+            ((exps, coeff),) = base.items()
+            if coeff == 1:
+                return {tuple(e * exp for e in exps): coeff}
+        if _power_bits(self.char, base, exp) > MAX_COEFF_BITS:
             raise InputError("coefficient too large", caret.line, caret.col)
-        return base**exp
+        return (Polynomial(self.session.ring, base)**exp).terms
 
     def _coefficient(self, tok: Token) -> int:
         digits = tok.text.lstrip("0") or "0"
@@ -389,7 +408,7 @@ class _Parser:
             self.error("coefficient too large", tok)
         return value
 
-    def _base(self) -> Polynomial:
+    def _base(self) -> dict:
         session = self._require_ring()
         ring = session.ring
         tok = self.peek()
@@ -403,16 +422,16 @@ class _Parser:
                 if den == 0:
                     self.error("zero denominator", den_tok)
                 try:
-                    return ring.const(Fraction(num, den))
+                    return ring.const(Fraction(num, den)).terms
                 except ZeroDivisionError as exc:  # den vanishes mod p
                     self.error(str(exc), den_tok)
-            return ring.const(num)
+            return ring.const(num).terms
         if tok.kind == "IDENT":
             self.next()
-            if tok.text in ring._index:
-                return ring.var(tok.text)
+            if tok.text in self.units:
+                return self.units[tok.text]
             if tok.text in session.polys:
-                return session.polys[tok.text]
+                return session.polys[tok.text].terms
             if tok.text in session.ideals or tok.text in session.matrices:
                 self.error(
                     f"{tok.text!r} names an ideal or matrix, not a polynomial",
@@ -424,10 +443,10 @@ class _Parser:
                 self.error("expression nested too deeply", tok)
             self.depth += 1
             if tok.kind == "(":
-                value = self._expr()
+                value = self._expr().terms
                 self.expect(")")
             else:
-                value = -self._factor()
+                value = (-Polynomial(ring, self._factor())).terms
             self.depth -= 1
             return value
         self.error("expected a polynomial term")
@@ -446,7 +465,7 @@ def parse_session(source: str, field_override=None, order=None) -> SessionInput:
 def parse_poly(ring: Ring, source: str) -> Polynomial:
     """Parse a single polynomial expression in the given ring."""
     parser = _Parser(_tokenize(source))
-    parser.session = SessionInput(ring)
+    parser._open(ring)
     value = parser._expr()
     parser.expect("EOF", "end of expression")
     return value

@@ -358,13 +358,43 @@ def test_packed_pair_update_matches_tuple_reference(order, width, scale, seed):
     ref, live = [], set()
     for t in range(len(exps)):
         ref = _reference_update_pairs(ref, exps, sugars, t)
-        new = _update_pairs(pk, live, leads, sugars, t)
+        new = _update_pairs(pk, live, leads, exps, sugars, t)
         live.update(new)
         assert [unpacked(p) for p in new] == [p for p in ref if p[3] == t]
         assert {unpacked(p) for p in live} == set(ref)
         for pair in rng.sample(sorted(live), len(live) // 3):
             live.remove(pair)
             ref.remove(unpacked(pair))
+
+
+@pytest.mark.parametrize("order", PAIR_ORDERS, ids=str)
+@pytest.mark.parametrize("width", [8, 16, 32])
+def test_pair_lcm_equals_packed_max(order, width, monkeypatch):
+    # The update adds packed exponent increments to the older lead; the
+    # result must be the very int that packing the tuple lcm gives, order
+    # key and degree included, up to the largest in-range exponent. It
+    # reads neither pack nor unpack to get there.
+    rng = random.Random(width)
+    pk = _packing(Ring(GF(32003), ("a", "b", "c", "d"), order), width)
+    top = pk.max_exp
+    exps = [tuple(rng.choice((0, 1, top // 2, top - 1, top)) for _ in range(4))
+            for _ in range(40)]
+    leads = [pk.pack(e) for e in exps]
+    sugars = [sum(e) for e in exps]
+    expected = [pk.pack(tuple(map(max, a, b))) for a, b in zip(exps, exps[1:])]
+
+    def forbidden(self, arg):
+        raise AssertionError("the pair update packed or unpacked a monomial")
+
+    monkeypatch.setattr(type(pk), "pack", forbidden)
+    monkeypatch.setattr(type(pk), "unpack", forbidden)
+    for t in range(1, len(exps)):
+        pairs = _update_pairs(pk, set(), leads[t - 1:t + 1],
+                              exps[t - 1:t + 1], sugars[t - 1:t + 1], 1)
+        if leads[t - 1] + leads[t] == expected[t - 1]:
+            assert pairs == []  # coprime leads: the product criterion
+        else:
+            assert [p[1] for p in pairs] == [expected[t - 1]]
 
 
 # -- division against a reference on exponent tuples ----------------------

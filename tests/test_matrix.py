@@ -1,10 +1,13 @@
 """Polynomial matrices: products, determinants, minors, canonical sets."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from idealkit import matrix
+from idealkit.cli import main
 from idealkit.fields import GF, QQ
 from idealkit.matrix import PolyMatrix, canonical_sign, distinct_up_to_sign
 from idealkit.poly import Polynomial, Ring
@@ -174,6 +177,35 @@ def test_minors_keyed():
     table = phi2.minors(3)
     assert len(table) == 4  # four row choices, one column choice
     assert ((0, 1, 2), (0, 1, 2)) in table
+
+
+def test_minors_bound_checked_before_any_minor(monkeypatch):
+    x, y, z = R3.gens()
+    square = PolyMatrix(R3, [[x, y, z], [y, z, x], [z, x, y]])
+    wide = PolyMatrix(R3, [[x, y, z, 1], [y, z, x, 1], [z, x, y, 1]])
+    monkeypatch.setattr(matrix, "MAX_MINORS", 9)
+    assert len(square.minors(2)) == 9
+    monkeypatch.setattr(PolyMatrix, "det", None)  # building one would fail
+    with pytest.raises(ValueError, match="18 minors of size 2 exceed 9"):
+        wide.minors(2)
+
+
+def test_run_minors_past_the_bound_exits_2(tmp_path, capsys):
+    # C(16, 8)**2 is about 1.7e8 determinants of size 8.
+    names = [f"x{i}" for i in range(16)]
+    rows = " ; ".join(", ".join(names[(i + j) % 16] for j in range(16))
+                      for i in range(16))
+    path = tmp_path / "big.ikt"
+    path.write_text(f"ring Q[{', '.join(names)}];\n"
+                    f"matrix M 16x16 = [ {rows} ];\n")
+    start = time.perf_counter()
+    code = main(["run", str(path), "minors", "M", "8"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2
+    assert elapsed < 1.0
+    assert "165636900 minors of size 8 exceed" in err
+    assert "Traceback" not in err
 
 
 def test_canonical_sign():

@@ -11,8 +11,9 @@ coefficient growth, which only a multi-modular method removes; it is not a
 suite to run on every change. A few fixed cases have one variable at an exponent of 128 or
 more, so the basis is computed on widened packed monomials.
 
-The same oracle checks the Huneke kernel over GF(2), and determinants and
-ranks of seeded polynomial matrices over Q against sympy's `Matrix`.
+The same oracle checks the Huneke kernel over GF(2), determinants and
+ranks of seeded polynomial matrices over Q against sympy's `Matrix`, and
+the session parser against sympy's `Poly` of the same expression text.
 """
 
 import random
@@ -30,6 +31,7 @@ from idealkit.groebner import buchberger  # noqa: E402
 from idealkit.idealops import kernel_of_map  # noqa: E402
 from idealkit.matrix import PolyMatrix  # noqa: E402
 from idealkit.orders import DegRevLex, Lex  # noqa: E402
+from idealkit.parse import parse_session  # noqa: E402
 from idealkit.poly import Ring  # noqa: E402
 
 P = 32003
@@ -130,9 +132,9 @@ def test_integer_basis_edge_cases_match_sympy(case, order, monkeypatch):
     added = []
     update = groebner._update_pairs
 
-    def counting(pk, live, leads, sugars, t):
+    def counting(pk, live, leads, exps, sugars, t):
         added.append(t)
-        return update(pk, live, leads, sugars, t)
+        return update(pk, live, leads, exps, sugars, t)
 
     monkeypatch.setattr(groebner, "_update_pairs", counting)
     gens = SCALAR_EDGES[case]
@@ -227,3 +229,68 @@ def test_rank_of_thin_product_matches_sympy(nrows, inner, ncols, seed):
     assert (a * b).rank_profile()[0] == inner
     if nrows == ncols:
         assert (a * b).det().is_zero()
+
+
+# -- the session parser against sympy's reading of the same text ------------
+
+def random_expression(rng, depth, names):
+    """Session-grammar text: nested parentheses, chains of unary minus,
+    powers of sums, p/q literals, named polys, zero factors and sums that
+    cancel. Every operand of `*` and `^` is an atom or parenthesized, so
+    Python reads the text (with `**` for `^`) the same way."""
+    if depth == 0 or rng.random() < 0.25:
+        kind = rng.randrange(5)
+        if kind == 0:
+            return str(rng.randint(0, 12))
+        if kind == 1:  # no denominator vanishes mod 7 or 32003
+            return f"{rng.randint(0, 40)}/{rng.choice((1, 2, 3, 5, 6, 9))}"
+        return rng.choice(names)
+    def sub():
+        return random_expression(rng, depth - 1, names)
+
+    kind = rng.randrange(8)
+    if kind == 0:
+        return f"{sub()} + {sub()}"
+    if kind == 1:
+        return f"{sub()} - {sub()}"
+    if kind == 2:
+        return f"({sub()})*({sub()})"
+    if kind == 3:
+        return f"({sub()})^{rng.randint(0, 3)}"
+    if kind == 4:
+        return "-" * rng.randint(1, 4) + f"({sub()})"
+    if kind == 5:
+        e = sub()
+        return f"({e}) - ({e})" if rng.random() < 0.5 else f"({e}) + -({e})"
+    if kind == 6:
+        return f"0*({sub()})"
+    return f"{rng.choice(names)}*{rng.choice(names)}^{rng.randint(0, 3)}"
+
+
+@pytest.mark.parametrize("p", [0, 7, P])
+@pytest.mark.parametrize("seed", range(20))
+def test_parser_matches_sympy(p, seed):
+    rng = random.Random(seed)
+    head = "Q" if p == 0 else f"Fp({p})"
+    texts = {}
+    for name in ("f", "g", "h"):
+        texts[name] = random_expression(rng, 4, list(NAMES) + list(texts))
+    session = parse_session(f"ring {head}[{', '.join(NAMES)}];\n" + "".join(
+        f"poly {name} = {text};\n" for name, text in texts.items()))
+    scope = dict(zip(NAMES, SYMBOLS))
+    for name, text in texts.items():
+        expr = sympy.parse_expr(text.replace("^", "**"), local_dict=scope)
+        scope[name] = expr
+        expected = {}
+        for exps, c in sympy.Poly(expr, *SYMBOLS).as_dict().items():
+            num, den = int(sympy.numer(c)), int(sympy.denom(c))
+            c = Fraction(num, den) if p == 0 else num * pow(den, -1, p) % p
+            if c:
+                expected[exps] = c
+        terms = session.polys[name].terms
+        assert terms == expected, (name, text)
+        assert all(terms.values())
+        if p:
+            assert all(type(c) is int and 0 <= c < p for c in terms.values())
+        else:
+            assert all(type(c) is Fraction for c in terms.values())
