@@ -119,10 +119,8 @@ class _Session:
         return m
 
     def poly(self, text: str):
-        if text in self.session.polys:
-            return self.session.polys[text]
         try:
-            return parse_poly(self.ring, text)
+            return parse_poly(self.ring, text, self.session)
         except InputError as exc:
             raise UsageError(
                 f"cannot read {text!r} as a polynomial: {exc}"

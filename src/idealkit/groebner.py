@@ -19,6 +19,14 @@ wide (8, 16, 32, ... bits), so no result depends on the width. `buchberger`
 and `normal_form` pack their input once and unpack their result once;
 `Polynomial` and every public signature here keep exponent tuples.
 
+Each division keeps a memo of divisor queries: it maps a packed monomial
+to i when leads[i] is the lowest-index lead that divides it, and to ~k when
+none of leads[:k] does, so a later query takes i at once or resumes the
+scan at k. Buchberger only appends to its leads, so an entry stays true
+for the rest of the run, and one memo serves every S-pair reduction of one
+`_buchberger` call at one width; a restart at a wider packing builds a new
+one. `normal_form` and the final inter-reduction start from an empty memo.
+
 Coefficients are plain ints inside the kernel, one loop for both fields.
 Over GF(p) every divisor and basis element is monic, and the kernel
 reduces lazily (Monagan and Pearce): working terms hold unreduced ints,
@@ -152,7 +160,7 @@ def _unpack(pk, ring, terms, k):
                              for m, c in terms.items()})
 
 
-def _divide(pk, p, terms, leads, lcs, tails, record, sugar, sugars):
+def _divide(pk, p, terms, leads, lcs, tails, record, sugar, sugars, memo):
     """Divide the packed term dict `terms` (consumed) by packed divisors.
 
     p is the field's characteristic. Divisor i has lead monomial leads[i],
@@ -165,7 +173,10 @@ def _divide(pk, p, terms, leads, lcs, tails, record, sugar, sugars):
     recorded quotients are first multiplied by a/g. Then (c/g) * m/lead_i
     times divisor i is subtracted. When record is not None it collects
     quotient terms per divisor. When sugars is given the running sugar
-    degree is threaded through. Returns (remainder, sugar, u), with u the
+    degree is threaded through. memo maps a packed monomial to the index of
+    its lowest-index dividing lead, or to ~k when no lead in leads[:k]
+    divides it; it is read and extended here and stays valid for later
+    calls whose leads extend these. Returns (remainder, sugar, u), with u the
     product of the multipliers (1 over GF(p)): u * dividend == remainder +
     sum(record[i] * divisor_i). The remainder lists its terms in descending
     order; its coefficients and the quotients' lie in range(p) over GF(p).
@@ -174,6 +185,8 @@ def _divide(pk, p, terms, leads, lcs, tails, record, sugar, sugars):
     deg_shift, deg_mask = pk.deg_shift, pk.deg_mask
     get = terms.get
     pop = terms.pop
+    divisor = memo.get
+    n = len(leads)
     remainder: dict = {}
     u = 1
     heap = [-m for m in terms]
@@ -185,13 +198,17 @@ def _divide(pk, p, terms, leads, lcs, tails, record, sugar, sugars):
             c %= p
         if not c:
             continue
-        for i, lm in enumerate(leads):
-            if not (m - lm) & guard:
-                break
-        else:
-            remainder[m] = c
-            continue
-        t = m - lm
+        i = divisor(m, -1)
+        if i < 0:
+            for i in range(~i, n):
+                if not (m - leads[i]) & guard:
+                    break
+            else:
+                memo[m] = ~n
+                remainder[m] = c
+                continue
+            memo[m] = i
+        t = m - leads[i]
         a = lcs[i]
         if a != 1:
             g = gcd(a, c)
@@ -252,7 +269,7 @@ def normal_form(p, gens, with_quotients=False):
             terms, k = _normalize(field, terms, max(terms))
         record = [{} for _ in gens] if with_quotients else None
         rem, _, u = _divide(pk, field.char, terms, leads, lcs, tails,
-                            record, 0, None)
+                            record, 0, None, {})
         # u * k * p == rem + sum(record[i] * scales[i] * gens[i])
         w = field.inv(u * k)
         r = _unpack(pk, ring, rem, w)
@@ -342,6 +359,8 @@ def _buchberger(pk, ring, polys):
     # packed lead leads[k] with exponent tuple exps[k], lead coefficient
     # lcs[k], tail tails[k]. Pairs wait in `heap`; `live` holds those not
     # yet popped or pruned, so a popped pair outside it is skipped.
+    # `divisors` is the divisor memo of `_divide` for every S-pair
+    # reduction of this run: `leads` only grows, so its entries stay true.
     basis: list[dict] = []
     leads: list[int] = []
     lcs: list[int] = []
@@ -350,6 +369,7 @@ def _buchberger(pk, ring, polys):
     sugars: list[int] = []
     heap: list[tuple] = []
     live: set[tuple] = set()
+    divisors: dict[int, int] = {}
 
     def add(terms, lead, sugar):
         basis.append(terms)
@@ -400,7 +420,7 @@ def _buchberger(pk, ring, polys):
                 raise _Overflow
             s[e] = s.get(e, 0) - c * fj
         rem, sugar, _ = _divide(pk, field.char, s, leads, lcs, tails, None,
-                                sugar, sugars)
+                                sugar, sugars, divisors)
         if not rem:
             continue
         lead = next(iter(rem))
@@ -428,7 +448,7 @@ def _reduce_basis(pk, ring, basis, leads, lcs, tails):
         rem, _, _ = _divide(
             pk, field.char, dict(basis[k]), [leads[h] for h in others],
             [lcs[h] for h in others], [tails[h] for h in others],
-            None, 0, None,
+            None, 0, None, {},
         )
         lc = field.coerce(rem[leads[k]])
         reduced.append(_unpack(pk, ring, rem, field.inv(lc)))

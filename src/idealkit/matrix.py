@@ -163,7 +163,13 @@ class PolyMatrix:
             for i in range(k + 1, self.nrows):
                 mij = m[i][j]
                 for c in range(j + 1, self.ncols):
-                    m[i][c] = (m[i][c] * pk - mij * m[k][c]).divexact(prev)
+                    # m[i][c] * pk - mij * m[k][c], without zero products
+                    v = m[i][c]
+                    if v:
+                        v = v * pk
+                    if mij and m[k][c]:
+                        v = v - mij * m[k][c]
+                    m[i][c] = v.divexact(prev) if v else zero
                 m[i][j] = zero
             prev = pk
             pivot_cols.append(j)

@@ -269,11 +269,16 @@ class _Parser:
         order = None if self.order is None else self.order(len(names))
         self._open(Ring(coeff_field, names, order))
 
-    def _open(self, ring: Ring):
-        """Start a session in ring; each variable's unit term is built here."""
-        self.session = SessionInput(ring)
+    def _open(self, ring: Ring, session: SessionInput | None = None):
+        """Start a session in ring, or continue `session` (whose ring it is).
+
+        Each variable's unit term is built here.
+        """
+        self.session = SessionInput(ring) if session is None else session
         self.char = ring.field.char
-        self.units = {name: ring.var(name).terms for name in ring.names}
+        one, zeros = ring.field.one, (0,) * ring.nvars
+        self.units = {name: {zeros[:i] + (1,) + zeros[i + 1:]: one}
+                      for i, name in enumerate(ring.names)}
 
     def _poly_stmt(self):
         self.next()
@@ -462,10 +467,16 @@ def parse_session(source: str, field_override=None, order=None) -> SessionInput:
     return _Parser(_tokenize(source), field_override, order).parse_session()
 
 
-def parse_poly(ring: Ring, source: str) -> Polynomial:
-    """Parse a single polynomial expression in the given ring."""
+def parse_poly(ring: Ring, source: str,
+               session: SessionInput | None = None) -> Polynomial:
+    """Parse a single polynomial expression in the given ring.
+
+    With a session (over the same ring), the expression may use the names
+    of its polynomials as a session file does; naming one of its ideals or
+    matrices is an error.
+    """
     parser = _Parser(_tokenize(source))
-    parser._open(ring)
+    parser._open(ring, session)
     value = parser._expr()
     parser.expect("EOF", "end of expression")
     return value

@@ -85,6 +85,18 @@ def test_verify_json_matches_golden(capsys, lemma, field):
     assert out == golden.read_text()
 
 
+# Reduced Groebner bases are unique, so `run <file> gb I` must print these
+# bytes after any change to the engine. Regenerate them only together with
+# a CHANGES.md entry that says why the basis changed.
+@pytest.mark.parametrize("field", ["q", "fp:32003"])
+@pytest.mark.parametrize("system", ["cyclic6", "katsura7"])
+def test_run_gb_matches_golden(capsys, system, field):
+    ikt = GOLDEN / f"{system}.ikt"
+    assert main(["run", str(ikt), "gb", "I", "--field", field]) == 0
+    golden = GOLDEN / f"{system}_gb_{field.replace(':', '')}.txt"
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_verify_text_format(capsys):
     code = main(["verify", "--lemma", "huneke"])
     out = capsys.readouterr().out
@@ -129,6 +141,20 @@ def test_run_nf_member(capsys, demo):
     code = main(["run", demo, "nf", "I", "x^3"])
     assert code == 0
     assert capsys.readouterr().out.strip() == "0"
+
+
+def test_run_nf_expression_uses_declared_poly(capsys, demo):
+    # f = x^2 + y, so f*x = x^3 + x*y, and x^3 lies in I.
+    assert main(["run", demo, "nf", "I", "f*x"]) == 0
+    assert capsys.readouterr().out.strip() == "0"
+    assert main(["run", demo, "nf", "I", "f - y"]) == 0
+    assert capsys.readouterr().out.strip() == "y^2"
+
+
+def test_exit_2_on_ideal_in_expression(capsys, demo):
+    assert main(["run", demo, "nf", "I", "I*x"]) == 2
+    assert ("'I' names an ideal or matrix, not a polynomial"
+            in capsys.readouterr().err)
 
 
 def test_run_colon(capsys, demo):

@@ -574,3 +574,104 @@ def test_division_skips_terms_that_cancel_mid_loop(monkeypatch, field):
     assert qs[0].terms.keys() == {(0, 1, 1), (0, 0, 1)}
     assert qs[1].terms.keys() == {(0, 0, 0)}
     _check_against_reference(p, gens)
+
+
+# -- the divisor memo --------------------------------------------------------
+
+def _sharing_memo(monkeypatch):
+    """Make every `_divide` call read and extend one memo, and return it."""
+    shared = {}
+    divide = groebner._divide
+
+    def divide_with_shared_memo(*args):
+        return divide(*args[:-1], shared)
+
+    monkeypatch.setattr(groebner, "_divide", divide_with_shared_memo)
+    return shared
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_divisor_memo_resumes_after_a_lead_is_appended(monkeypatch, field):
+    # Lex x > y > z. Dividing by g0 alone leaves y^2*z in the remainder, so
+    # the memo says that no lead in leads[:1] divides it. The next division
+    # appends g1, whose lead y^2 divides y^2*z: the scan resumes at index 1.
+    ring = Ring(field, ("x", "y", "z"), Lex(3))
+    x, y, z = ring.gens()
+    gens = [x + 2 * y, 3 * y**2 - z, y * z - 1]
+    p = x * y * z + x**2 + z**3
+    memo = _sharing_memo(monkeypatch)
+    y2z = _packing(ring, 8).pack((0, 2, 1))
+    _check_against_reference(p, gens[:1])
+    assert memo[y2z] == ~1
+    _check_against_reference(p, gens[:2])
+    assert memo[y2z] == 1
+    _check_against_reference(p, gens)
+    assert memo[y2z] == 1
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=repr)
+@pytest.mark.parametrize("seed", range(6))
+def test_divisor_memo_shared_across_divisions_matches_reference(
+        monkeypatch, field, seed):
+    # One memo serves every division while the divisors grow by appending,
+    # as in one Buchberger run; each result must match the reference.
+    rng = random.Random(seed)
+    ring = Ring(field, ("x", "y", "z"), DegRevLex(3) if seed % 2 else Lex(3))
+    gens = [_random_rational_poly(rng, ring, rng.randint(2, 4), 2)
+            for _ in range(4)]
+    dividends = [_random_rational_poly(rng, ring, rng.randint(3, 8), 5)
+                 for _ in range(3)]
+    memo = _sharing_memo(monkeypatch)
+    for k in range(1, len(gens) + 1):
+        for p in dividends:
+            _check_against_reference(p, gens[:k])
+    assert memo
+
+
+def test_divisor_memo_is_rebuilt_when_buchberger_widens(monkeypatch):
+    # x = y^64 turns x^2 - y into y^128 - y: the run overflows its 8-bit
+    # fields after a division has filled the memo, and starts again at 16.
+    ring = Ring(GF(32003), ("x", "y"), Lex(2))
+    x, y = ring.gens()
+    gens = [x - y**64, x**2 - y]
+    start16 = groebner._buchberger(_packing(ring, 16), ring, gens)
+    memos, divide = [], groebner._divide
+
+    def logged_divide(pk, *args):
+        memo = args[-1]
+        memos.append((pk, memo, len(memo)))
+        return divide(pk, *args)
+
+    monkeypatch.setattr(groebner, "_divide", logged_divide)
+    assert buchberger(gens) == start16 == [y**128 - y, x - y**64]
+    assert sorted(ring._packings) == [8, 16]
+    # No memo outlives its width, and each width starts with an empty one.
+    packing_of, first_size = {}, {}
+    for pk, memo, size in memos:
+        assert packing_of.setdefault(id(memo), pk) is pk
+        first_size.setdefault(pk.max_exp, size)
+    assert first_size == {127: 0, 32767: 0}
+
+
+def test_normal_form_keeps_the_lowest_index_divisor(monkeypatch):
+    # Every lead here divides x^3*y^2, and x divides each term of p: the
+    # quotients must give each popped term to the first lead that divides
+    # it, and every call starts from an empty memo.
+    ring = Ring(QQ, ("x", "y"), Lex(2))
+    x, y = ring.gens()
+    gens = [x**2 * y - y, x * y + 1, x - 2]
+    p = x**3 * y**2 + x * y + x
+    sizes, divide = [], groebner._divide
+
+    def logged_divide(*args):
+        sizes.append(len(args[-1]))
+        return divide(*args)
+
+    monkeypatch.setattr(groebner, "_divide", logged_divide)
+    for order in (gens, gens[::-1]):
+        _check_against_reference(p, order)
+        _check_against_reference(p, order)
+    r, (q0, q1, q2) = normal_form(p, gens, with_quotients=True)
+    assert q0 == x * y
+    assert q1 == ring.const(1) + y
+    assert sizes == [0] * 5

@@ -1,6 +1,7 @@
 """Polynomial matrices: products, determinants, minors, canonical sets."""
 
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 from idealkit import matrix
 from idealkit.cli import main
+from idealkit.corpus import verify_lemma
 from idealkit.fields import GF, QQ
 from idealkit.matrix import PolyMatrix, canonical_sign, distinct_up_to_sign
 from idealkit.poly import Polynomial, Ring
@@ -206,6 +208,24 @@ def test_run_minors_past_the_bound_exits_2(tmp_path, capsys):
     assert elapsed < 1.0
     assert "165636900 minors of size 8 exceed" in err
     assert "Traceback" not in err
+
+
+def test_bareiss_forms_no_product_with_a_zero_factor(monkeypatch):
+    # The lemma4 eliminations meet many zero entries; the row update skips
+    # every product that would have a zero factor instead of forming it.
+    factors = []
+    mul = Polynomial.__mul__
+
+    def logged_mul(a, b):
+        if sys._getframe(1).f_code is PolyMatrix._bareiss.__code__:
+            factors.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", logged_mul)
+    reports = verify_lemma("lemma4")
+    assert all(r.status == "verified" for r in reports)
+    assert factors
+    assert all(a and b for a, b in factors)
 
 
 def test_canonical_sign():
