@@ -3,7 +3,13 @@
 from .fields import GF, QQ, PrimeField, RationalField, is_prime
 from .orders import Block, DegRevLex, Lex
 from .poly import Polynomial, Ring
-from .groebner import GroebnerBasis, buchberger, normal_form, s_polynomial
+from .groebner import (
+    GroebnerBasis,
+    buchberger,
+    is_groebner,
+    normal_form,
+    s_polynomial,
+)
 from .matrix import PolyMatrix, canonical_sign
 from .idealops import (
     Ideal,
@@ -45,6 +51,7 @@ __all__ = [
     "Ring",
     "GroebnerBasis",
     "buchberger",
+    "is_groebner",
     "normal_form",
     "s_polynomial",
     "PolyMatrix",

@@ -113,24 +113,11 @@ class PolyMatrix:
         # Below 4x4 the cofactor formula is faster: through Bareiss, 2x2
         # minors took about 2x and 3x3 minors about 1.5x as long.
         if self.nrows < 4:
-            return self._det_cofactor()
+            return _laplace(self.rows, self.ring.zero)
         rank, sign, last, _, _ = self._bareiss()
         if rank < self.nrows:
             return self.ring.zero
         return -last if sign < 0 else last
-
-    def _det_cofactor(self) -> Polynomial:
-        n = self.nrows
-        r = self.rows
-        if n == 1:
-            return r[0][0]
-        if n == 2:
-            return r[0][0] * r[1][1] - r[0][1] * r[1][0]
-        return (
-            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-        )
 
     def _bareiss(self):
         """(rank, sign, last pivot, pivot_rows, pivot_cols) of one elimination.
@@ -254,3 +241,24 @@ def distinct_up_to_sign(values):
             seen.add(key)
             out.append(canon)
     return out
+
+
+def _laplace(rows, zero):
+    """Determinant by cofactor expansion along the first row.
+
+    A zero entry or a zero minor adds nothing, so its product is never
+    formed, as in the Bareiss row update.
+    """
+    if len(rows) == 1:
+        return rows[0][0]
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        det = a * d if a and d else zero
+        return det - b * c if b and c else det
+    det = zero
+    for j, a in enumerate(rows[0]):
+        if a:
+            minor = _laplace([r[:j] + r[j + 1:] for r in rows[1:]], zero)
+            if minor:
+                det = det - a * minor if j % 2 else det + a * minor
+    return det

@@ -1,7 +1,9 @@
 """Division, Buchberger, reduced-basis uniqueness, membership witnesses."""
 
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,13 +11,20 @@ from idealkit import groebner
 from idealkit.fields import GF, MR_PROVEN_BOUND, QQ, is_prime
 from idealkit.groebner import (
     GroebnerBasis,
+    _gebauer_moeller_loop,
+    _kernel_inputs,
     _packing,
+    _reduce_basis,
+    _signature_loop,
     _update_pairs,
+    _widening,
     buchberger,
+    is_groebner,
     normal_form,
     s_polynomial,
 )
 from idealkit.orders import Block, DegRevLex, Lex
+from idealkit.parse import parse_poly, parse_session
 from idealkit.poly import Polynomial, Ring
 
 R2 = Ring(QQ, ("x", "y"))
@@ -675,3 +684,133 @@ def test_normal_form_keeps_the_lowest_index_divisor(monkeypatch):
     assert q0 == x * y
     assert q1 == ring.const(1) + y
     assert sizes == [0] * 5
+
+
+# -- the signature loop and the rule that picks it ---------------------------
+
+def _basis_by(loop, gens):
+    """The reduced basis of gens computed by one Buchberger loop."""
+    ring = gens[0].ring
+    field = ring.field
+    return _widening(ring, lambda pk: _reduce_basis(
+        pk, ring, *loop(pk, field, _kernel_inputs(pk, field, gens))))
+
+
+# With the singular-top-reduction discard next to the rewrite criterion
+# that keeps the latest element, a signature loop lost y from this basis.
+PITFALL = ["-3*x^3*y^3*z^3 - x*y^2*z + y", "-2*x^3*z^2",
+           "-3*x^3*y^2*z^2 - 2*x^3*y*z^2", "-3*y*z^3 + y^3 + 3*x*y"]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=repr)
+def test_signature_loop_keeps_y_in_the_pitfall_ideal(field):
+    ring = Ring(field, ("x", "y", "z"))
+    x, y, z = ring.gens()
+    gens = [parse_poly(ring, text) for text in PITFALL]
+    assert _basis_by(_signature_loop, gens) == [y, x**3 * z**2]
+    assert buchberger(gens) == [y, x**3 * z**2]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(32003)], ids=repr)
+@pytest.mark.parametrize("seed", range(12))
+def test_signature_loop_matches_gebauer_moeller(field, seed):
+    # Square degrevlex systems, the input the rule sends to the signature
+    # loop; both loops get the same input and must agree.
+    rng = random.Random(seed)
+    n = 2 + seed % 3
+    ring = Ring(field, ("x", "y", "z", "w")[:n])
+    gens = []
+    while len(gens) < n:
+        g = ring.poly({
+            tuple(rng.randint(0, 3 if n < 4 else 2) for _ in range(n)):
+                field.coerce(rng.choice((-3, -2, -1, 1, 2, 3)))
+            for _ in range(rng.randint(1, 4))})
+        if g:
+            gens.append(g)
+    basis = _basis_by(_signature_loop, gens)
+    assert basis == _basis_by(_gebauer_moeller_loop, gens)
+    assert is_groebner(basis)
+    assert all(normal_form(g, basis).is_zero() for g in gens)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=repr)
+def test_signature_monomial_first_passes_127(monkeypatch, field):
+    # Reducing x^100 - x*y by x^100 - y^2 leaves x*y - y^2 with signature
+    # x^100 e_1. Its J-pair with x^100 - y^2 (lcm x^100*y) has signature
+    # x^199 e_1, though no term of the run passes x^100*y.
+    ring = Ring(field, ("x", "y"))
+    x, y = ring.gens()
+    gens = [x**100 - y**2, x**100 - x * y]
+    start16 = groebner._buchberger(_packing(ring, 16), ring, gens)
+    widest, divide = [], groebner._divide
+
+    def logged_divide(pk, char, terms, *rest, **regular):
+        exps = [pk.unpack(m) for m in terms]
+        out = divide(pk, char, terms, *rest, **regular)
+        exps += [pk.unpack(m) for m in out[0]]
+        widest.append((pk.max_exp, max(map(max, exps))))
+        return out
+
+    monkeypatch.setattr(groebner, "_divide", logged_divide)
+    assert buchberger(gens) == start16 == [x * y - y**2, x**100 - y**2,
+                                           y**101 - y**3]
+    assert sorted(ring._packings) == [8, 16]
+    narrow = [e for width, e in widest if width == 127]
+    assert narrow and max(narrow) == 100
+
+
+def test_rule_picks_the_loop(monkeypatch):
+    ran = []
+    for name in ("_signature_loop", "_gebauer_moeller_loop"):
+        def logged(pk, field, gens, loop=getattr(groebner, name), name=name):
+            ran.append(name)
+            return loop(pk, field, gens)
+        monkeypatch.setattr(groebner, name, logged)
+
+    def loop_for(order, texts):
+        ring = Ring(GF(32003), ("x", "y", "z"), order)
+        ran.clear()
+        buchberger([parse_poly(ring, t) for t in texts])
+        return ran
+
+    square = ["x^2 - y*z", "y^2 - x*z", "z^2 - x*y"]
+    assert loop_for(DegRevLex(3), square) == ["_signature_loop"]
+    # Scalar multiples count once: the rule reads the deduplicated input.
+    assert loop_for(DegRevLex(3), square + ["2*x^2 - 2*y*z"]) == [
+        "_signature_loop"]
+    assert loop_for(DegRevLex(3), square + ["x*y*z - 1"]) == [
+        "_gebauer_moeller_loop"]
+    assert loop_for(Lex(3), square) == ["_gebauer_moeller_loop"]
+    block = Block((DegRevLex(1), DegRevLex(2)))
+    assert loop_for(block, square) == ["_gebauer_moeller_loop"]
+
+
+@pytest.mark.parametrize("system, counts", [
+    ("katsura7", {"_gebauer_moeller_loop": (176, 140),
+                  "_signature_loop": (54, 11)}),
+    ("cyclic6", {"_gebauer_moeller_loop": (343, 245),
+                 "_signature_loop": (218, 28)}),
+])
+def test_zero_reductions(monkeypatch, system, counts):
+    # (Reductions, of which to zero) over GF(32003) under each loop: S-pairs
+    # under Gebauer-Moeller; J-pairs and the inputs that some lead divides
+    # under signatures. The Koszul syzygies cut katsura-7's zero reductions;
+    # the rewrite criterion fires on cyclic-6 only.
+    text = (Path(__file__).parent / "golden" / f"{system}.ikt").read_text()
+    gens = list(parse_session(text, GF(32003)).ideals["I"])
+    remainders = {_gebauer_moeller_loop: [], _signature_loop: []}
+    divide = groebner._divide
+
+    def logged_divide(*args, **regular):
+        out = divide(*args, **regular)
+        for loop, log in remainders.items():
+            if sys._getframe(1).f_code is loop.__code__:
+                log.append(out[0])
+        return out
+
+    monkeypatch.setattr(groebner, "_divide", logged_divide)
+    found = {}
+    for loop, log in remainders.items():
+        _basis_by(loop, gens)
+        found[loop.__name__] = (len(log), sum(not rem for rem in log))
+    assert found == counts

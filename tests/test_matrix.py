@@ -228,6 +228,24 @@ def test_bareiss_forms_no_product_with_a_zero_factor(monkeypatch):
     assert all(a and b for a, b in factors)
 
 
+def test_cofactor_expansion_forms_no_product_with_a_zero_factor(monkeypatch):
+    # The lemma3 and lemma4 determinants below 4x4 meet zero entries and
+    # zero 2x2 minors; the expansion skips every product with a zero factor.
+    factors = []
+    mul = Polynomial.__mul__
+
+    def logged_mul(a, b):
+        if sys._getframe(1).f_code is matrix._laplace.__code__:
+            factors.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", logged_mul)
+    reports = verify_lemma("lemma3") + verify_lemma("lemma4")
+    assert all(r.status == "verified" for r in reports)
+    assert factors
+    assert all(a and b for a, b in factors)
+
+
 def test_canonical_sign():
     x, y, _ = R3.gens()
     p = -(x**2) + y

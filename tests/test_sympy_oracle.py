@@ -129,19 +129,22 @@ SCALAR_EDGES = {
 @pytest.mark.parametrize("case", SCALAR_EDGES)
 @pytest.mark.parametrize("order", ORDERS)
 def test_integer_basis_edge_cases_match_sympy(case, order, monkeypatch):
-    added = []
-    update = groebner._update_pairs
+    # Both Buchberger loops start from the deduplicated inputs, so the
+    # scalar multiples must collapse to one of them there.
+    kept = []
+    inputs = groebner._kernel_inputs
 
-    def counting(pk, live, leads, exps, sugars, t):
-        added.append(t)
-        return update(pk, live, leads, exps, sugars, t)
+    def counting(pk, field, polys):
+        gens = inputs(pk, field, polys)
+        kept.append(len(gens))
+        return gens
 
-    monkeypatch.setattr(groebner, "_update_pairs", counting)
+    monkeypatch.setattr(groebner, "_kernel_inputs", counting)
     gens = SCALAR_EDGES[case]
     expected = theirs(gens, QQ, ORDERS[order], order)
     assert ours(gens, QQ, ORDERS[order]) == expected
     if case == "multiples":
-        assert added == [0]
+        assert kept == [1]
 
 
 def test_huneke_kernel_over_gf2_matches_sympy():
