@@ -1,4 +1,4 @@
-"""Buchberger's algorithm: a signature loop and a Gebauer-Moeller loop.
+"""Buchberger's algorithm as one signature-based loop.
 
 The module computes unique reduced Groebner bases: elements are monic,
 no lead monomial divides another, no term of any element is divisible by the
@@ -7,25 +7,20 @@ Division is deterministic (lowest-index divisor first) and can record the
 quotients, which is what ideal-membership witnesses are built from.
 `is_groebner` checks a basis with `s_polynomial` and `normal_form` alone.
 
-Two loops build a Groebner basis. Both start from the same packed,
-normalized and deduplicated inputs (`_kernel_inputs`), and both hand their
-basis to one minimization and inter-reduction (`_reduce_basis`), so the
-reduced basis does not depend on the loop. One predicate picks the loop: a
-`DegRevLex` ring with at most `nvars` distinct inputs runs the signature
-loop, every other input (lex and block orders, over-determined systems)
-the Gebauer-Moeller loop with sugar selection. The reason is measured. On
-cyclic-6 and katsura-7, 245 of 343 and 140 of 176 S-pair reductions of the
-Gebauer-Moeller loop reach zero, against 28 of 218 and 11 of 54 reductions
-(J-pairs, and inputs that a lead divides) under the signature criteria,
-and the signature loop takes about half the time. A regular sequence has
-at most `nvars` elements, and there the criteria remove every zero
-reduction. Replaying every `buchberger` input of one seed-1 pass of the
-benchmark's `corpus` and `session` workloads through both loops (best of
-15 alternated runs a basis), the signature loop took 1.29 and 0.94 times
-as long on block and lex orders (on the corpus toric kernel its signature
-basis has 58 elements against 32), 0.95 and 1.05 times as long on
-over-determined degrevlex input (lemma4: 56 generators in 4 variables),
-and 0.96 and 0.99 times as long on the small square degrevlex bases.
+One loop builds every Groebner basis, whatever the order and the number
+of inputs. It starts from the packed, normalized and deduplicated inputs
+(`_kernel_inputs`) and hands its basis to one minimization and
+inter-reduction (`_reduce_basis`). The loop is signature-based, and the
+reason is measured against the Gebauer-Moeller loop that it replaced.
+Over GF(32003) that loop made 343 S-pair reductions on cyclic-6 and 176
+on katsura-7, 245 and 140 of them to zero; the signature loop makes 218
+and 54 reductions (J-pairs, and inputs that a lead divides), 28 and 11 of
+them to zero, in about half the time. On the lex ideal of
+`tests/golden/found_lex.ikt` over Q the Gebauer-Moeller loop took 163 s
+and the signature loop takes 0.02 s (2-core Xeon, CPython 3.11.7). Block
+orders may cost more: the toric kernel of the corpus has a signature
+basis of 58 elements against 32, and the block and lex bases of one
+benchmark `corpus` pass took 1.29 times as long.
 
 The signature loop follows Faugere (F5, ISSAC 2002) and Eder and Faugere
 (JSC 2017). Inputs are sorted by lead and f_i has index i. The signature
@@ -48,24 +43,24 @@ rewrite rule, the loop returned a wrong basis on 12 of 3,000 seeded random
 ideals (`PITFALL` in `tests/test_groebner.py` lost y); either rule alone
 was right on all of them.
 
-Division, the Buchberger loop and its Gebauer-Moeller pair criteria run on
-packed monomials (Monagan and Pearce, JSC 2011; Roune and Stillman, ISSAC
-2012). A packed monomial is one int: each exponent has a field of `width`
-bits whose top bit is a guard bit, the total degree sits above the exponent
-fields, and the order key sits above the degree. Order keys are additive
-(see `orders`), so the product of two monomials is the sum of their ints,
-comparing ints compares monomials in the ring's order, and a divides b
-exactly when `(b - a) & guard` is zero. A product that sets a guard bit has
-overflowed its field: the whole call then starts again with fields twice as
-wide (8, 16, 32, ... bits), so no result depends on the width. `buchberger`
-and `normal_form` pack their input once and unpack their result once;
-`Polynomial` and every public signature here keep exponent tuples.
+Division and the Buchberger loop run on packed monomials (Monagan and
+Pearce, JSC 2011; Roune and Stillman, ISSAC 2012). A packed monomial is
+one int: each exponent has a field of `width` bits whose top bit is a
+guard bit, and the order key sits above the exponent fields. Order keys
+are additive (see `orders`), so the product of two monomials is the sum of
+their ints, comparing ints compares monomials in the ring's order, and a
+divides b exactly when `(b - a) & guard` is zero. A product that sets a
+guard bit has overflowed its field: the whole call then starts again with
+fields twice as wide (8, 16, 32, ... bits), so no result depends on the
+width. `buchberger` and `normal_form` pack their input once and unpack
+their result once; `Polynomial` and every public signature here keep
+exponent tuples.
 
 Each division keeps a memo of divisor queries: it maps a packed monomial
 to i when leads[i] is the lowest-index lead that divides it, and to ~k when
 none of leads[:k] does, so a later query takes i at once or resumes the
 scan at k. Buchberger only appends to its leads, so an entry stays true
-for the rest of the run, and one memo serves every S-pair reduction of one
+for the rest of the run, and one memo serves every reduction of one
 `_buchberger` call at one width; a restart at a wider packing builds a new
 one. `normal_form` and the final inter-reduction start from an empty memo.
 When the lowest-index divisor fails the signature loop's regularity test,
@@ -93,9 +88,8 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import mul, sub
+from operator import mul
 
-from .orders import DegRevLex
 from .poly import Polynomial, monomial_div, monomial_lcm
 
 
@@ -112,12 +106,7 @@ class _Packing:
         self.field_mask = (1 << width) - 1
         self.shifts = [width * (n - 1 - i) for i in range(n)]
         self.guard = sum(1 << (s + width - 1) for s in self.shifts)
-        self.deg_shift = width * n
-        # The degree of a product of two in-range monomials stays below
-        # 2 * n * max_exp, so it never carries into the key.
-        deg_bits = width + n.bit_length()
-        self.deg_mask = (1 << deg_bits) - 1
-        key_shift = self.deg_shift + deg_bits
+        self.key_shift = key_shift = width * n
         # Key component k is a linear form in the exponents, so over
         # exponents in [0, max_exp] it spans at most sum_i |c_ik| * max_exp.
         # Written as digits in a base above that span, the keys compare as
@@ -131,8 +120,7 @@ class _Packing:
             weight = 0
             for v in col:
                 weight = weight * base + v
-            self.units.append((weight << key_shift) | (1 << self.deg_shift)
-                              | (1 << self.shifts[i]))
+            self.units.append((weight << key_shift) | (1 << self.shifts[i]))
 
     def pack(self, exps):
         if exps and max(exps) > self.max_exp:
@@ -206,8 +194,7 @@ def _unpack(pk, ring, terms, k):
                              for m, c in terms.items()})
 
 
-def _divide(pk, p, terms, leads, lcs, tails, record, sugar, sugars, memo,
-            regular=None):
+def _divide(pk, p, terms, leads, lcs, tails, record, memo, regular=None):
     """Divide the packed term dict `terms` (consumed) by packed divisors.
 
     p is the field's characteristic. Divisor i has lead monomial leads[i],
@@ -219,22 +206,20 @@ def _divide(pk, p, terms, leads, lcs, tails, record, sugar, sugars, memo,
     a = lcs[i] and g = gcd(a, c), the working terms, the remainder and the
     recorded quotients are first multiplied by a/g. Then (c/g) * m/lead_i
     times divisor i is subtracted. When record is not None it collects
-    quotient terms per divisor. When sugars is given the running sugar
-    degree is threaded through. memo maps a packed monomial to the index of
+    quotient terms per divisor. memo maps a packed monomial to the index of
     its lowest-index dividing lead, or to ~k when no lead in leads[:k]
     divides it; it is read and extended here and stays valid for later
     calls whose leads extend these. When regular is (sig, b, ratios) the
     division is the signature loop's regular reduction: divisor i may take
     c*m only when m/lead_i times it has a signature below sig, that is
     ratios[i] < sig - (m << b), so the popped term goes to the lowest-index
-    such divisor, or to the remainder. Returns (remainder, sugar, u), with
-    u the product of the multipliers (1 over GF(p)): u * dividend ==
+    such divisor, or to the remainder. Returns (remainder, u), with u the
+    product of the multipliers (1 over GF(p)): u * dividend ==
     remainder + sum(record[i] * divisor_i). The remainder lists its terms
     in descending order; its coefficients and the quotients' lie in
     range(p) over GF(p).
     """
     guard = pk.guard
-    deg_shift, deg_mask = pk.deg_shift, pk.deg_mask
     get = terms.get
     pop = terms.pop
     divisor = memo.get
@@ -283,10 +268,6 @@ def _divide(pk, p, terms, leads, lcs, tails, record, sugar, sugars, memo,
                         part[e] = v * f
         if record is not None:
             record[i][t] = c
-        if sugars is not None:
-            s = sugars[i] + ((t >> deg_shift) & deg_mask)
-            if s > sugar:
-                sugar = s
         for e, gc in tails[i]:
             e += t
             if e & guard:
@@ -297,7 +278,7 @@ def _divide(pk, p, terms, leads, lcs, tails, record, sugar, sugars, memo,
                 heappush(heap, -e)
             else:
                 terms[e] = prev - c * gc
-    return remainder, sugar, u
+    return remainder, u
 
 
 def normal_form(p, gens, with_quotients=False):
@@ -330,8 +311,7 @@ def normal_form(p, gens, with_quotients=False):
         if terms:
             terms, k = _normalize(field, terms, max(terms))
         record = [{} for _ in gens] if with_quotients else None
-        rem, _, u = _divide(pk, field.char, terms, leads, lcs, tails,
-                            record, 0, None, {})
+        rem, u = _divide(pk, field.char, terms, leads, lcs, tails, record, {})
         # u * k * p == rem + sum(record[i] * scales[i] * gens[i])
         w = field.inv(u * k)
         r = _unpack(pk, ring, rem, w)
@@ -363,57 +343,11 @@ def is_groebner(basis):
                for i, f in enumerate(basis) for g in basis[i + 1:])
 
 
-def _update_pairs(pk, live, leads, exps, sugars, t):
-    """Gebauer-Moeller update after appending the element with lead leads[t].
-
-    exps[k] is the exponent tuple of leads[k]. Pairs are heap entries
-    (sugar, lcm, i, j) with a packed lcm. Among the new pairs (i, t), a pair
-    is kept when its leads are not coprime (product criterion) and no other
-    new pair's lcm strictly divides its lcm or equals it at a lower index
-    (chain criterion). An old pair (i, j) leaves `live` when the new lead
-    divides its lcm and its lcm differs from those of (i, t) and (j, t).
-    Returns the surviving new pairs.
-    """
-    guard, units = pk.guard, pk.units
-    deg_shift, deg_mask = pk.deg_shift, pk.deg_mask
-    lt, et = leads[t], exps[t]
-    sugar_t = sugars[t] - ((lt >> deg_shift) & deg_mask)
-    fresh = []
-    for i in range(t):
-        li, ei = leads[i], exps[i]
-        # Packing is linear, so adding the packed increments max(ei, et) - ei
-        # to li packs the lcm; in-range monomials have an in-range lcm.
-        lcm = li + sum(map(mul, map(sub, map(max, ei, et), ei), units))
-        sugar = (max(sugars[i] - ((li >> deg_shift) & deg_mask), sugar_t)
-                 + ((lcm >> deg_shift) & deg_mask))
-        fresh.append((sugar, lcm, i, t))
-
-    survivors = []
-    for i, pair in enumerate(fresh):
-        la = pair[1]
-        if leads[i] + lt == la:
-            continue
-        for b, (_, lb, _, _) in enumerate(fresh):
-            if not (la - lb) & guard and b != i and (lb != la or b < i):
-                break
-        else:
-            survivors.append(pair)
-
-    live.difference_update([
-        (sugar, lcm, i, j) for sugar, lcm, i, j in live
-        if not (lcm - lt) & guard
-        and fresh[i][1] != lcm and fresh[j][1] != lcm
-    ])
-    return survivors
-
-
 def buchberger(polys):
     """Reduced Groebner basis of the given polynomials.
 
-    Runs the signature loop on degrevlex input with at most as many
-    distinct generators as variables and the Gebauer-Moeller loop on any
-    other, then minimizes and inter-reduces. Returns a list sorted
-    ascending by lead monomial.
+    Runs the signature loop on the distinct inputs, then minimizes and
+    inter-reduces. Returns a list sorted ascending by lead monomial.
     """
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
@@ -427,15 +361,11 @@ def buchberger(polys):
 
 def _buchberger(pk, ring, polys):
     gens = _kernel_inputs(pk, ring.field, polys)
-    if isinstance(ring.order, DegRevLex) and len(gens) <= ring.nvars:
-        loop = _signature_loop
-    else:
-        loop = _gebauer_moeller_loop
-    return _reduce_basis(pk, ring, *loop(pk, ring.field, gens))
+    return _reduce_basis(pk, ring, *_signature_loop(pk, ring.field, gens))
 
 
 def _kernel_inputs(pk, field, polys):
-    """The distinct inputs as (packed terms, packed lead, degree) triples.
+    """The distinct inputs as (packed terms, packed lead) pairs.
 
     Terms are in the form `_normalize` gives, so inputs that are scalar
     multiples of one another become equal, and only the first is kept.
@@ -448,81 +378,8 @@ def _kernel_inputs(pk, field, polys):
         key = frozenset(terms.items())
         if key not in seen:
             seen.add(key)
-            gens.append((terms, lead, p.degree()))
+            gens.append((terms, lead))
     return gens
-
-
-def _gebauer_moeller_loop(pk, field, gens):
-    """A Groebner basis of gens by sugar selection and Gebauer-Moeller.
-
-    Returns (basis, leads, lcs, tails) for `_reduce_basis`.
-    """
-    guard = pk.guard
-
-    # Basis element k: packed terms basis[k] in the form `_normalize` gives,
-    # packed lead leads[k] with exponent tuple exps[k], lead coefficient
-    # lcs[k], tail tails[k]. Pairs wait in `heap`; `live` holds those not
-    # yet popped or pruned, so a popped pair outside it is skipped.
-    # `divisors` is the divisor memo of `_divide` for every S-pair
-    # reduction of this run: `leads` only grows, so its entries stay true.
-    basis: list[dict] = []
-    leads: list[int] = []
-    lcs: list[int] = []
-    tails: list[list] = []
-    exps: list[tuple] = []
-    sugars: list[int] = []
-    heap: list[tuple] = []
-    live: set[tuple] = set()
-    divisors: dict[int, int] = {}
-
-    def add(terms, lead, sugar):
-        basis.append(terms)
-        leads.append(lead)
-        lcs.append(terms[lead])
-        tails.append(_tail(terms, lead))
-        exps.append(pk.unpack(lead))
-        sugars.append(sugar)
-        for pair in _update_pairs(pk, live, leads, exps, sugars,
-                                  len(basis) - 1):
-            live.add(pair)
-            heappush(heap, pair)
-
-    for terms, lead, degree in gens:
-        add(terms, lead, degree)
-
-    while heap:
-        pair = heappop(heap)
-        if pair not in live:
-            continue
-        live.remove(pair)
-        sugar, lcm, i, j = pair
-        # S = (a_j/g) * lcm/lead_i * basis[i] - (a_i/g) * lcm/lead_j *
-        # basis[j], with a = lcs and g = gcd(a_i, a_j) (1 over GF(p)): the
-        # lead terms cancel, so it is built from the tails; a term that
-        # cancels here is skipped when `_divide` pops it.
-        g = gcd(lcs[i], lcs[j])
-        fi, fj = lcs[j] // g, lcs[i] // g
-        s = {}
-        t = lcm - leads[i]
-        for e, c in tails[i]:
-            e += t
-            if e & guard:
-                raise _Overflow
-            s[e] = c * fi
-        t = lcm - leads[j]
-        for e, c in tails[j]:
-            e += t
-            if e & guard:
-                raise _Overflow
-            s[e] = s.get(e, 0) - c * fj
-        rem, sugar, _ = _divide(pk, field.char, s, leads, lcs, tails, None,
-                                sugar, sugars, divisors)
-        if not rem:
-            continue
-        lead = next(iter(rem))
-        add(_normalize(field, rem, lead)[0], lead, sugar)
-
-    return basis, leads, lcs, tails
 
 
 def _signature_loop(pk, field, gens):
@@ -534,20 +391,23 @@ def _signature_loop(pk, field, gens):
     p = field.char
     guard, units = pk.guard, pk.units
     shifts, field_mask = pk.shifts, pk.field_mask
-    fields = (1 << pk.deg_shift) - 1
+    fields = (1 << pk.key_shift) - 1
     low = pk.max_exp.bit_length()
     gens = sorted(gens, key=lambda g: g[1])
     b = len(gens).bit_length()
     index_mask = (1 << b) - 1
 
-    # Element k: basis, leads, lcs and tails as in the Gebauer-Moeller
-    # loop, sigs[k] its signature and ratios[k] = sigs[k] - (leads[k] << b).
+    # Element k: packed terms basis[k] in the form `_normalize` gives,
+    # packed lead leads[k], lead coefficient lcs[k], tail tails[k],
+    # signature sigs[k] and ratios[k] = sigs[k] - (leads[k] << b).
     # owned[i] lists (k, packed signature monomial) of the elements whose
     # signature has index i, in the order they were added; syz[i] the
     # monomials of known syzygy signatures with index i. `queue` maps the
     # signature of each waiting J-pair t * element k to (k, t); input i
     # waits as (~i, 0). `steps` maps the exponent fields of a packed
-    # monomial to the whole packed monomial.
+    # monomial to the whole packed monomial. `divisors` is the divisor memo
+    # of `_divide` for every reduction of this run: `leads` only grows, so
+    # its entries stay true.
     basis: list[dict] = []
     leads: list[int] = []
     lcs: list[int] = []
@@ -569,7 +429,7 @@ def _signature_loop(pk, field, gens):
             return
         queue[sig] = k, t
 
-    for i, (_, lead, _) in enumerate(gens):
+    for i, (_, lead) in enumerate(gens):
         push((lead << b) | i, ~i, 0)
 
     while heap:
@@ -590,13 +450,13 @@ def _signature_loop(pk, field, gens):
         else:
             # An input that no lead divides is kept as `_kernel_inputs`
             # made it: there is nothing to reduce or normalize.
-            rem, lead, _ = gens[~k]
+            rem, lead = gens[~k]
             terms = None
             if any(not (e - l) & guard for e in rem for l in leads):
                 terms = dict(rem)
         if terms is not None:
-            rem = _divide(pk, p, terms, leads, lcs, tails, None, 0, None,
-                          divisors, regular=(sig, b, ratios))[0]
+            rem = _divide(pk, p, terms, leads, lcs, tails, None, divisors,
+                          regular=(sig, b, ratios))[0]
             if not rem:
                 syz[i].append(m)
                 continue
@@ -670,11 +530,10 @@ def _reduce_basis(pk, ring, basis, leads, lcs, tails):
     reduced = []
     for pos, k in enumerate(minimal):
         others = minimal[:pos] + minimal[pos + 1:]
-        rem, _, _ = _divide(
+        rem = _divide(
             pk, field.char, dict(basis[k]), [leads[h] for h in others],
-            [lcs[h] for h in others], [tails[h] for h in others],
-            None, 0, None, {},
-        )
+            [lcs[h] for h in others], [tails[h] for h in others], None, {},
+        )[0]
         lc = field.coerce(rem[leads[k]])
         reduced.append(_unpack(pk, ring, rem, field.inv(lc)))
     return reduced
