@@ -59,12 +59,14 @@ exponent tuples.
 Each division keeps a memo of divisor queries: it maps a packed monomial
 to i when leads[i] is the lowest-index lead that divides it, and to ~k when
 none of leads[:k] does, so a later query takes i at once or resumes the
-scan at k. Buchberger only appends to its leads, so an entry stays true
-for the rest of the run, and one memo serves every reduction of one
-`_buchberger` call at one width; a restart at a wider packing builds a new
-one. `normal_form` and the final inter-reduction start from an empty memo.
-When the lowest-index divisor fails the signature loop's regularity test,
-the scan goes on past it without the memo. A signature monomial that
+scan at k. The signature loop only appends to its leads, so an entry
+stays true for the rest of the loop, and one memo serves all its
+reductions at one width; a restart at a wider packing builds a new one.
+The final inter-reduction is one ascending sweep with one memo of its own:
+each minimal element's tail is divided by the elements already reduced,
+whose leads also only grow. `normal_form` starts from an empty memo. When
+the lowest-index divisor fails the signature loop's regularity test, the
+scan goes on past it without the memo. A signature monomial that
 overflows starts the call again at a wider packing, as a term does.
 
 Coefficients are plain ints inside the kernel, one loop for both fields.
@@ -128,8 +130,8 @@ class _Packing:
         return sum(map(mul, exps, self.units))
 
     def unpack(self, m):
-        f = self.field_mask
-        return tuple((m >> s) & f for s in self.shifts)
+        return tuple(map(self.field_mask.__and__, map(m.__rshift__,
+                                                      self.shifts)))
 
     def pack_terms(self, p):
         """Packed copy of p's term dict, in p's term order."""
@@ -385,7 +387,7 @@ def _kernel_inputs(pk, field, polys):
 def _signature_loop(pk, field, gens):
     """A Groebner basis of gens by a signature-based Buchberger loop.
 
-    Returns (basis, leads, lcs, tails) for `_reduce_basis`. The encoding
+    Returns (leads, lcs, tails) for `_reduce_basis`. The encoding
     of signatures and the criteria are in the module docstring.
     """
     p = field.char
@@ -511,31 +513,50 @@ def _signature_loop(pk, field, gens):
         ratios.append(ratio)
         owned[i].append((n, m))
 
-    return basis, leads, lcs, tails
+    return leads, lcs, tails
 
 
-def _reduce_basis(pk, ring, basis, leads, lcs, tails):
+def _reduce_basis(pk, ring, leads, lcs, tails):
     """Minimize and inter-reduce a packed Groebner basis in kernel form.
 
-    Returns the monic polynomials, sorted ascending by lead monomial.
+    One ascending sweep: each minimal element's tail is divided by the
+    elements already reduced, and its lead coefficient, times the
+    multiplier of that division, is put back in front. Tail terms lie below
+    the lead, so no larger lead divides them, and the normal form modulo a
+    Groebner basis is unique, so the result is the reduced basis. Returns
+    the monic polynomials, sorted ascending by lead monomial.
     """
     field = ring.field
     guard = pk.guard
     minimal: list[int] = []
-    for k in sorted(range(len(basis)), key=leads.__getitem__):
+    for k in sorted(range(len(leads)), key=leads.__getitem__):
         lm = leads[k]
         if any(not (lm - leads[h]) & guard for h in minimal):
             continue
         minimal.append(k)
+    # The elements reduced so far, in kernel form: the divisors of the next
+    # tail. Their leads only grow, so one memo serves the whole sweep.
+    rleads: list[int] = []
+    rlcs: list[int] = []
+    rtails: list[list] = []
+    memo: dict[int, int] = {}
     reduced = []
-    for pos, k in enumerate(minimal):
-        others = minimal[:pos] + minimal[pos + 1:]
-        rem = _divide(
-            pk, field.char, dict(basis[k]), [leads[h] for h in others],
-            [lcs[h] for h in others], [tails[h] for h in others], None, {},
-        )[0]
-        lc = field.coerce(rem[leads[k]])
-        reduced.append(_unpack(pk, ring, rem, field.inv(lc)))
+    p = field.char
+    for k in minimal:
+        lead = leads[k]
+        rem, u = _divide(pk, p, dict(tails[k]), rleads, rlcs, rtails, None,
+                         memo)
+        lc = lcs[k] * u
+        # Over Q the element is made primitive again; over GF(p), lc is 1.
+        if not p and (g := gcd(lc, *rem.values())) != 1:
+            lc //= g
+            rem = {m: c // g for m, c in rem.items()}
+        rleads.append(lead)
+        rlcs.append(lc)
+        rtails.append(list(rem.items()))
+        terms = {lead: lc}
+        terms.update(rem)
+        reduced.append(_unpack(pk, ring, terms, field.inv(field.coerce(lc))))
     return reduced
 
 

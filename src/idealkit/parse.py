@@ -12,6 +12,13 @@ coefficients may be written `p/q`. Expressions may reference previously
 declared polynomials by name. All declared names share one namespace and
 must be unique. Errors carry line and column.
 
+The source is cut into tokens by one regular expression (`_TOKEN`). A token
+is a plain string, and its kind is read off its first character; tokens
+keep no positions, so an `InputError` scans the source again to find the
+line and column of its token. A token that starts with a character outside
+the grammar is reported first, wherever it stands, as a tokenizer that
+checks the whole input before parsing would.
+
 Expressions are parsed into term dicts {exponent tuple: coefficient}, and
 only a whole expression becomes a `Polynomial`. A sum adds into one dict; a
 product with a sum on either side goes through `Polynomial.__mul__`.
@@ -28,8 +35,10 @@ recursion limit.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from operator import add, sub
 
@@ -79,63 +88,22 @@ class InputError(Exception):
         self.reason = message
 
 
-@dataclass
-class Token:
-    kind: str  # IDENT, INT, or a literal symbol
-    text: str
-    line: int
-    col: int
+# One token per match: blanks and comments are skipped, then an ASCII digit
+# run, a word or one character is taken; the last match is the empty token
+# at the end of input.
+_TOKEN = re.compile(r"[ \t\r\n]*(?:#.*[ \t\r\n]*)*([0-9]+|\w+|.|\Z)")
+_SYMBOLS = frozenset("+-*^()[]=,;/")
 
 
-_SYMBOLS = set("+-*^()[]=,;/")
-
-
-def _tokenize(source: str):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        start_col = col
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= source[j] <= "9":
-                j += 1
-            tokens.append(Token("INT", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", source[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(Token(ch, ch, line, start_col))
-            col += 1
-            i += 1
-            continue
-        raise InputError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
-    return tokens
+def _kind(tok: str) -> str:
+    """IDENT, INT, or the token itself: a symbol, "" at the end of input, or
+    a token that starts with an unexpected character."""
+    first = tok[:1]
+    if first.isalpha() or first == "_":
+        return "IDENT"
+    if "0" <= first <= "9":
+        return "INT"
+    return tok
 
 
 @dataclass
@@ -148,77 +116,68 @@ class SessionInput:
     matrices: dict = field(default_factory=dict)
 
 
-def render_session(session: SessionInput) -> str:
-    """Canonical text for a session; parsing it back reproduces the data."""
-    f = session.ring.field
-    head = "Q" if f.char == 0 else f"Fp({f.char})"
-    lines = [f"ring {head}[{', '.join(session.ring.names)}];"]
-    for name, p in session.polys.items():
-        lines.append(f"poly {name} = {p};")
-    for name, gens in session.ideals.items():
-        body = ", ".join(str(g) for g in gens)
-        lines.append(f"ideal {name} = {body};")
-    for name, m in session.matrices.items():
-        rows = " ; ".join(", ".join(str(e) for e in row) for row in m.rows)
-        lines.append(f"matrix {name} {m.nrows}x{m.ncols} = [ {rows} ];")
-    return "\n".join(lines) + "\n"
-
-
 class _Parser:
-    def __init__(self, tokens, field_override=None, order=None):
-        self.tokens = tokens
+    def __init__(self, source, field_override=None, order=None):
+        self.source = source
+        self.tokens = _TOKEN.findall(source)
         self.pos = 0
         self.session: SessionInput | None = None
         self.field_override = field_override
         self.order = order
         self.depth = 0
+        self.units: dict = {}
 
     # -- token plumbing ---------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
+    def expect(self, kind: str, what: str | None = None) -> str:
+        """The next token, which must be a symbol, "" (the end of input), an
+        IDENT or an INT."""
         tok = self.tokens[self.pos]
+        if (tok if len(kind) < 2 else _kind(tok)) != kind:
+            want = what or kind
+            self.error(f"expected {want}, found {tok!r}" if tok
+                       else f"expected {want}, found end of input")
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            want = what or kind
-            raise InputError(
-                f"expected {want}, found {tok.text!r}" if tok.kind != "EOF"
-                else f"expected {want}, found end of input",
-                tok.line, tok.col)
-        return self.next()
+    def error(self, message: str, at: int | None = None):
+        """Raise InputError at token index `at` (default: the next token).
 
-    def error(self, message: str, tok: Token | None = None):
-        tok = tok or self.peek()
-        raise InputError(message, tok.line, tok.col)
+        A token that starts with an unexpected character is reported first,
+        wherever it is, so the error does not depend on how far parsing got.
+        """
+        for i, tok in enumerate(self.tokens):
+            if (tok and tok not in _SYMBOLS
+                    and _kind(tok) not in ("IDENT", "INT")):
+                at, message = i, f"unexpected character {tok[0]!r}"
+                break
+        if at is None:
+            at = self.pos
+        source = self.source
+        offset = next(islice(_TOKEN.finditer(source), at, None)).start(1)
+        raise InputError(message, source.count("\n", 0, offset) + 1,
+                         offset - source.rfind("\n", 0, offset))
 
     # -- statements --------------------------------------------------------
 
     def parse_session(self) -> SessionInput:
-        while self.peek().kind != "EOF":
-            tok = self.peek()
-            if tok.kind != "IDENT":
+        while tok := self.tokens[self.pos]:
+            if _kind(tok) != "IDENT":
                 self.error("expected a statement keyword")
-            if tok.text == "ring":
+            if tok == "ring":
                 self._ring_stmt()
-            elif tok.text == "poly":
+            elif tok == "poly":
                 self._poly_stmt()
-            elif tok.text == "ideal":
+            elif tok == "ideal":
                 self._ideal_stmt()
-            elif tok.text == "matrix":
+            elif tok == "matrix":
                 self._matrix_stmt()
             else:
                 self.error(
-                    f"unknown statement {tok.text!r} "
+                    f"unknown statement {tok!r} "
                     "(expected ring, poly, ideal, or matrix)")
         if self.session is None:
-            tok = self.peek()
-            raise InputError("input declares no ring", tok.line, tok.col)
+            self.error("input declares no ring")
         return self.session
 
     def _require_ring(self) -> SessionInput:
@@ -226,45 +185,47 @@ class _Parser:
             self.error("a ring declaration must come first")
         return self.session
 
-    def _declare(self, name_tok: Token):
+    def _declare(self, what: str):
+        """The name a statement declares, checked to be new."""
+        at = self.pos
+        name = self.expect("IDENT", what)
         session = self._require_ring()
-        name = name_tok.text
         if name in session.ring._index:
-            self.error(f"name {name!r} is already a ring variable", name_tok)
+            self.error(f"name {name!r} is already a ring variable", at)
         for table in (session.polys, session.ideals, session.matrices):
             if name in table:
-                self.error(f"name {name!r} is already defined", name_tok)
+                self.error(f"name {name!r} is already defined", at)
         return name
 
     def _ring_stmt(self):
-        tok = self.next()
         if self.session is not None:
-            self.error("only one ring declaration is allowed", tok)
-        field_tok = self.expect("IDENT", "a coefficient field (Q or Fp(p))")
-        if field_tok.text == "Q":
+            self.error("only one ring declaration is allowed")
+        self.pos += 1
+        at = self.pos
+        name = self.expect("IDENT", "a coefficient field (Q or Fp(p))")
+        if name == "Q":
             coeff_field = QQ
-        elif field_tok.text == "Fp":
+        elif name == "Fp":
             self.expect("(")
-            p_tok = self.expect("INT", "a prime modulus")
+            at = self.pos
+            p = self.expect("INT", "a prime modulus")
             self.expect(")")
             try:
-                coeff_field = GF(int(p_tok.text))
+                coeff_field = GF(int(p))
             except ValueError as exc:
-                raise InputError(str(exc), p_tok.line, p_tok.col) from None
+                self.error(str(exc), at)
         else:
-            self.error(
-                f"unknown field {field_tok.text!r} (expected Q or Fp(p))",
-                field_tok)
+            self.error(f"unknown field {name!r} (expected Q or Fp(p))", at)
         if self.field_override is not None:
             coeff_field = self.field_override
         self.expect("[")
-        names = [self.expect("IDENT", "a variable name").text]
-        while self.peek().kind == ",":
-            self.next()
-            names.append(self.expect("IDENT", "a variable name").text)
-        close = self.expect("]")
+        names = [self.expect("IDENT", "a variable name")]
+        while self.tokens[self.pos] == ",":
+            self.pos += 1
+            names.append(self.expect("IDENT", "a variable name"))
+        self.expect("]")
         if len(set(names)) != len(names):
-            raise InputError("duplicate variable name", close.line, close.col)
+            self.error("duplicate variable name", self.pos - 1)
         self.expect(";")
         order = None if self.order is None else self.order(len(names))
         self._open(Ring(coeff_field, names, order))
@@ -276,41 +237,37 @@ class _Parser:
         """
         self.session = SessionInput(ring) if session is None else session
         self.char = ring.field.char
-        one, zeros = ring.field.one, (0,) * ring.nvars
+        self.one = one = ring.field.one
+        zeros = (0,) * ring.nvars
         self.units = {name: {zeros[:i] + (1,) + zeros[i + 1:]: one}
                       for i, name in enumerate(ring.names)}
 
     def _poly_stmt(self):
-        self.next()
-        name_tok = self.expect("IDENT", "a polynomial name")
-        name = self._declare(name_tok)
+        self.pos += 1
+        name = self._declare("a polynomial name")
         self.expect("=")
         value = self._expr()
         self.expect(";")
         self.session.polys[name] = value
 
     def _ideal_stmt(self):
-        self.next()
-        name_tok = self.expect("IDENT", "an ideal name")
-        name = self._declare(name_tok)
+        self.pos += 1
+        name = self._declare("an ideal name")
         self.expect("=")
-        gens = [self._expr()]
-        while self.peek().kind == ",":
-            self.next()
-            gens.append(self._expr())
+        gens = self._expr_list()
         self.expect(";")
         self.session.ideals[name] = gens
 
     def _matrix_stmt(self):
-        self.next()
-        name_tok = self.expect("IDENT", "a matrix name")
-        name = self._declare(name_tok)
+        self.pos += 1
+        at = self.pos
+        name = self._declare("a matrix name")
         rows, cols = self._dims()
         self.expect("=")
         self.expect("[")
         data = [self._expr_list()]
-        while self.peek().kind == ";":
-            self.next()
+        while self.tokens[self.pos] == ";":
+            self.pos += 1
             data.append(self._expr_list())
         self.expect("]")
         self.expect(";")
@@ -318,37 +275,37 @@ class _Parser:
             self.error(
                 f"matrix {name!r} declared {rows}x{cols} but "
                 f"given {len(data)} rows of sizes {[len(r) for r in data]}",
-                name_tok)
+                at)
         self.session.matrices[name] = PolyMatrix(self.session.ring, data)
 
     def _dims(self):
         """Parse `4x3` (lexed INT IDENT) or `4 x 3` (INT IDENT INT)."""
-        rows_tok = self.expect("INT", "matrix dimensions like 4x3")
-        rows = int(rows_tok.text)
+        rows = int(self.expect("INT", "matrix dimensions like 4x3"))
+        at = self.pos
         tok = self.expect("IDENT", "matrix dimensions like 4x3")
-        if tok.text == "x":
-            cols_tok = self.expect("INT", "a column count")
-            return rows, int(cols_tok.text)
-        cols = tok.text[1:]
-        if tok.text.startswith("x") and cols.isascii() and cols.isdecimal():
+        if tok == "x":
+            return rows, int(self.expect("INT", "a column count"))
+        cols = tok[1:]
+        if tok.startswith("x") and cols.isascii() and cols.isdecimal():
             return rows, int(cols)
-        self.error("expected matrix dimensions like 4x3", tok)
+        self.error("expected matrix dimensions like 4x3", at)
 
     def _expr_list(self):
         out = [self._expr()]
-        while self.peek().kind == ",":
-            self.next()
+        while self.tokens[self.pos] == ",":
+            self.pos += 1
             out.append(self._expr())
         return out
 
     # -- expressions ------------------------------------------------------
 
     def _expr(self) -> Polynomial:
-        start = self.peek()
+        start = self.pos
         value = dict(self._term(start))
         get, p = value.get, self.char
-        while self.peek().kind in ("+", "-"):
-            op = add if self.next().kind == "+" else sub
+        while (tok := self.tokens[self.pos]) == "+" or tok == "-":
+            self.pos += 1
+            op = add if tok == "+" else sub
             for e, c in self._term(start).items():
                 c = op(get(e, 0), c)
                 if p:
@@ -358,18 +315,18 @@ class _Parser:
                     continue
                 value[e] = c
                 if not p and _coeff_too_large(c):
-                    raise InputError("coefficient too large",
-                                     start.line, start.col)
+                    self.error("coefficient too large", start)
         return Polynomial(self.session.ring, value)
 
-    def _term(self, start: Token) -> dict:
+    def _term(self, start: int) -> dict:
         value = self._factor()
-        while self.peek().kind == "*":
-            self.next()
+        while self.tokens[self.pos] == "*":
+            self.pos += 1
             other = self._factor()
             if len(value) == 1 == len(other):
                 ((ea, ca),), ((eb, cb),) = value.items(), other.items()
-                c = ca * cb
+                one = self.one
+                c = cb if ca is one else ca if cb is one else ca * cb
                 value = {tuple(map(add, ea, eb)): c % self.char
                          if self.char else c}
             elif value and other:
@@ -379,75 +336,77 @@ class _Parser:
             else:
                 value = {}
             if _top_exponent(value) > MAX_EXPONENT:
-                raise InputError("exponent too large", start.line, start.col)
+                self.error("exponent too large", start)
             if not self.char and any(map(_coeff_too_large, value.values())):
-                raise InputError("coefficient too large",
-                                 start.line, start.col)
+                self.error("coefficient too large", start)
         return value
 
     def _factor(self) -> dict:
         base = self._base()
-        if self.peek().kind != "^":
+        if self.tokens[self.pos] != "^":
             return base
-        caret = self.next()
-        exp_tok = self.expect("INT", "an exponent")
-        digits = exp_tok.text.lstrip("0") or "0"
+        caret = self.pos
+        self.pos += 1
+        digits = self.expect("INT", "an exponent").lstrip("0") or "0"
         exp = int(digits) if len(digits) <= 9 else None
         if (exp is None or exp * _top_exponent(base) > MAX_EXPONENT
                 or (exp > MAX_SUM_POWER and len(base) > 1)):
-            raise InputError("exponent too large", caret.line, caret.col)
+            self.error("exponent too large", caret)
         if len(base) == 1:
             ((exps, coeff),) = base.items()
             if coeff == 1:
                 return {tuple(e * exp for e in exps): coeff}
         if _power_bits(self.char, base, exp) > MAX_COEFF_BITS:
-            raise InputError("coefficient too large", caret.line, caret.col)
+            self.error("coefficient too large", caret)
         return (Polynomial(self.session.ring, base)**exp).terms
 
-    def _coefficient(self, tok: Token) -> int:
-        digits = tok.text.lstrip("0") or "0"
+    def _coefficient(self, what: str) -> int:
+        """The next token as an integer literal within MAX_COEFF_BITS."""
+        at = self.pos
+        digits = self.expect("INT", what).lstrip("0") or "0"
         # d digits mean more than 3.3 * (d - 1) bits, so a longer literal is
         # too large without converting it.
         value = int(digits) if len(digits) <= MAX_COEFF_BITS // 3 else None
         if value is None or value.bit_length() > MAX_COEFF_BITS:
-            self.error("coefficient too large", tok)
+            self.error("coefficient too large", at)
         return value
 
     def _base(self) -> dict:
+        tok = self.tokens[self.pos]
+        unit = self.units.get(tok)
+        if unit is not None:
+            self.pos += 1
+            return unit
         session = self._require_ring()
         ring = session.ring
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.next()
-            num = self._coefficient(tok)
-            if self.peek().kind == "/":
-                self.next()
-                den_tok = self.expect("INT", "a denominator")
-                den = self._coefficient(den_tok)
+        kind = _kind(tok)
+        if kind == "INT":
+            num = self._coefficient("a coefficient")
+            if self.tokens[self.pos] == "/":
+                self.pos += 1
+                at = self.pos
+                den = self._coefficient("a denominator")
                 if den == 0:
-                    self.error("zero denominator", den_tok)
+                    self.error("zero denominator", at)
                 try:
                     return ring.const(Fraction(num, den)).terms
                 except ZeroDivisionError as exc:  # den vanishes mod p
-                    self.error(str(exc), den_tok)
+                    self.error(str(exc), at)
             return ring.const(num).terms
-        if tok.kind == "IDENT":
-            self.next()
-            if tok.text in self.units:
-                return self.units[tok.text]
-            if tok.text in session.polys:
-                return session.polys[tok.text].terms
-            if tok.text in session.ideals or tok.text in session.matrices:
+        if kind == "IDENT":
+            if tok in session.polys:
+                self.pos += 1
+                return session.polys[tok].terms
+            if tok in session.ideals or tok in session.matrices:
                 self.error(
-                    f"{tok.text!r} names an ideal or matrix, not a polynomial",
-                    tok)
-            self.error(f"unknown name {tok.text!r}", tok)
-        if tok.kind in ("(", "-"):
-            self.next()
+                    f"{tok!r} names an ideal or matrix, not a polynomial")
+            self.error(f"unknown name {tok!r}")
+        if tok == "(" or tok == "-":
             if self.depth == MAX_NESTING:
-                self.error("expression nested too deeply", tok)
+                self.error("expression nested too deeply")
+            self.pos += 1
             self.depth += 1
-            if tok.kind == "(":
+            if tok == "(":
                 value = self._expr().terms
                 self.expect(")")
             else:
@@ -464,7 +423,7 @@ def parse_session(source: str, field_override=None, order=None) -> SessionInput:
     order, when given, maps the variable count to the ring's monomial order
     (for example `Lex` or `DegRevLex`); without it the ring uses degrevlex.
     """
-    return _Parser(_tokenize(source), field_override, order).parse_session()
+    return _Parser(source, field_override, order).parse_session()
 
 
 def parse_poly(ring: Ring, source: str,
@@ -475,8 +434,8 @@ def parse_poly(ring: Ring, source: str,
     of its polynomials as a session file does; naming one of its ideals or
     matrices is an error.
     """
-    parser = _Parser(_tokenize(source))
+    parser = _Parser(source)
     parser._open(ring, session)
     value = parser._expr()
-    parser.expect("EOF", "end of expression")
+    parser.expect("", "end of expression")
     return value

@@ -15,7 +15,8 @@ from idealkit.corpus import (
 )
 from idealkit.fields import GF
 from idealkit.idealops import Ideal, kernel_of_map
-from idealkit.parse import parse_session, render_session
+from idealkit.parse import parse_session
+from test_parse import render_session
 
 
 def test_corpus_ids_and_claims():

@@ -546,6 +546,47 @@ def test_divisor_memo_is_rebuilt_when_buchberger_widens(monkeypatch):
     assert first_size == {127: 0, 32767: 0}
 
 
+def _seeded_ideal(field):
+    rng = random.Random(4)
+    ring = Ring(field, ("x", "y", "z"), Lex(3))
+    return [_random_rational_poly(rng, ring, rng.randint(2, 4), 3)
+            for _ in range(3)]
+
+
+def _cyclic6(field):
+    text = (Path(__file__).parent / "golden" / "cyclic6.ikt").read_text()
+    return list(parse_session(text, field).ideals["I"])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=repr)
+@pytest.mark.parametrize("ideal", [_cyclic6, _seeded_ideal],
+                         ids=["cyclic6", "seeded"])
+def test_inter_reduction_is_one_ascending_sweep(monkeypatch, field, ideal):
+    # `_reduce_basis` divides each minimal element's tail, without its lead,
+    # by the elements already reduced, in ascending order, and one memo
+    # serves the whole sweep. The signature loop's divisions are regular.
+    calls, divide = [], groebner._divide
+
+    def logged_divide(pk, char, terms, leads, *rest, regular=None):
+        if regular is None:
+            calls.append((pk, list(terms), list(leads), rest[-1]))
+        return divide(pk, char, terms, leads, *rest, regular=regular)
+
+    monkeypatch.setattr(groebner, "_divide", logged_divide)
+    basis = buchberger(ideal(field))
+    pk = calls[-1][0]
+    calls = [call for call in calls if call[0] is pk]
+    leads = [pk.pack(g.lead_monomial()) for g in basis]
+    assert len(basis) > 2 and len(calls) == len(basis)
+    assert leads == sorted(set(leads))
+    memo = calls[0][3]
+    for k, (_, dividend, divisors, sweep_memo) in enumerate(calls):
+        assert sweep_memo is memo
+        assert divisors == leads[:k]
+        assert all(m < leads[k] for m in dividend)
+    assert memo
+
+
 def test_normal_form_keeps_the_lowest_index_divisor(monkeypatch):
     # Every lead here divides x^3*y^2, and x divides each term of p: the
     # quotients must give each popped term to the first lead that divides

@@ -10,9 +10,25 @@ from idealkit.parse import (
     InputError,
     parse_poly,
     parse_session,
-    render_session,
 )
 from idealkit.poly import Ring
+
+
+def render_session(session):
+    """Canonical text for a session; parsing it back reproduces the data."""
+    f = session.ring.field
+    head = "Q" if f.char == 0 else f"Fp({f.char})"
+    lines = [f"ring {head}[{', '.join(session.ring.names)}];"]
+    for name, p in session.polys.items():
+        lines.append(f"poly {name} = {p};")
+    for name, gens in session.ideals.items():
+        body = ", ".join(str(g) for g in gens)
+        lines.append(f"ideal {name} = {body};")
+    for name, m in session.matrices.items():
+        rows = " ; ".join(", ".join(str(e) for e in row) for row in m.rows)
+        lines.append(f"matrix {name} {m.nrows}x{m.ncols} = [ {rows} ];")
+    return "\n".join(lines) + "\n"
+
 
 BASIC = """\
 # demo session
@@ -171,6 +187,27 @@ def test_comments_and_blank_lines():
     ("ring Q[x];\npoly f = " + "-" * 101 + "x;", 2, 110, "nested too deeply"),
     ("ring Q[x];\npoly f = " + "-(" * 51 + "x" + ")" * 51 + ";", 2, 110,
      "nested too deeply"),
+    # Positions count code points; only \n starts a line. A tab, a \r and
+    # each character of a comment take one column.
+    ("ring Q[x];\n\tpoly f = y;", 2, 11, "unknown name 'y'"),
+    ("ring Q[x];\npoly\tf =\tx + y;", 2, 14, "unknown name 'y'"),
+    ("ring Q[x];\r\npoly f = y;\r\n", 2, 10, "unknown name 'y'"),
+    ("ring Q[x];\r\npoly f = x\r\n", 3, 1, "found end of input"),
+    ("ring Q[x];\n# a note: $ and ½\npoly f = y;", 3, 10,
+     "unknown name 'y'"),
+    ("ring Q[x];\npoly f = x\f;", 2, 11, "unexpected character '\\x0c'"),
+    ("ring Q[x];\npoly f =\xa0x;", 2, 9, "unexpected character '\\xa0'"),
+    ("ring Q[x];\npoly f = ½*x;", 2, 10, "unexpected character '½'"),
+    ("ring Q[x];\npoly f = 2²;", 2, 11, "unexpected character '²'"),
+    ("ring Q[x];\npoly f = x½;", 2, 10, "unknown name 'x½'"),
+    ("ring Q[é];\npoly f = é + y;", 2, 14, "unknown name 'y'"),
+    ("ring Q[x٣];\npoly f = x٣ + y;", 2, 15, "unknown name 'y'"),
+    ("ring Q[IDENT, INT];\npoly f = IDENT*INT + y;", 2, 22,
+     "unknown name 'y'"),
+    ("ring Q[x];\npoly f = x\n\n\n", 5, 1, "found end of input"),
+    ("# only a comment\n", 2, 1, "declares no ring"),
+    # An unexpected character is reported before an earlier syntax error.
+    ("ring Q[x] poly f = x $ x;", 1, 22, "unexpected character '$'"),
 ])
 def test_error_positions(src, line, col, fragment):
     with pytest.raises(InputError) as exc:
@@ -180,6 +217,21 @@ def test_error_positions(src, line, col, fragment):
     assert err.col == col
     assert fragment in err.reason
     assert f"line {line}, column {col}" in str(err)
+
+
+@pytest.mark.parametrize("src, line, col, reason", [
+    ("x +", 1, 4, "expected a polynomial term"),
+    ("x y", 1, 3, "expected end of expression, found 'y'"),
+    ("x + $", 1, 5, "unexpected character '$'"),
+    ("(x", 1, 3, "expected ), found end of input"),
+    ("x^2 *\n  z", 2, 3, "unknown name 'z'"),
+    ("", 1, 1, "expected a polynomial term"),
+])
+def test_parse_poly_error_positions(src, line, col, reason):
+    with pytest.raises(InputError) as exc:
+        parse_poly(Ring(QQ, ("x", "y")), src)
+    assert (exc.value.line, exc.value.col, exc.value.reason) == \
+        (line, col, reason)
 
 
 def test_nesting_up_to_the_bound_parses():
