@@ -41,7 +41,10 @@ There is no singular criterion: an element that is top-reducible at its
 own signature is kept. With that discard next to the latest-element
 rewrite rule, the loop returned a wrong basis on 12 of 3,000 seeded random
 ideals (`PITFALL` in `tests/test_groebner.py` lost y); either rule alone
-was right on all of them.
+was right on all of them. The loop stops at the first nonzero constant
+remainder, since the reduced basis is then [1]. The same loop, run on one
+input f above a Groebner basis of I, is the colon step of `colon_basis`,
+which gives I : f without an elimination variable.
 
 Division and the Buchberger loop run on packed monomials (Monagan and
 Pearce, JSC 2011; Roune and Stillman, ISSAC 2012). A packed monomial is
@@ -366,6 +369,80 @@ def _buchberger(pk, ring, polys):
     return _reduce_basis(pk, ring, *_signature_loop(pk, ring.field, gens))
 
 
+def colon_basis(basis, f):
+    """Reduced Groebner basis of (I : f) from a Groebner basis of I.
+
+    basis is a Groebner basis G of I and f a nonzero polynomial of its
+    ring. The colon step is F5's incremental step with the top component
+    kept (Faugere, ISSAC 2002; Gao, Volny and Wang, Math. Comp. 2016): one
+    run of `_signature_loop` on f alone, on top of G. Signatures are
+    position over term with e_f on top: each polynomial h of the run keeps
+    its cofactor a, h = a*f + c with c in I, and its signature is
+    lead(a)*e_f. The elements of G have cofactor 0 and sit below every
+    signature, so they may always reduce. A regular reduction subtracts q*h
+    of elements of smaller signature, so lead(a) is kept and the new
+    cofactor is u*t*a - sum(q*a_q) (`_cofactor`). Each reduction to zero at
+    t*e_f leaves an a in I : f with lead t; they form A, and the result is
+    the reduced basis of G and A (`_reduce_basis`). A constant a ends the
+    step with I : f = (1).
+
+    Proof that G and A are a Groebner basis of I : f. Let L be the monomial
+    ideal of the leads of G and A, and T in LT(I : f): we show T in L. Then
+    L = LT(I : f), since G and A lie in I : f.
+    - The syzygies of (G, f) are the module elements z with image 0, and
+      their e_f parts are exactly the elements of I : f. So T*e_f is the
+      signature of some syzygy z.
+    - Every syzygy signature that the loop records lies in L. A reduction
+      to zero records the lead of its a. The Koszul update of the first
+      element, the remainder of f at signature e_f, with each g in G
+      records lead(g)*e_f. Two elements h_j and h_n of the run, as module
+      elements m_j and m_n, give the Koszul syzygy h_j*m_n - h_n*m_j, whose
+      e_f part c_j*a_n - c_n*a_j lies in I: its signature lead(h_j)*sig(h_n)
+      lies in LT(I), whether recorded or not.
+    - When the loop ends, its elements and G are a signature Groebner
+      basis: every module element s whose image is nonzero has a multiple
+      w*h of an element, of G or of the run, with the same lead and a
+      signature at most sig(s). This is the theorem that `buchberger` rests
+      on (Eder and Faugere, JSC 2017), in the module over G and f.
+    - Let beta be the element added last whose signature divides T (the
+      input f has signature e_f), and s = (T/sig(beta))*beta. The image of
+      s is nonzero. s minus a multiple of z has a smaller signature and the
+      same image, so a multiple w*gamma, of signature below T, has the lead
+      of s. The ratio signature/lead of gamma is below beta's, so the loop
+      queued their J-pair, at T' = (lcm/lead(beta))*sig(beta), a divisor
+      of T. Unless the leads are coprime; then T' is their Koszul
+      signature, in L.
+    - The J-pair at T' was skipped because a recorded syzygy signature
+      divides it, which is in L; or it was skipped or replaced because an
+      element added after beta has a signature dividing T' (the rewrite
+      criterion, one J-pair per signature), against the choice of beta; or
+      it was reduced, to zero, which puts T' in L, or to a new element with
+      signature T', added after beta, against the choice of beta again.
+    So T lies in L in every case. The proof is needed: a final `buchberger`
+    on G and A could not add an a that the step had missed.
+    """
+    ring = f.ring
+    return _widening(ring, lambda pk: _colon(pk, ring, basis, f))
+
+
+def _colon(pk, ring, basis, f):
+    field = ring.field
+    leads, lcs, tails = [], [], []
+
+    def add(terms, lead):
+        leads.append(lead)
+        lcs.append(terms[lead])
+        tails.append(_tail(terms, lead))
+
+    for terms, lead in _kernel_inputs(pk, field, basis):
+        add(terms, lead)
+    for a in _signature_loop(pk, field, _kernel_inputs(pk, field, [f]),
+                             (leads, lcs, tails)):
+        lead = max(a)
+        add(_normalize(field, a, lead)[0], lead)
+    return _reduce_basis(pk, ring, leads, lcs, tails)
+
+
 def _kernel_inputs(pk, field, polys):
     """The distinct inputs as (packed terms, packed lead) pairs.
 
@@ -384,11 +461,16 @@ def _kernel_inputs(pk, field, polys):
     return gens
 
 
-def _signature_loop(pk, field, gens):
+def _signature_loop(pk, field, gens, below=None):
     """A Groebner basis of gens by a signature-based Buchberger loop.
 
-    Returns (leads, lcs, tails) for `_reduce_basis`. The encoding
-    of signatures and the criteria are in the module docstring.
+    Returns (leads, lcs, tails) for `_reduce_basis`, or the basis [1] at the
+    first nonzero constant remainder. The encoding of signatures and the
+    criteria are in the module docstring. With `below`, the loop is the
+    colon step of `colon_basis`: below is (leads, lcs, tails) of a Groebner
+    basis of I in kernel form, gens is [f], and the loop returns the
+    cofactors a of its reductions to zero (a*f in I) as packed term dicts,
+    or only [a] when a is a constant, that is when f lies in I.
     """
     p = field.char
     guard, units = pk.guard, pk.units
@@ -398,10 +480,12 @@ def _signature_loop(pk, field, gens):
     gens = sorted(gens, key=lambda g: g[1])
     b = len(gens).bit_length()
     index_mask = (1 << b) - 1
+    colon = below is not None
 
     # Element k: packed terms basis[k] in the form `_normalize` gives,
     # packed lead leads[k], lead coefficient lcs[k], tail tails[k],
-    # signature sigs[k] and ratios[k] = sigs[k] - (leads[k] << b).
+    # signature sigs[k] and ratios[k] = sigs[k] - (leads[k] << b); in the
+    # colon step also its cofactor cofactors[k] (see `_cofactor`).
     # owned[i] lists (k, packed signature monomial) of the elements whose
     # signature has index i, in the order they were added; syz[i] the
     # monomials of known syzygy signatures with index i. `queue` maps the
@@ -410,12 +494,19 @@ def _signature_loop(pk, field, gens):
     # monomial to the whole packed monomial. `divisors` is the divisor memo
     # of `_divide` for every reduction of this run: `leads` only grows, so
     # its entries stay true.
-    basis: list[dict] = []
-    leads: list[int] = []
-    lcs: list[int] = []
-    tails: list[list] = []
-    sigs: list[int] = []
-    ratios: list[int] = []
+    if colon:
+        # The elements of I come first, with cofactor 0 and ratio -1. A
+        # term that a reduction meets is at most the lead of its polynomial,
+        # whose ratio is at least 0, so they may always reduce it; and they
+        # never give the larger side of a J-pair.
+        leads, lcs, tails = map(list, below)
+        basis: list = [None] * len(leads)
+        sigs: list = [None] * len(leads)
+        ratios: list = [-1] * len(leads)
+        cofactors: list = [({}, 1)] * len(leads)
+        zeros: list[dict] = []
+    else:
+        basis, leads, lcs, tails, sigs, ratios = [], [], [], [], [], []
     owned: list[list] = [[] for _ in gens]
     syz: list[list] = [[] for _ in gens]
     queue: dict[int, tuple] = {}
@@ -456,14 +547,29 @@ def _signature_loop(pk, field, gens):
             terms = None
             if any(not (e - l) & guard for e in rem for l in leads):
                 terms = dict(rem)
+        if colon:
+            # The input's cofactor is 1, the packed constant monomial 0.
+            a = cofactors[k] if k >= 0 else ({0: 1}, 1)
         if terms is not None:
-            rem = _divide(pk, p, terms, leads, lcs, tails, None, divisors,
-                          regular=(sig, b, ratios))[0]
+            record = [{} for _ in leads] if colon else None
+            rem, u = _divide(pk, p, terms, leads, lcs, tails, record, divisors,
+                             regular=(sig, b, ratios))
+            if colon:
+                a = _cofactor(pk, p, a, t, u, record, cofactors)
             if not rem:
                 syz[i].append(m)
+                if colon:
+                    if k < 0:
+                        return [a[0]]
+                    zeros.append(a[0])
                 continue
             lead = next(iter(rem))
-            rem = _normalize(field, rem, lead)[0]
+            rem, scale = _normalize(field, rem, lead)
+            if colon and scale != 1:
+                a = _scaled(p, a, scale)
+        if not lead and not colon:
+            # A constant: the basis is [1], whose packed lead is 0.
+            return [0], [1], [[]]
         n = len(basis)
         ratio = sig - (lead << b)
         top = (lead & fields) | guard
@@ -512,8 +618,63 @@ def _signature_loop(pk, field, gens):
         sigs.append(sig)
         ratios.append(ratio)
         owned[i].append((n, m))
+        if colon:
+            cofactors.append(a)
 
-    return leads, lcs, tails
+    return zeros if colon else (leads, lcs, tails)
+
+
+def _cofactor(pk, p, a, t, u, record, cofactors):
+    """The cofactor of a colon-step remainder.
+
+    A cofactor is a pair (terms, d): packed terms A with integer
+    coefficients and an int d, for the polynomial A/d; over GF(p), d is 1.
+    `_divide` took t times the element of cofactor a, its multiplier was u
+    and record[j] is its quotient by element j, so the result is
+    u*t*a - sum(record[j] * cofactors[j]), over the denominator D, the lcm
+    of those of the elements involved. Only the loop's own elements have a
+    nonzero cofactor, and each of their multiples in the sum has a smaller
+    signature, so the lead of t*a is kept.
+    """
+    guard = pk.guard
+    terms, d = a
+    used = [(q, h, e) for q, (h, e) in zip(record, cofactors) if q and h]
+    D = lcm(d, *[e for _, _, e in used]) if not p else 1
+    w = u * (D // d)
+    out = {}
+    for e, c in terms.items():
+        e += t
+        if e & guard:
+            raise _Overflow
+        out[e] = c * w
+    get = out.get
+    for q, h, dh in used:
+        w = D // dh
+        for e, c in h.items():
+            c *= w
+            for s, v in q.items():
+                s += e
+                if s & guard:
+                    raise _Overflow
+                out[s] = get(s, 0) - c * v
+    if p:
+        return {e: c % p for e, c in out.items() if c % p}, 1
+    return {e: c for e, c in out.items() if c}, D
+
+
+def _scaled(p, a, k):
+    """The cofactor a times the field element k, in lowest terms over Q."""
+    terms, d = a
+    if p:
+        return {e: c * k % p for e, c in terms.items()}, 1
+    num = k.numerator
+    terms = {e: c * num for e, c in terms.items()}
+    d *= k.denominator
+    g = gcd(d, *terms.values())
+    if g != 1:
+        terms = {e: c // g for e, c in terms.items()}
+        d //= g
+    return terms, d
 
 
 def _reduce_basis(pk, ring, leads, lcs, tails):

@@ -5,6 +5,9 @@ ring-map kernels, Rees ideals, Krull dimension of the quotient, colength, and
 the localization-at-origin predicate. The ambient regular local ring is
 modeled by a polynomial ring: global identities are computed with Groebner
 bases and local claims are decided through colon ideals and constant terms.
+Colon ideals come from one signature step on top of the reduced basis
+(`groebner.colon_basis`); intersection, saturation, elimination, kernels and
+Rees ideals eliminate front variables under a block order.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .groebner import buchberger, normal_form
+from .groebner import buchberger, colon_basis, normal_form
 from .matrix import PolyMatrix
 from .orders import Block, DegRevLex
 from .poly import Polynomial, Ring, monomial_divides
@@ -123,23 +126,32 @@ class Ideal:
                for g in other.nonzero_gens()]))
 
     def colon(self, f) -> "Ideal":
-        """(I : f) = {g : g*f in I}, via intersection with (f)."""
+        """(I : f) = {g : g*f in I}, by one signature step on I's basis.
+
+        `groebner.colon_basis` runs the step with f on top of the cached
+        reduced basis; the result keeps the reduced basis it returns.
+        """
         f = self.ring.convert(f)
         if f.is_zero():
             raise ValueError("colon by the zero polynomial")
-        inter = self.intersect(Ideal(self.ring, [f]))
-        gens = [g.divexact(f) for g in inter.gens]
-        return Ideal(self.ring, gens)
+        return _with_basis(self.ring, colon_basis(self.groebner(), f))
 
     def colon_ideal(self, other: "Ideal") -> "Ideal":
-        """(I : J), the intersection of (I : g) over the generators of J."""
+        """(I : J), by one colon step in R[@y] with f = sum y^(j-1) g_j.
+
+        A polynomial in y lies in I*R[y] exactly when each coefficient lies
+        in I, so (I*R[y] : f) cap R is the intersection of the (I : g_j).
+        Under the block order with y first, the y-free part of the step's
+        reduced basis is the reduced basis of that intersection.
+        """
         gens = other.nonzero_gens()
         if not gens:
             raise ValueError("colon by the zero ideal")
-        result = self.colon(gens[0])
-        for g in gens[1:]:
-            result = result.intersect(self.colon(g))
-        return result
+        ext = _block_ring(("@y",), self.ring)
+        y = ext.var(0)
+        f = sum((y**j * ext.convert(g) for j, g in enumerate(gens)), ext.zero)
+        return _front_free(1, self.ring, colon_basis(
+            [ext.convert(g) for g in self.groebner()], f))
 
     def saturate(self, f) -> "Ideal":
         """(I : f^inf), by eliminating t from I + (1 - t*f)."""
@@ -274,15 +286,27 @@ def _eliminate_front(front, back: Ring, gens) -> Ideal:
     ext is `_block_ring(front, back)` and gens(ext) returns the generators
     as polynomials of ext. The result is an ideal of `back`.
     """
-    k = len(front)
     ext = _block_ring(front, back)
+    return _front_free(len(front), back, buchberger(gens(ext)))
+
+
+def _front_free(k, back: Ring, basis) -> Ideal:
+    """The ideal of `back` that the elements of basis free of the first k
+    variables generate.
+
+    basis is a reduced basis under `_block_ring`; its front-free slice is
+    itself a reduced basis, because the block order restricts to back's
+    own order.
+    """
     kept = [back.poly({e[k:]: c for e, c in g.terms.items()})
-            for g in buchberger(gens(ext))
-            if not any(any(e[:k]) for e in g.terms)]
-    result = Ideal(back, kept)
-    # the front-free slice of the reduced basis is itself a reduced basis
-    # because the block order restricts to back's own order
-    result._gb = kept
+            for g in basis if not any(any(e[:k]) for e in g.terms)]
+    return _with_basis(back, kept)
+
+
+def _with_basis(ring: Ring, basis) -> Ideal:
+    """The ideal that a reduced basis generates, with that basis cached."""
+    result = Ideal(ring, basis)
+    result._gb = basis
     return result
 
 

@@ -327,9 +327,17 @@ class _Parser:
                 ((ea, ca),), ((eb, cb),) = value.items(), other.items()
                 one = self.one
                 c = cb if ca is one else ca if cb is one else ca * cb
-                value = {tuple(map(add, ea, eb)): c % self.char
-                         if self.char else c}
-            elif value and other:
+                # Only the one new term needs the bound checks.
+                e = tuple(map(add, ea, eb))
+                if e and max(e) > MAX_EXPONENT:
+                    self.error("exponent too large", start)
+                if self.char:
+                    c %= self.char
+                elif _coeff_too_large(c):
+                    self.error("coefficient too large", start)
+                value = {e: c}
+                continue
+            if value and other:
                 ring = self.session.ring
                 value = (Polynomial(ring, value)
                          * Polynomial(ring, other)).terms

@@ -647,15 +647,10 @@ SEEDED_ORDERS = [("lex", Lex), ("grevlex", DegRevLex),
                  ("block", lambda n: Block((DegRevLex(1), DegRevLex(n - 1))))]
 
 
-@pytest.mark.parametrize("field", [QQ, GF(7), GF(32003)], ids=repr)
-@pytest.mark.parametrize("seed", range(12))
-def test_buchberger_is_groebner_and_matches_sympy(field, seed):
-    # The seed picks 2, 3 or 4 variables, then lex, degrevlex or a block
-    # order, and a square system (odd seeds: nvars + 1 to nvars + 3
-    # generators). The basis is checked by `is_groebner`, by reducing every
-    # input to 0 and against sympy's basis in degrevlex, and in lex up to
-    # three variables: sympy took 148 s over Q on seed 11 (lex, 4
-    # variables, 6 generators), where idealkit takes under 1 s.
+def _seeded_system(field, seed):
+    """(order name, generators): the seed picks 2, 3 or 4 variables, then
+    lex, degrevlex or a block order, and a square system (odd seeds: nvars
+    + 1 to nvars + 3 generators)."""
     rng = random.Random(seed)
     n = 2 + seed % 3
     order_name, order = SEEDED_ORDERS[seed // 3 % 3]
@@ -669,9 +664,21 @@ def test_buchberger_is_groebner_and_matches_sympy(field, seed):
             for _ in range(rng.randint(1, 4))})
         if g:
             gens.append(g)
+    return order_name, gens
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(32003)], ids=repr)
+@pytest.mark.parametrize("seed", range(12))
+def test_buchberger_is_groebner_and_matches_sympy(field, seed):
+    # The basis is checked by `is_groebner`, by reducing every input to 0
+    # and against sympy's basis in degrevlex, and in lex up to three
+    # variables: sympy took 148 s over Q on seed 11 (lex, 4 variables, 6
+    # generators), where idealkit takes under 1 s.
+    order_name, gens = _seeded_system(field, seed)
     basis = buchberger(gens)
     assert is_groebner(basis)
     assert all(normal_form(g, basis).is_zero() for g in gens)
+    n = gens[0].ring.nvars
     if sympy is not None and (order_name == "grevlex"
                               or order_name == "lex" and n < 4):
         assert basis == _sympy_basis(gens, order_name)
@@ -726,3 +733,27 @@ def test_zero_reductions(monkeypatch, system, counts):
     monkeypatch.setattr(groebner, "_divide", logged_divide)
     buchberger(gens)
     assert (len(remainders), sum(not rem for rem in remainders)) == counts
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=repr)
+def test_loop_stops_at_the_first_constant_remainder(monkeypatch, field):
+    # The seed-11 system of `test_buchberger_is_groebner_and_matches_sympy`
+    # (lex, 6 generators in 4 variables) is the unit ideal. Its first
+    # constant remainder comes at regular reduction 136, and the loop stops
+    # there with the basis [1]; it used to go on for 28 more reductions, 19
+    # of them to zero.
+    _, gens = _seeded_system(field, 11)
+    remainders = []
+    divide = groebner._divide
+
+    def logged_divide(*args, regular=None):
+        rem, u = divide(*args, regular=regular)
+        if regular is not None:
+            remainders.append(rem)
+        return rem, u
+
+    monkeypatch.setattr(groebner, "_divide", logged_divide)
+    assert buchberger(gens) == [gens[0].ring.one]
+    assert len(remainders) == 136
+    assert [max(rem) for rem in remainders if rem][-1] == 0
+    assert not any(max(rem) == 0 for rem in remainders[:-1] if rem)

@@ -2,12 +2,14 @@
 kernels, Rees ideals, dimension, colength, local predicates."""
 
 import math
+import random
 
 import pytest
 
+from idealkit import groebner
 from idealkit.cli import main
 from idealkit.fields import GF, QQ
-from idealkit.groebner import buchberger
+from idealkit.groebner import buchberger, is_groebner
 from idealkit.idealops import (
     Ideal,
     kernel_of_map,
@@ -15,6 +17,8 @@ from idealkit.idealops import (
     rees_ideal,
     rees_ring,
 )
+from idealkit.orders import Block, DegRevLex, Lex
+from idealkit.parse import parse_session
 from idealkit.poly import Ring
 
 R2 = Ring(QQ, ("x", "y"))
@@ -94,6 +98,134 @@ def test_colon_ideal():
     assert I.colon_ideal(J) == Ideal(R2, [x * y])
     with pytest.raises(ValueError):
         I.colon_ideal(Ideal(R2, []))
+
+
+def colon_by_elimination(I, f):
+    """(I : f) as I cap (f), divided by f: the elimination route that the
+    signature step replaced, kept here as the differential reference."""
+    meet = I.intersect(Ideal(I.ring, [f]))
+    return Ideal(I.ring, [g.divexact(f) for g in meet.gens])
+
+
+def colon_ideal_by_elimination(I, J):
+    """(I : J) as the intersection of the (I : g) over J's generators."""
+    gens = J.nonzero_gens()
+    result = colon_by_elimination(I, gens[0])
+    for g in gens[1:]:
+        result = result.intersect(colon_by_elimination(I, g))
+    return result
+
+
+def colon_with_step_basis(colon, I, arg):
+    """colon(I, arg), and the basis that the step hands to `_reduce_basis`:
+    the basis of I with the cofactors of the step's reductions to zero."""
+    I.groebner()
+    seen = []
+    reduce_basis = groebner._reduce_basis
+
+    def capture(pk, ring, leads, lcs, tails):
+        seen[:] = [groebner._unpack(pk, ring, {m: c, **dict(tail)},
+                                    ring.field.one)
+                   for m, c, tail in zip(leads, lcs, tails)]
+        return reduce_basis(pk, ring, leads, lcs, tails)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "_reduce_basis", capture)
+        result = colon(I, arg)
+    return result, seen
+
+
+def random_poly(rng, ring):
+    n = ring.nvars
+    return ring.poly({
+        tuple(rng.randint(0, 3 if n < 4 else 2) for _ in range(n)):
+            rng.choice((-3, -2, -1, 1, 2, 3))
+        for _ in range(rng.randint(1, 3))})
+
+
+COLON_ORDERS = {"lex": Lex, "degrevlex": DegRevLex,
+                "block": lambda n: Block((DegRevLex(1), DegRevLex(n - 1)))}
+
+
+@pytest.mark.parametrize("order", COLON_ORDERS)
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(32003)], ids=repr)
+def test_colon_step_matches_elimination(field, order):
+    # Seeded random I, f and J in 2-4 variables. The step's reduced basis
+    # equals the elimination route's, and the basis of I with the step's
+    # cofactors is already a Groebner basis, as `colon_basis` proves.
+    rng = random.Random(f"{field!r} {order}")
+    for case in range(12):
+        n = 2 + case % 3
+        ring = Ring(field, ("x", "y", "z", "w")[:n], COLON_ORDERS[order](n))
+        I = Ideal(ring, [random_poly(rng, ring)
+                         for _ in range(rng.randint(1, 3))])
+        f = random_poly(rng, ring)
+        J = Ideal(ring, [random_poly(rng, ring) for _ in range(2 + case % 2)])
+        if f.is_zero() or J.is_zero():
+            continue
+        got, step = colon_with_step_basis(Ideal.colon, I, f)
+        assert got.groebner() == colon_by_elimination(I, f).groebner()
+        assert is_groebner(step)
+        got, step = colon_with_step_basis(Ideal.colon_ideal, I, J)
+        assert got.groebner() == colon_ideal_by_elimination(I, J).groebner()
+        assert is_groebner(step)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(32003)], ids=repr)
+def test_colon_step_edge_cases(field):
+    ring = Ring(field, ("x", "y", "z"))
+    x, y, z = ring.gens()
+    I = Ideal(ring, [x**2 - y * z, y**3 - x])
+    unit = Ideal(ring, [ring.one])
+    zero = Ideal(ring, [])
+    # f in I stops the step at the constant cofactor: I : f = (1).
+    assert I.colon(x**2 * z - y * z**2).groebner() == [ring.one]
+    assert I.colon(I.gens[1]).groebner() == [ring.one]
+    assert I.colon_ideal(I).groebner() == [ring.one]
+    # A constant f leaves I; so does a J of constants.
+    assert I.colon(ring.const(3)).groebner() == I.groebner()
+    assert I.colon_ideal(Ideal(ring, [ring.const(2), ring.const(5)])) == I
+    # The unit ideal and the zero ideal.
+    assert unit.colon(x * y - 1).groebner() == [ring.one]
+    assert unit.colon_ideal(Ideal(ring, [x, y])).groebner() == [ring.one]
+    assert zero.colon(x).groebner() == []
+    assert zero.colon_ideal(Ideal(ring, [x, y])).groebner() == []
+    for f in (x**2 * z - y * z**2, ring.const(3), x * y - 1, z):
+        for J in (I, unit, zero):
+            got = J.colon(f)
+            assert got._gb == got.groebner() == buchberger(got.gens)
+            assert got == colon_by_elimination(J, f)
+
+
+@pytest.mark.parametrize("arg, counts", [("f", (4, 4)), ("J", (13, 4))])
+def test_colon_step_work(monkeypatch, arg, counts):
+    # (Regular reductions, of which to zero) of one colon step over
+    # GF(32003) on a binomial ideal of the session benchmark's kind: I : f,
+    # and I : J as one step in R[@y]. The basis of I is built first and
+    # not counted.
+    text = """ring Q[x, y, z, t];
+    poly f = t;
+    ideal I = x*t - 3*y^2, x*t - y*z, t^2 - x^2;
+    ideal J = y^2 - x*t, y*t - 3*x^2;
+    """
+    session = parse_session(text, GF(32003))
+    I = Ideal(session.ring, session.ideals["I"])
+    I.groebner()
+    remainders = []
+    divide = groebner._divide
+
+    def logged_divide(*args, regular=None):
+        rem, u = divide(*args, regular=regular)
+        if regular is not None:
+            remainders.append(rem)
+        return rem, u
+
+    monkeypatch.setattr(groebner, "_divide", logged_divide)
+    if arg == "f":
+        I.colon(session.polys["f"])
+    else:
+        I.colon_ideal(Ideal(session.ring, session.ideals["J"]))
+    assert (len(remainders), sum(not rem for rem in remainders)) == counts
 
 
 def test_intersect():

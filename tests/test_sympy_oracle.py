@@ -8,8 +8,9 @@ at an exponent of 128 or more, so the basis is computed on widened packed
 monomials.
 
 The same oracle checks the Huneke kernel over GF(2), determinants and
-ranks of seeded polynomial matrices over Q against sympy's `Matrix`, and
-the session parser against sympy's `Poly` of the same expression text.
+ranks of seeded polynomial matrices over Q against sympy's `Matrix`, the
+session parser against sympy's `Poly` of the same expression text, and
+colon ideals over Q against the `quotient` of sympy's `agca` ideals.
 """
 
 import random
@@ -24,10 +25,10 @@ from idealkit.corpus import CORPUS  # noqa: E402
 from idealkit import groebner  # noqa: E402
 from idealkit.fields import GF, QQ  # noqa: E402
 from idealkit.groebner import buchberger  # noqa: E402
-from idealkit.idealops import kernel_of_map  # noqa: E402
+from idealkit.idealops import Ideal, kernel_of_map  # noqa: E402
 from idealkit.matrix import PolyMatrix  # noqa: E402
 from idealkit.orders import DegRevLex, Lex  # noqa: E402
-from idealkit.parse import parse_session  # noqa: E402
+from idealkit.parse import parse_poly, parse_session  # noqa: E402
 from idealkit.poly import Ring  # noqa: E402
 
 P = 32003
@@ -293,3 +294,33 @@ def test_parser_matches_sympy(p, seed):
             assert all(type(c) is int and 0 <= c < p for c in terms.values())
         else:
             assert all(type(c) is Fraction for c in terms.values())
+
+
+# (generators of I, generators of J) in Q[x, y, z]; one generator of J is
+# the colon by an element.
+COLONS = [
+    (["x^2*y - z", "y^3 - x*z"], ["x*y"]),
+    (["x^2*y - z", "y^3 - x*z"], ["x", "y"]),
+    (["x*z - y^2", "x^3 - y*z", "z^2 - x^2*y"], ["x"]),
+    (["x^2", "x*y", "y^2"], ["x + y", "z"]),
+    (["x^3 - y*z", "y^2*z - x", "z^3 - x*y"], ["x", "y*z"]),
+    (["x*y - z^2", "x^2*z - y^3"], ["x*y + y*z", "z"]),
+]
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("case", range(len(COLONS)))
+def test_colon_matches_sympy_quotient(case, order):
+    # sympy's `agca` computes I : J from the syzygies of its own module
+    # bases, with no signature step and no elimination variable.
+    ring = Ring(QQ, NAMES, ORDERS[order])
+    gens_i, gens_j = ([parse_poly(ring, text) for text in texts]
+                      for texts in COLONS[case])
+    I, J = Ideal(ring, gens_i), Ideal(ring, gens_j)
+    ours = I.colon(gens_j[0]) if len(gens_j) == 1 else I.colon_ideal(J)
+    agca = sympy.QQ.old_poly_ring(*SYMBOLS)
+
+    def theirs(polys):
+        return agca.ideal(*[as_sympy(p.terms) for p in polys])
+
+    assert theirs(ours.groebner()) == theirs(gens_i).quotient(theirs(gens_j))
