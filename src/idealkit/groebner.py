@@ -37,6 +37,11 @@ element. A J-pair is skipped when a syzygy signature divides its
 signature (the signatures of reductions to zero, and the Koszul syzygy of
 each new element with each earlier one), or when an element added later
 than its own has a signature that divides it (F5's rewrite criterion).
+The syzygy signatures of each index are kept minimal, an antichain: a new
+one that a kept one divides is not recorded, and one that is recorded
+drops the kept ones that it divides. Whether some kept one divides a
+signature is the same question as before, and fewer are scanned: on a
+seed-1 `corpus` pass, 21,306 pop-time steps instead of 72,296.
 There is no singular criterion: an element that is top-reducible at its
 own signature is kept. With that discard next to the latest-element
 rewrite rule, the loop returned a wrong basis on 12 of 3,000 seeded random
@@ -354,6 +359,13 @@ def buchberger(polys):
     Runs the signature loop on the distinct inputs, then minimizes and
     inter-reduces. Returns a list sorted ascending by lead monomial.
     """
+    return _kept_basis(polys, 0)
+
+
+def _kept_basis(polys, front):
+    """The elements of the reduced basis of polys free of the first `front`
+    variables, which must be a block that the order ranks first (see
+    `_reduce_basis`): the reduced basis of the elimination ideal."""
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         return []
@@ -361,12 +373,13 @@ def buchberger(polys):
     for p in polys:
         if p.ring != ring:
             raise ValueError("generators must share one ring")
-    return _widening(ring, lambda pk: _buchberger(pk, ring, polys))
+    return _widening(ring, lambda pk: _buchberger(pk, ring, polys, front))
 
 
-def _buchberger(pk, ring, polys):
+def _buchberger(pk, ring, polys, front=0):
     gens = _kernel_inputs(pk, ring.field, polys)
-    return _reduce_basis(pk, ring, *_signature_loop(pk, ring.field, gens))
+    return _reduce_basis(pk, ring, *_signature_loop(pk, ring.field, gens),
+                         front)
 
 
 def colon_basis(basis, f):
@@ -421,11 +434,17 @@ def colon_basis(basis, f):
     So T lies in L in every case. The proof is needed: a final `buchberger`
     on G and A could not add an a that the step had missed.
     """
+    return _kept_colon_basis(basis, f, 0)
+
+
+def _kept_colon_basis(basis, f, front):
+    """The elements of `colon_basis(basis, f)` free of the first `front`
+    variables, as `_kept_basis` keeps them."""
     ring = f.ring
-    return _widening(ring, lambda pk: _colon(pk, ring, basis, f))
+    return _widening(ring, lambda pk: _colon(pk, ring, basis, f, front))
 
 
-def _colon(pk, ring, basis, f):
+def _colon(pk, ring, basis, f, front):
     field = ring.field
     leads, lcs, tails = [], [], []
 
@@ -440,7 +459,7 @@ def _colon(pk, ring, basis, f):
                              (leads, lcs, tails)):
         lead = max(a)
         add(_normalize(field, a, lead)[0], lead)
-    return _reduce_basis(pk, ring, leads, lcs, tails)
+    return _reduce_basis(pk, ring, leads, lcs, tails, front)
 
 
 def _kernel_inputs(pk, field, polys):
@@ -488,12 +507,12 @@ def _signature_loop(pk, field, gens, below=None):
     # colon step also its cofactor cofactors[k] (see `_cofactor`).
     # owned[i] lists (k, packed signature monomial) of the elements whose
     # signature has index i, in the order they were added; syz[i] the
-    # monomials of known syzygy signatures with index i. `queue` maps the
-    # signature of each waiting J-pair t * element k to (k, t); input i
-    # waits as (~i, 0). `steps` maps the exponent fields of a packed
-    # monomial to the whole packed monomial. `divisors` is the divisor memo
-    # of `_divide` for every reduction of this run: `leads` only grows, so
-    # its entries stay true.
+    # minimal monomials of known syzygy signatures with index i, none
+    # dividing another. `queue` maps the signature of each waiting J-pair
+    # t * element k to (k, t); input i waits as (~i, 0). `steps` maps the
+    # exponent fields of a packed monomial to the whole packed monomial.
+    # `divisors` is the divisor memo of `_divide` for every reduction of
+    # this run: `leads` only grows, so its entries stay true.
     if colon:
         # The elements of I come first, with cofactor 0 and ratio -1. A
         # term that a reduction meets is at most the lead of its polynomial,
@@ -529,9 +548,18 @@ def _signature_loop(pk, field, gens, below=None):
         sig = heappop(heap)
         k, t = queue.pop(sig)
         i, m = sig & index_mask, sig >> b
-        if any(not (m - s) & guard for s in syz[i]):
-            continue
-        if any(h > k and not (m - s) & guard for h, s in owned[i]):
+        # Skip the J-pair when a syzygy signature divides its signature, or
+        # the signature of an element added after element k does.
+        for s in syz[i]:
+            if not (m - s) & guard:
+                break
+        else:
+            for h, s in owned[i]:
+                if h > k and not (m - s) & guard:
+                    break
+            else:
+                s = None
+        if s is not None:
             continue
         if k >= 0:
             terms = {}
@@ -557,7 +585,11 @@ def _signature_loop(pk, field, gens, below=None):
             if colon:
                 a = _cofactor(pk, p, a, t, u, record, cofactors)
             if not rem:
-                syz[i].append(m)
+                # No entry of syz[i] divides m, or the pair had been
+                # skipped; the entries that m divides go.
+                monos = syz[i]
+                monos[:] = [s for s in monos if (s - m) & guard]
+                monos.append(m)
                 if colon:
                     if k < 0:
                         return [a[0]]
@@ -606,6 +638,7 @@ def _signature_loop(pk, field, gens, below=None):
                     if not (koszul - s) & guard:
                         break
                 else:
+                    monos[:] = [s for s in monos if (s - koszul) & guard]
                     monos.append(koszul)
             if lcm != lj + lead:
                 if (pair[0] >> b) & guard:
@@ -677,7 +710,7 @@ def _scaled(p, a, k):
     return terms, d
 
 
-def _reduce_basis(pk, ring, leads, lcs, tails):
+def _reduce_basis(pk, ring, leads, lcs, tails, front=0):
     """Minimize and inter-reduce a packed Groebner basis in kernel form.
 
     One ascending sweep: each minimal element's tail is divided by the
@@ -686,11 +719,21 @@ def _reduce_basis(pk, ring, leads, lcs, tails):
     the lead, so no larger lead divides them, and the normal form modulo a
     Groebner basis is unique, so the result is the reduced basis. Returns
     the monic polynomials, sorted ascending by lead monomial.
+
+    Only the kept block is reduced: an element whose lead has one of the
+    first `front` variables is dropped first. The order must rank every
+    monomial with a front variable above every monomial without, as a block
+    order with the front block first does. Then only front-free leads
+    divide a front-free lead, and the tail of a front-free lead is
+    front-free, so the result is exactly the front-free slice of the
+    reduced basis: the reduced basis of the elimination ideal.
     """
     field = ring.field
     guard = pk.guard
+    mask = sum(pk.field_mask << s for s in pk.shifts[:front])
     minimal: list[int] = []
-    for k in sorted(range(len(leads)), key=leads.__getitem__):
+    for k in sorted((k for k, lm in enumerate(leads) if not lm & mask),
+                    key=leads.__getitem__):
         lm = leads[k]
         if any(not (lm - leads[h]) & guard for h in minimal):
             continue

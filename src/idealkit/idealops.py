@@ -7,7 +7,9 @@ modeled by a polynomial ring: global identities are computed with Groebner
 bases and local claims are decided through colon ideals and constant terms.
 Colon ideals come from one signature step on top of the reduced basis
 (`groebner.colon_basis`); intersection, saturation, elimination, kernels and
-Rees ideals eliminate front variables under a block order.
+Rees ideals eliminate front variables under a block order. Eliminations and
+the colon step of `Ideal.colon_ideal` minimize and inter-reduce only the
+front-free elements (`groebner._reduce_basis`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,13 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .groebner import buchberger, colon_basis, normal_form
+from .groebner import (
+    _kept_basis,
+    _kept_colon_basis,
+    buchberger,
+    colon_basis,
+    normal_form,
+)
 from .matrix import PolyMatrix
 from .orders import Block, DegRevLex
 from .poly import Polynomial, Ring, monomial_divides
@@ -81,9 +89,6 @@ class Ideal:
             return None
         return qs, gb
 
-    def contains_ideal(self, other: "Ideal") -> bool:
-        return all(self.contains(g) for g in other.gens)
-
     def equals(self, other: "Ideal") -> bool:
         if self.ring != other.ring:
             return False
@@ -142,7 +147,8 @@ class Ideal:
         A polynomial in y lies in I*R[y] exactly when each coefficient lies
         in I, so (I*R[y] : f) cap R is the intersection of the (I : g_j).
         Under the block order with y first, the y-free part of the step's
-        reduced basis is the reduced basis of that intersection.
+        reduced basis is the reduced basis of that intersection, and only
+        that part is reduced.
         """
         gens = other.nonzero_gens()
         if not gens:
@@ -150,8 +156,8 @@ class Ideal:
         ext = _block_ring(("@y",), self.ring)
         y = ext.var(0)
         f = sum((y**j * ext.convert(g) for j, g in enumerate(gens)), ext.zero)
-        return _front_free(1, self.ring, colon_basis(
-            [ext.convert(g) for g in self.groebner()], f))
+        return _front_free(1, self.ring, _kept_colon_basis(
+            [ext.convert(g) for g in self.groebner()], f, 1))
 
     def saturate(self, f) -> "Ideal":
         """(I : f^inf), by eliminating t from I + (1 - t*f)."""
@@ -284,22 +290,23 @@ def _eliminate_front(front, back: Ring, gens) -> Ideal:
     """Eliminate the `front` variables from the ideal that gens(ext) generates.
 
     ext is `_block_ring(front, back)` and gens(ext) returns the generators
-    as polynomials of ext. The result is an ideal of `back`.
+    as polynomials of ext. The result is an ideal of `back`. Only the
+    front-free elements of the basis are minimized and inter-reduced.
     """
     ext = _block_ring(front, back)
-    return _front_free(len(front), back, buchberger(gens(ext)))
+    k = len(front)
+    return _front_free(k, back, _kept_basis(gens(ext), k))
 
 
 def _front_free(k, back: Ring, basis) -> Ideal:
-    """The ideal of `back` that the elements of basis free of the first k
-    variables generate.
+    """The ideal of `back` that basis generates, with the first k exponents,
+    all zero, dropped.
 
-    basis is a reduced basis under `_block_ring`; its front-free slice is
-    itself a reduced basis, because the block order restricts to back's
-    own order.
+    basis is the front-free slice of a reduced basis under `_block_ring`.
+    It is itself a reduced basis, because the block order restricts to
+    back's own order.
     """
-    kept = [back.poly({e[k:]: c for e, c in g.terms.items()})
-            for g in basis if not any(any(e[:k]) for e in g.terms)]
+    kept = [back.poly({e[k:]: c for e, c in g.terms.items()}) for g in basis]
     return _with_basis(back, kept)
 
 

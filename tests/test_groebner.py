@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from idealkit import groebner
+from idealkit.corpus import CORPUS, TORIC_EXPONENTS
 from idealkit.fields import GF, MR_PROVEN_BOUND, QQ, is_prime
 from idealkit.groebner import (
     GroebnerBasis,
@@ -16,6 +17,7 @@ from idealkit.groebner import (
     normal_form,
     s_polynomial,
 )
+from idealkit.idealops import Ideal, kernel_of_map
 from idealkit.orders import Block, DegRevLex, Lex
 from idealkit.parse import parse_poly, parse_session
 from idealkit.poly import Polynomial, Ring
@@ -710,17 +712,9 @@ def test_signature_monomial_first_passes_127(monkeypatch, field):
     assert narrow and max(narrow) == 100
 
 
-@pytest.mark.parametrize("system, counts", [
-    ("katsura7", (54, 11)),
-    ("cyclic6", (218, 28)),
-])
-def test_zero_reductions(monkeypatch, system, counts):
-    # (Reductions, of which to zero) over GF(32003): J-pairs and the inputs
-    # that some lead divides, that is every regular reduction. The Koszul
-    # syzygies cut katsura-7's zero reductions; the rewrite criterion fires
-    # on cyclic-6 only.
-    text = (Path(__file__).parent / "golden" / f"{system}.ikt").read_text()
-    gens = list(parse_session(text, GF(32003)).ideals["I"])
+def _regular_reductions(monkeypatch, run):
+    """(Regular reductions, of which to zero) that run() makes: J-pairs
+    and the inputs that some lead divides."""
     remainders = []
     divide = groebner._divide
 
@@ -731,8 +725,44 @@ def test_zero_reductions(monkeypatch, system, counts):
         return rem, u
 
     monkeypatch.setattr(groebner, "_divide", logged_divide)
-    buchberger(gens)
-    assert (len(remainders), sum(not rem for rem in remainders)) == counts
+    run()
+    return len(remainders), sum(not rem for rem in remainders)
+
+
+@pytest.mark.parametrize("system, counts", [
+    ("katsura7", (54, 11)),
+    ("cyclic6", (218, 28)),
+])
+def test_zero_reductions(monkeypatch, system, counts):
+    # (Reductions, of which to zero) over GF(32003). The Koszul syzygies cut
+    # katsura-7's zero reductions; the rewrite criterion fires on cyclic-6
+    # only.
+    text = (Path(__file__).parent / "golden" / f"{system}.ikt").read_text()
+    gens = list(parse_session(text, GF(32003)).ideals["I"])
+    assert _regular_reductions(monkeypatch, lambda: buchberger(gens)) == counts
+
+
+def _lemma4_product():
+    """The generators of H*I in lemma4, whose basis decides f8^2 in H*I."""
+    session = CORPUS["lemma4"].session(GF(32003))
+    H, I = (Ideal(session.ring, session.ideals[n]) for n in ("H", "I"))
+    return (H * I).gens
+
+
+def _toric_kernel():
+    """lemma4's toric kernel: x, y, z, t -> s^12, s^15, s^20, s^23."""
+    s = Ring(GF(32003), ("s",)).var(0)
+    return kernel_of_map([s**e for e in TORIC_EXPONENTS], ("x", "y", "z", "t"))
+
+
+@pytest.mark.parametrize("run, counts", [
+    (lambda: buchberger(_lemma4_product()), (135, 73)),
+    (_toric_kernel, (74, 17)),
+], ids=["lemma4_product", "toric_kernel"])
+def test_corpus_reductions(monkeypatch, run, counts):
+    # The two bases that dominate a corpus pass, over GF(32003): the 56
+    # products of H*I (35 distinct) and the elimination of s.
+    assert _regular_reductions(monkeypatch, run) == counts
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=repr)

@@ -9,9 +9,11 @@ import pytest
 from idealkit import groebner
 from idealkit.cli import main
 from idealkit.fields import GF, QQ
-from idealkit.groebner import buchberger, is_groebner
+from idealkit.groebner import buchberger, colon_basis, is_groebner
 from idealkit.idealops import (
     Ideal,
+    _block_ring,
+    _eliminate_front,
     kernel_of_map,
     linear_type_by_rees,
     rees_ideal,
@@ -123,11 +125,11 @@ def colon_with_step_basis(colon, I, arg):
     seen = []
     reduce_basis = groebner._reduce_basis
 
-    def capture(pk, ring, leads, lcs, tails):
+    def capture(pk, ring, leads, lcs, tails, front):
         seen[:] = [groebner._unpack(pk, ring, {m: c, **dict(tail)},
                                     ring.field.one)
                    for m, c, tail in zip(leads, lcs, tails)]
-        return reduce_basis(pk, ring, leads, lcs, tails)
+        return reduce_basis(pk, ring, leads, lcs, tails, front)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groebner, "_reduce_basis", capture)
@@ -197,6 +199,51 @@ def test_colon_step_edge_cases(field):
             assert got == colon_by_elimination(J, f)
 
 
+def random_binomial(rng, ring):
+    return ring.poly({
+        tuple(rng.randint(0, 2) for _ in range(ring.nvars)):
+            rng.choice((-3, -2, -1, 1, 2, 3))
+        for _ in range(2)})
+
+
+def front_free_slice(k, back, basis):
+    """The elements of a full reduced basis under `_block_ring` that are
+    free of the first k variables, moved into `back`: the route that
+    reduced the whole basis, kept here as the reference."""
+    return [back.poly({e[k:]: c for e, c in g.terms.items()})
+            for g in basis if not any(any(e[:k]) for e in g.terms)]
+
+
+@pytest.mark.parametrize("order", ["lex", "degrevlex"])
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(32003)], ids=repr)
+def test_kept_block_matches_full_reduction(field, order):
+    # Seeded random binomial ideals in 1-2 front and 2-4 back variables.
+    # Reducing only the front-free elements gives the front-free slice of
+    # the full reduced basis, for eliminations and for the colon step in
+    # R[@y]. Binomials keep the lex cases small: with `random_poly`'s
+    # trinomials, one 4-variable lex colon over GF(32003) finished in 25 s
+    # by neither route, nor in 100 s in sympy.
+    rng = random.Random(f"kept {field!r} {order}")
+    for case in range(8):
+        k, n = 1 + case % 2, 2 + case % 3
+        back = Ring(field, ("x", "y", "z", "w")[:n], COLON_ORDERS[order](n))
+        front = ("@a", "@b")[:k]
+        ext = _block_ring(front, back)
+        gens = [random_binomial(rng, ext) for _ in range(rng.randint(2, 3))]
+        gens = [g for g in gens if not g.is_zero()]
+        got = _eliminate_front(front, back, lambda ring: gens)
+        assert got.groebner() == front_free_slice(k, back, buchberger(gens))
+        I = Ideal(back, [random_binomial(rng, back) for _ in range(2)])
+        J = Ideal(back, [random_binomial(rng, back) for _ in range(2)])
+        if J.is_zero():
+            continue
+        y = _block_ring(("@y",), back).var(0)
+        f = sum((y**j * y.ring.convert(g)
+                 for j, g in enumerate(J.nonzero_gens())), y.ring.zero)
+        full = colon_basis([y.ring.convert(g) for g in I.groebner()], f)
+        assert I.colon_ideal(J).groebner() == front_free_slice(1, back, full)
+
+
 @pytest.mark.parametrize("arg, counts", [("f", (4, 4)), ("J", (13, 4))])
 def test_colon_step_work(monkeypatch, arg, counts):
     # (Regular reductions, of which to zero) of one colon step over
@@ -244,7 +291,7 @@ def test_intersect_contract():
     got = I.intersect(J)
     for g in got.gens:
         assert I.contains(g) and J.contains(g)
-    assert got.contains_ideal(I * J)
+    assert all(got.contains(g) for g in (I * J).gens)
 
 
 def test_eliminate():
