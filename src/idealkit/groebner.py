@@ -193,15 +193,19 @@ def _normalize(field, terms, lead):
 
 
 def _unpack(pk, ring, terms, k):
-    """Polynomial of the packed kernel terms times the field element k."""
+    """Polynomial of the packed kernel terms times the field element k.
+
+    The terms must be in descending order, as every packed dict the kernel
+    returns is: packed ints compare as the ring's order compares monomials.
+    """
     unpack = pk.unpack
     p = ring.field.char
     if p:
-        return Polynomial(ring, {unpack(m): c * k % p
-                                 for m, c in terms.items()})
+        return Polynomial._descending(ring, {unpack(m): c * k % p
+                                             for m, c in terms.items()})
     num, den = k.numerator, k.denominator
-    return Polynomial(ring, {unpack(m): Fraction(c * num, den)
-                             for m, c in terms.items()})
+    return Polynomial._descending(ring, {unpack(m): Fraction(c * num, den)
+                                         for m, c in terms.items()})
 
 
 def _divide(pk, p, terms, leads, lcs, tails, record, memo, regular=None):

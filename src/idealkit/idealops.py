@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from .groebner import (
     _kept_basis,
@@ -204,21 +203,17 @@ class Ideal:
 
         Computed combinatorially from the leading-term ideal: the dimension
         is the largest size of a variable subset that supports no leading
-        monomial entirely.
+        monomial entirely, that is n minus the fewest variables that meet
+        the support of every leading monomial (`_transversal`; all n
+        variables always do).
         """
         gb = self.groebner()
         if gb and gb[0].degree() == 0:
             return -1
-        leads = [g.lead_monomial() for g in gb]
+        supports = {sum(1 << i for i, e in enumerate(g.lead_monomial()) if e)
+                    for g in gb}
         n = self.ring.nvars
-        for size in range(n, 0, -1):
-            for subset in combinations(range(n), size):
-                inside = set(subset)
-                if not any(
-                    all(i in inside for i, e in enumerate(lm) if e) for lm in leads
-                ):
-                    return size
-        return 0
+        return n - _transversal(sorted(supports, key=int.bit_count), n)
 
     def standard_monomials(self):
         """Monomials outside LT(I), ascending; None when infinitely many.
@@ -280,6 +275,51 @@ class Ideal:
         return f"Ideal({inside})"
 
 
+def _transversal(sets, limit) -> int:
+    """The fewest variables that meet every bitmask of `sets`, or `limit`
+    when no fewer do. The nonzero bitmasks are sorted by size.
+
+    Branch and bound: a transversal takes some variable v of the smallest
+    set; each branch takes one such v and leaves out the ones taken by the
+    branches before it, so no transversal is counted twice. Pairwise
+    disjoint sets each need their own variable, which bounds a branch from
+    below; singletons are forced without a branch.
+    """
+    forced = 0
+    for s in sets:
+        if not s & (s - 1):
+            forced |= s
+    size = forced.bit_count()
+    if forced:
+        sets = [s for s in sets if not s & forced]
+    disjoint, used = 0, 0
+    for s in sets:
+        if not s & used:
+            used |= s
+            disjoint += 1
+    if size + disjoint >= limit:
+        return limit
+    if not sets:
+        return size
+    best = limit - size
+    pick, left_out = sets[0], 0
+    while pick:
+        v = pick & -pick
+        pick ^= v
+        rest = []
+        for s in sets:
+            if not s & v:
+                s &= ~left_out
+                if not s:
+                    break
+                rest.append(s)
+        else:
+            rest.sort(key=int.bit_count)
+            best = 1 + _transversal(rest, best - 1)
+        left_out |= v
+    return size + best
+
+
 def _block_ring(front, back: Ring) -> Ring:
     """k[front, back] under degrevlex on `front`, then back's own order."""
     return Ring(back.field, tuple(front) + back.names,
@@ -303,10 +343,13 @@ def _front_free(k, back: Ring, basis) -> Ideal:
     all zero, dropped.
 
     basis is the front-free slice of a reduced basis under `_block_ring`.
-    It is itself a reduced basis, because the block order restricts to
-    back's own order.
+    It is itself a reduced basis, and each element keeps its terms in
+    descending order, because the block order restricts to back's own
+    order.
     """
-    kept = [back.poly({e[k:]: c for e, c in g.terms.items()}) for g in basis]
+    kept = [Polynomial._descending(back,
+                                   {e[k:]: c for e, c in g.terms.items()})
+            for g in basis]
     return _with_basis(back, kept)
 
 
@@ -374,15 +417,20 @@ def rees_ideal(ideal: Ideal) -> Ideal:
 
 
 def linear_type_by_rees(ideal: Ideal) -> bool:
-    """Whether the Rees ideal is generated by its T-degree-1 part."""
+    """Whether the Rees ideal is generated by its T-degree-1 part.
+
+    The reduced basis splits into its T-degree-1 elements L and the rest.
+    Each element of L lies in (L), so only the rest is tested; when there
+    is no rest, the answer is yes without a basis of (L).
+    """
     rees = rees_ideal(ideal)
-    basis = rees.groebner()
-    if not basis:
+    t_indices = range(len(ideal.nonzero_gens()))
+    linear, rest = [], []
+    for g in rees.groebner():
+        (linear if g.degree_in(t_indices) == 1 else rest).append(g)
+    if not rest:
         return True
-    n = len(ideal.nonzero_gens())
-    t_indices = range(n)
-    linear_part = [g for g in basis if g.degree_in(t_indices) == 1]
-    if not linear_part:
+    if not linear:
         return False
-    linear_ideal = Ideal(rees.ring, linear_part)
-    return all(linear_ideal.contains(g) for g in basis)
+    linear_ideal = Ideal(rees.ring, linear)
+    return all(linear_ideal.contains(g) for g in rest)

@@ -20,17 +20,25 @@ the grammar is reported first, wherever it stands, as a tokenizer that
 checks the whole input before parsing would.
 
 Expressions are parsed into term dicts {exponent tuple: coefficient}, and
-only a whole expression becomes a `Polynomial`. A sum adds into one dict; a
-product with a sum on either side goes through `Polynomial.__mul__`.
+only a whole expression becomes a `Polynomial`. A sum adds into one dict. A
+product is read factor by factor into one exponent list and one coefficient
+while it is a single term: a variable (with an optional `^INT`) and an
+integer literal that no `/` or `^` follows are taken straight off the
+tokens, and every other factor is parsed by `_factor` and folded in when
+it is a single term. The coefficient is a plain int (reduced mod p over
+GF(p)) until a fraction is folded in, and over Q it becomes a `Fraction`
+once per term. Once a factor is a sum, the product goes through
+`Polynomial.__mul__`. A zero product stays zero: later factors are
+parsed and checked, but not multiplied in.
 
 Sizes are bounded: no exponent of a variable may pass MAX_EXPONENT, a power
 of a sum may not pass MAX_SUM_POWER, no integer literal (in any field) and,
 over Q, no numerator or denominator may pass MAX_COEFF_BITS bits. Literals
-and powers are checked before they are computed, a product right after it
-is computed, and a sum at each coefficient it changes (its operands are
-within bounds). Open parentheses and unary minus signs may nest at most
-MAX_NESTING deep, which keeps the recursive descent far from Python's
-recursion limit.
+and powers are checked before they are computed, a product right after
+each factor is multiplied in (a zero product is not checked), and a sum at
+each coefficient it changes (its operands are within bounds). Open
+parentheses and unary minus signs may nest at most MAX_NESTING deep, which
+keeps the recursive descent far from Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -125,7 +133,7 @@ class _Parser:
         self.field_override = field_override
         self.order = order
         self.depth = 0
-        self.units: dict = {}
+        self.index: dict = {}
 
     # -- token plumbing ---------------------------------------------------
 
@@ -231,16 +239,10 @@ class _Parser:
         self._open(Ring(coeff_field, names, order))
 
     def _open(self, ring: Ring, session: SessionInput | None = None):
-        """Start a session in ring, or continue `session` (whose ring it is).
-
-        Each variable's unit term is built here.
-        """
+        """Start a session in ring, or continue `session` (whose ring it is)."""
         self.session = SessionInput(ring) if session is None else session
         self.char = ring.field.char
-        self.one = one = ring.field.one
-        zeros = (0,) * ring.nvars
-        self.units = {name: {zeros[:i] + (1,) + zeros[i + 1:]: one}
-                      for i, name in enumerate(ring.names)}
+        self.index = ring._index
 
     def _poly_stmt(self):
         self.pos += 1
@@ -319,44 +321,89 @@ class _Parser:
         return Polynomial(self.session.ring, value)
 
     def _term(self, start: int) -> dict:
-        value = self._factor()
-        while self.tokens[self.pos] == "*":
-            self.pos += 1
-            other = self._factor()
-            if len(value) == 1 == len(other):
-                ((ea, ca),), ((eb, cb),) = value.items(), other.items()
-                one = self.one
-                c = cb if ca is one else ca if cb is one else ca * cb
-                # Only the one new term needs the bound checks.
-                e = tuple(map(add, ea, eb))
-                if e and max(e) > MAX_EXPONENT:
+        """A product of factors, checked after each one at token `start`.
+
+        While the product is a single term it is the exponent list `exps`
+        times `coeff`: simple factors are read straight off the tokens, and
+        a single-term `_factor` is folded in. A factor with several terms
+        makes it the term dict `value`, multiplied as polynomials from then
+        on; a zero product stays `coeff` = 0.
+        """
+        tokens, index, p = self.tokens, self.index, self.char
+        exps = [0] * len(index)
+        coeff = 1
+        value = None
+        while True:
+            tok = tokens[self.pos]
+            i = index.get(tok)
+            if i is not None and value is None:
+                self.pos += 1
+                if tokens[self.pos] == "^":
+                    caret, e = self._power()
+                    if e is None or e > MAX_EXPONENT:
+                        self.error("exponent too large", caret)
+                    exps[i] += e
+                else:
+                    exps[i] += 1
+                if coeff and exps[i] > MAX_EXPONENT:
                     self.error("exponent too large", start)
-                if self.char:
-                    c %= self.char
-                elif _coeff_too_large(c):
+            elif ("0" <= tok[:1] <= "9" and value is None
+                  and tokens[self.pos + 1] not in ("/", "^")):
+                coeff *= self._coefficient("a coefficient")
+                if p:
+                    coeff %= p
+                elif _coeff_too_large(coeff):
                     self.error("coefficient too large", start)
-                value = {e: c}
-                continue
-            if value and other:
-                ring = self.session.ring
-                value = (Polynomial(ring, value)
-                         * Polynomial(ring, other)).terms
             else:
-                value = {}
-            if _top_exponent(value) > MAX_EXPONENT:
-                self.error("exponent too large", start)
-            if not self.char and any(map(_coeff_too_large, value.values())):
-                self.error("coefficient too large", start)
-        return value
+                other = self._factor()
+                if not coeff:  # a zero product takes no factor in
+                    pass
+                elif not other:
+                    coeff, value = 0, None
+                elif len(other) == 1 and value is None:
+                    ((e, c),) = other.items()
+                    exps = list(map(add, exps, e))
+                    if max(exps, default=0) > MAX_EXPONENT:
+                        self.error("exponent too large", start)
+                    coeff *= c
+                    if p:
+                        coeff %= p
+                    elif _coeff_too_large(coeff):
+                        self.error("coefficient too large", start)
+                elif value is None and coeff == 1 and not any(exps):
+                    value = other
+                else:
+                    ring = self.session.ring
+                    if value is None:
+                        value = {tuple(exps): coeff if p else Fraction(coeff)}
+                    value = (Polynomial(ring, value)
+                             * Polynomial(ring, other)).terms
+                    if _top_exponent(value) > MAX_EXPONENT:
+                        self.error("exponent too large", start)
+                    if not p and any(map(_coeff_too_large, value.values())):
+                        self.error("coefficient too large", start)
+            if tokens[self.pos] != "*":
+                break
+            self.pos += 1
+        if value is not None:
+            return value
+        if not coeff:
+            return {}
+        return {tuple(exps): coeff if p else Fraction(coeff)}
+
+    def _power(self):
+        """(index of the `^` at the current token, the INT after it), the
+        exponent None when it has more than 9 digits."""
+        caret = self.pos
+        self.pos += 1
+        digits = self.expect("INT", "an exponent").lstrip("0") or "0"
+        return caret, int(digits) if len(digits) <= 9 else None
 
     def _factor(self) -> dict:
         base = self._base()
         if self.tokens[self.pos] != "^":
             return base
-        caret = self.pos
-        self.pos += 1
-        digits = self.expect("INT", "an exponent").lstrip("0") or "0"
-        exp = int(digits) if len(digits) <= 9 else None
+        caret, exp = self._power()
         if (exp is None or exp * _top_exponent(base) > MAX_EXPONENT
                 or (exp > MAX_SUM_POWER and len(base) > 1)):
             self.error("exponent too large", caret)
@@ -381,10 +428,10 @@ class _Parser:
 
     def _base(self) -> dict:
         tok = self.tokens[self.pos]
-        unit = self.units.get(tok)
-        if unit is not None:
+        i = self.index.get(tok)
+        if i is not None:
             self.pos += 1
-            return unit
+            return self.session.ring.var(i).terms
         session = self._require_ring()
         ring = session.ring
         kind = _kind(tok)

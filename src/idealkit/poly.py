@@ -149,6 +149,14 @@ class Polynomial:
         self._sorted = None
         self._hash = None
 
+    @classmethod
+    def _descending(cls, ring: Ring, terms: dict) -> "Polynomial":
+        """A polynomial whose term dict already lists its terms in
+        descending order, so `sorted_terms` need not sort them."""
+        p = cls(ring, terms)
+        p._sorted = list(terms.items())
+        return p
+
     # -- basic queries ----------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -1,19 +1,27 @@
 """Ideal-level operations: membership, colon, intersection, elimination,
 kernels, Rees ideals, dimension, colength, local predicates."""
 
+import itertools
 import math
 import random
+import time
 
 import pytest
 
-from idealkit import groebner
+from idealkit import groebner, idealops
 from idealkit.cli import main
 from idealkit.fields import GF, QQ
-from idealkit.groebner import buchberger, colon_basis, is_groebner
+from idealkit.groebner import (
+    buchberger,
+    colon_basis,
+    is_groebner,
+    normal_form,
+)
 from idealkit.idealops import (
     Ideal,
     _block_ring,
     _eliminate_front,
+    _transversal,
     kernel_of_map,
     linear_type_by_rees,
     rees_ideal,
@@ -244,6 +252,37 @@ def test_kept_block_matches_full_reduction(field, order):
         assert I.colon_ideal(J).groebner() == front_free_slice(1, back, full)
 
 
+def assert_descending(p):
+    key = p.ring.order.key
+    assert p.sorted_terms() == sorted(p.terms.items(),
+                                      key=lambda t: key(t[0]), reverse=True)
+
+
+@pytest.mark.parametrize("order", COLON_ORDERS)
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=repr)
+def test_kernel_output_keeps_the_ring_order(field, order):
+    # Every polynomial that leaves the kernel lists its terms in descending
+    # order, so `sorted_terms` can take them as they are.
+    rng = random.Random(f"order {field!r} {order}")
+    for case in range(6):
+        n = 2 + case % 3
+        ring = Ring(field, ("x", "y", "z", "w")[:n], COLON_ORDERS[order](n))
+        gens = [g for g in (random_poly(rng, ring) for _ in range(3)) if g]
+        basis = buchberger(gens)
+        f = random_poly(rng, ring)
+        r, qs = normal_form(f * f + f, gens, with_quotients=True)
+        I = Ideal(ring, gens)
+        J = Ideal(ring, [random_binomial(rng, ring) for _ in range(2)])
+        out = [*basis, r, *qs]
+        if f:
+            out += colon_basis(basis, f)
+        if not J.is_zero():
+            out += I.intersect(J).groebner() + I.colon_ideal(J).groebner()
+        out += I.eliminate(ring.names[0]).groebner()
+        for p in out:
+            assert_descending(p)
+
+
 @pytest.mark.parametrize("arg, counts", [("f", (4, 4)), ("J", (13, 4))])
 def test_colon_step_work(monkeypatch, arg, counts):
     # (Regular reductions, of which to zero) of one colon step over
@@ -391,6 +430,24 @@ def test_linear_type_by_rees():
     assert not linear_type_by_rees(Ideal(R2, [x**2, x * y, y**2]))
 
 
+def test_linear_type_tests_only_what_can_fail(monkeypatch):
+    # The Rees basis of (x, y) is all T-linear, so no basis of its linear
+    # part is built; (x^2, xy, y^2) has a T-quadratic element, refuted by
+    # a membership test in the linear part.
+    calls = []
+
+    def counting(polys):
+        calls.append(len(polys))
+        return buchberger(polys)
+
+    monkeypatch.setattr(idealops, "buchberger", counting)
+    x, y = R2.gens()
+    assert linear_type_by_rees(Ideal(R2, [x, y]))
+    assert calls == []
+    assert not linear_type_by_rees(Ideal(R2, [x**2, x * y, y**2]))
+    assert len(calls) == 1
+
+
 def test_locally_contains_at_origin():
     x, y = R2.gens()
     J = Ideal(R2, [x**2, y**2])
@@ -422,6 +479,50 @@ def test_krull_dim_quotient():
     x, y = R2.gens()
     assert Ideal(R2, [x]).krull_dim_quotient() == 1
     assert Ideal(R2, [x, y]).krull_dim_quotient() == 0
+
+
+def test_dim_of_the_maximal_ideal_in_many_variables():
+    # A scan over variable subsets takes 2^n steps here; n = 30 ran for
+    # over an hour.
+    ring = Ring(GF(7), [f"x{i}" for i in range(40)])
+    I = Ideal(ring, ring.gens())
+    I.groebner()
+    start = time.perf_counter()
+    assert I.krull_dim_quotient() == 0
+    assert time.perf_counter() - start < 0.1
+
+
+def subset_scan_dim(leads, n):
+    """The largest set of variables that contains the support of no lead,
+    by scanning subsets from the largest: the reference for the search."""
+    for size in range(n, 0, -1):
+        for subset in itertools.combinations(range(n), size):
+            inside = set(subset)
+            if not any(all(i in inside for i, e in enumerate(lm) if e)
+                       for lm in leads):
+                return size
+    return 0
+
+
+def test_dim_search_matches_the_subset_scan():
+    rng = random.Random(19)
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        leads = [tuple(rng.choice((0, 0, 1, 2)) for _ in range(n))
+                 for _ in range(rng.randint(0, 8))]
+        leads = [lm for lm in leads if any(lm)]
+        supports = {sum(1 << i for i, e in enumerate(lm) if e)
+                    for lm in leads}
+        cover = _transversal(sorted(supports, key=int.bit_count), n)
+        assert n - cover == subset_scan_dim(leads, n)
+    # The monomial ideal of the leads has them as its lead monomials.
+    ring = Ring(QQ, ("x", "y", "z", "w", "v"))
+    for _ in range(40):
+        leads = [tuple(rng.randint(0, 2) for _ in range(5))
+                 for _ in range(rng.randint(1, 6))]
+        leads = [lm for lm in leads if any(lm)]
+        I = Ideal(ring, [ring.monomial(lm) for lm in leads])
+        assert I.krull_dim_quotient() == subset_scan_dim(leads, 5)
 
 
 def test_colength_examples():

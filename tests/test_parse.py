@@ -208,6 +208,36 @@ def test_comments_and_blank_lines():
     ("# only a comment\n", 2, 1, "declares no ring"),
     # An unexpected character is reported before an earlier syntax error.
     ("ring Q[x] poly f = x $ x;", 1, 22, "unexpected character '$'"),
+    # Products read in place: a product past a bound is reported at the
+    # start of the expression, a power at its caret, and a zero product is
+    # not checked. A trailing token shows that what comes before parsed.
+    ("ring Q[x, y];\npoly f = x^60000*x^60000;", 2, 10, "exponent too large"),
+    ("ring Q[x, y];\npoly f = x^60000*y^200000;", 2, 19, "exponent too large"),
+    ("ring Q[x, y];\npoly f = x^60000*y*x^40001*y^200000;", 2, 10,
+     "exponent too large"),
+    ("ring Q[x];\npoly f = x*" + "9" * 1200 + "*" + "9" * 1200 + ";", 2, 10,
+     "coefficient too large"),
+    ("ring Fp(7)[x];\npoly f = " + "9" * 1200 + "*" + "9" * 1200 + "*x x;",
+     2, 2414, "expected ;, found 'x'"),
+    ("ring Q[x];\npoly f = 0*x^60000*x^60000 + (;", 2, 31,
+     "expected a polynomial term"),
+    ("ring Q[x];\npoly f = x^60000*0*x^60000*x^60000 x;", 2, 36,
+     "expected ;, found 'x'"),
+    ("ring Q[x];\npoly f = x^0*x^100000*x;", 2, 10, "exponent too large"),
+    ("ring Q[x];\npoly f = x^007*x^99993 x;", 2, 24, "expected ;, found 'x'"),
+    ("ring Q[x];\npoly f = x^007*x^99994;", 2, 10, "exponent too large"),
+    ("ring Fp(7)[x];\npoly f = 7*x^60000*x^60000 x;", 2, 28,
+     "expected ;, found 'x'"),
+    ("ring Fp(7)[x];\npoly f = x^60000*7*x^60000*(x + 1) x;", 2, 36,
+     "expected ;, found 'x'"),
+    ("ring Q[x, y];\npoly f = -x*y*x^99999*x;", 2, 10, "exponent too large"),
+    ("ring Q[x, y];\npoly f = 2*(x + y)*x^99999*x^2;", 2, 10,
+     "exponent too large"),
+    ("ring Q[x, y];\npoly f = x^99999*y;\npoly g = y + f*x*x;", 3, 10,
+     "exponent too large"),
+    ("ring Q[x, y];\npoly f = 3/4*x^100000*x;", 2, 10, "exponent too large"),
+    ("ring Q[x, y];\npoly f = 3/4*" + "9" * 1200 + "*x*" + "9" * 1200 + ";",
+     2, 10, "coefficient too large"),
 ])
 def test_error_positions(src, line, col, fragment):
     with pytest.raises(InputError) as exc:

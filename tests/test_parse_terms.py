@@ -81,7 +81,7 @@ def test_term_products_build_no_polynomial_product(monkeypatch):
 
 
 def test_variables_are_not_shared_by_value():
-    # Unit terms are built once per ring; a sum must not write into them.
+    # A sum must not write into the terms of a variable or a named poly.
     s = parse_session(RING + "poly f = x;\npoly g = x + x + y;\n"
                       "poly h = f - f;\npoly k = x;\n")
     x, y = s.ring.gens()
