@@ -4,7 +4,6 @@ from .fields import GF, QQ, PrimeField, RationalField, is_prime
 from .orders import Block, DegRevLex, Lex
 from .poly import Polynomial, Ring
 from .groebner import (
-    GroebnerBasis,
     buchberger,
     is_groebner,
     normal_form,
@@ -49,7 +48,6 @@ __all__ = [
     "Lex",
     "Polynomial",
     "Ring",
-    "GroebnerBasis",
     "buchberger",
     "is_groebner",
     "normal_form",

@@ -204,12 +204,12 @@ def _verify_lemma2(session: SessionInput):
     zero = ring.field.zero
     colon_in_m = bool(colon) and all(
         g.constant_term() == zero for g in colon)
-    saturated = not JI.colon(f * f).is_proper()
+    unit_colon = not JI.colon(f * f).is_proper()
     reports.append(_finish(
-        "colon_strictness", VERIFIED if colon_in_m and saturated else REFUTED,
+        "colon_strictness", VERIFIED if colon_in_m and unit_colon else REFUTED,
         {"colon_basis": [str(g) for g in colon],
          "colon_inside_maximal_ideal": colon_in_m,
-         "product_colon_is_unit_ideal": saturated},
+         "product_colon_is_unit_ideal": unit_colon},
         "(J : x*y) stays inside (x, y) while (J*I : (x*y)^2) is the "
         "unit ideal", t0))
 

@@ -7,10 +7,14 @@ Division is deterministic (lowest-index divisor first) and can record the
 quotients, which is what ideal-membership witnesses are built from.
 `is_groebner` checks a basis with `s_polynomial` and `normal_form` alone.
 
-One loop builds every Groebner basis, whatever the order and the number
-of inputs. It starts from the packed, normalized and deduplicated inputs
-(`_kernel_inputs`) and hands its basis to one minimization and
-inter-reduction (`_reduce_basis`). The loop is signature-based, and the
+One driver, `_basis`, builds every Groebner basis, whatever the order and
+the number of inputs: the bases of `buchberger`, the colon step of
+`colon_basis`, and the eliminations of `idealops`. It packs the inputs
+(`_kernel_inputs`: normalized and deduplicated), runs one signature loop
+and hands the loop's elements to one minimization and inter-reduction
+(`_reduce_basis`), which unpacks the result into the caller's ring: for an
+elimination, the ring without the eliminated front variables, whose
+elements it alone reduces. The loop is signature-based, and the
 reason is measured against the Gebauer-Moeller loop that it replaced.
 Over GF(32003) that loop made 343 S-pair reductions on cyclic-6 and 176
 on katsura-7, 245 and 140 of them to zero; the signature loop makes 218
@@ -60,9 +64,9 @@ their ints, comparing ints compares monomials in the ring's order, and a
 divides b exactly when `(b - a) & guard` is zero. A product that sets a
 guard bit has overflowed its field: the whole call then starts again with
 fields twice as wide (8, 16, 32, ... bits), so no result depends on the
-width. `buchberger` and `normal_form` pack their input once and unpack
-their result once; `Polynomial` and every public signature here keep
-exponent tuples.
+width. `_basis` and `normal_form` pack their input once and unpack their
+result once; `Polynomial` and every public signature here keep exponent
+tuples.
 
 Each division keeps a memo of divisor queries: it maps a packed monomial
 to i when leads[i] is the lowest-index lead that divides it, and to ~k when
@@ -98,7 +102,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 
 from .poly import Polynomial, monomial_div, monomial_lcm
 
@@ -193,12 +197,18 @@ def _normalize(field, terms, lead):
 
 
 def _unpack(pk, ring, terms, k):
-    """Polynomial of the packed kernel terms times the field element k.
+    """The polynomial of `ring` with the packed kernel terms times the
+    field element k.
 
-    The terms must be in descending order, as every packed dict the kernel
-    returns is: packed ints compare as the ring's order compares monomials.
+    Its exponents are the last ring.nvars fields: all of them when ring is
+    the packing's own, the back block of an elimination otherwise (see
+    `_reduce_basis`). The terms must be in descending order, as every
+    packed dict the kernel returns is: packed ints compare as the ring's
+    order compares monomials, and a block order restricts to the order of
+    its back block.
     """
-    unpack = pk.unpack
+    front = len(pk.shifts) - ring.nvars
+    unpack = pk.unpack if not front else lambda m: pk.unpack(m)[front:]
     p = ring.field.char
     if p:
         return Polynomial._descending(ring, {unpack(m): c * k % p
@@ -363,27 +373,7 @@ def buchberger(polys):
     Runs the signature loop on the distinct inputs, then minimizes and
     inter-reduces. Returns a list sorted ascending by lead monomial.
     """
-    return _kept_basis(polys, 0)
-
-
-def _kept_basis(polys, front):
-    """The elements of the reduced basis of polys free of the first `front`
-    variables, which must be a block that the order ranks first (see
-    `_reduce_basis`): the reduced basis of the elimination ideal."""
-    polys = [p for p in polys if not p.is_zero()]
-    if not polys:
-        return []
-    ring = polys[0].ring
-    for p in polys:
-        if p.ring != ring:
-            raise ValueError("generators must share one ring")
-    return _widening(ring, lambda pk: _buchberger(pk, ring, polys, front))
-
-
-def _buchberger(pk, ring, polys, front=0):
-    gens = _kernel_inputs(pk, ring.field, polys)
-    return _reduce_basis(pk, ring, *_signature_loop(pk, ring.field, gens),
-                         front)
+    return _basis(polys)
 
 
 def colon_basis(basis, f):
@@ -438,32 +428,35 @@ def colon_basis(basis, f):
     So T lies in L in every case. The proof is needed: a final `buchberger`
     on G and A could not add an a that the step had missed.
     """
-    return _kept_colon_basis(basis, f, 0)
+    if f.is_zero():
+        raise ValueError("colon by the zero polynomial")
+    return _basis([f], below=list(basis))
 
 
-def _kept_colon_basis(basis, f, front):
-    """The elements of `colon_basis(basis, f)` free of the first `front`
-    variables, as `_kept_basis` keeps them."""
-    ring = f.ring
-    return _widening(ring, lambda pk: _colon(pk, ring, basis, f, front))
+def _basis(polys, back=None, below=None):
+    """The reduced Groebner basis of polys, as polynomials of `back`.
 
-
-def _colon(pk, ring, basis, f, front):
+    The nonzero polys share one ring R, and back defaults to R. Otherwise R
+    is back with a block of front variables that the order ranks first, and
+    the result is the reduced basis of the elimination ideal, moved into
+    back (`_reduce_basis`). With below, a Groebner basis of an ideal I of R,
+    and polys == [f], the result is the colon step of `colon_basis`: the
+    reduced basis of I : f, or of its front-free part.
+    """
+    polys = [p for p in polys if not p.is_zero()]
+    if not polys:
+        return []
+    ring = polys[0].ring
+    if any(p.ring != ring for p in [*polys, *(below or ())]):
+        raise ValueError("generators must share one ring")
     field = ring.field
-    leads, lcs, tails = [], [], []
 
-    def add(terms, lead):
-        leads.append(lead)
-        lcs.append(terms[lead])
-        tails.append(_tail(terms, lead))
+    def run(pk):
+        packed = None if below is None else _kernel_inputs(pk, field, below)
+        return _reduce_basis(pk, back or ring, _signature_loop(
+            pk, field, _kernel_inputs(pk, field, polys), packed))
 
-    for terms, lead in _kernel_inputs(pk, field, basis):
-        add(terms, lead)
-    for a in _signature_loop(pk, field, _kernel_inputs(pk, field, [f]),
-                             (leads, lcs, tails)):
-        lead = max(a)
-        add(_normalize(field, a, lead)[0], lead)
-    return _reduce_basis(pk, ring, leads, lcs, tails, front)
+    return _widening(ring, run)
 
 
 def _kernel_inputs(pk, field, polys):
@@ -487,13 +480,14 @@ def _kernel_inputs(pk, field, polys):
 def _signature_loop(pk, field, gens, below=None):
     """A Groebner basis of gens by a signature-based Buchberger loop.
 
-    Returns (leads, lcs, tails) for `_reduce_basis`, or the basis [1] at the
-    first nonzero constant remainder. The encoding of signatures and the
-    criteria are in the module docstring. With `below`, the loop is the
-    colon step of `colon_basis`: below is (leads, lcs, tails) of a Groebner
-    basis of I in kernel form, gens is [f], and the loop returns the
-    cofactors a of its reductions to zero (a*f in I) as packed term dicts,
-    or only [a] when a is a constant, that is when f lies in I.
+    gens and the result are kernel-form (packed terms, packed lead) pairs,
+    as `_kernel_inputs` gives them, for `_reduce_basis`. The result is the
+    basis [1] at the first nonzero constant remainder. The encoding of
+    signatures and the criteria are in the module docstring. With `below`,
+    the kernel-form elements of a Groebner basis G of I, the loop is the
+    colon step of `colon_basis`: gens is [f], and the loop returns G and
+    the normalized cofactors a of its reductions to zero (a*f in I), or the
+    basis [1] when a is a constant, that is when f lies in I.
     """
     p = field.char
     guard, units = pk.guard, pk.units
@@ -517,19 +511,19 @@ def _signature_loop(pk, field, gens, below=None):
     # exponent fields of a packed monomial to the whole packed monomial.
     # `divisors` is the divisor memo of `_divide` for every reduction of
     # this run: `leads` only grows, so its entries stay true.
-    if colon:
-        # The elements of I come first, with cofactor 0 and ratio -1. A
-        # term that a reduction meets is at most the lead of its polynomial,
-        # whose ratio is at least 0, so they may always reduce it; and they
-        # never give the larger side of a J-pair.
-        leads, lcs, tails = map(list, below)
-        basis: list = [None] * len(leads)
-        sigs: list = [None] * len(leads)
-        ratios: list = [-1] * len(leads)
-        cofactors: list = [({}, 1)] * len(leads)
-        zeros: list[dict] = []
-    else:
-        basis, leads, lcs, tails, sigs, ratios = [], [], [], [], [], []
+    # The elements of `below` come first, with cofactor 0 and ratio -1. A
+    # term that a reduction meets is at most the lead of its polynomial,
+    # whose ratio is at least 0, so they may always reduce it; and they
+    # never give the larger side of a J-pair.
+    below = below or []
+    basis = [terms for terms, _ in below]
+    leads = [lead for _, lead in below]
+    lcs = [terms[lead] for terms, lead in below]
+    tails = [_tail(terms, lead) for terms, lead in below]
+    sigs: list = [None] * len(below)
+    ratios = [-1] * len(below)
+    cofactors: list = [({}, 1)] * len(below)
+    zeros: list[tuple] = []
     owned: list[list] = [[] for _ in gens]
     syz: list[list] = [[] for _ in gens]
     queue: dict[int, tuple] = {}
@@ -596,8 +590,9 @@ def _signature_loop(pk, field, gens, below=None):
                 monos.append(m)
                 if colon:
                     if k < 0:
-                        return [a[0]]
-                    zeros.append(a[0])
+                        return [({0: 1}, 0)]
+                    lead = max(a[0])
+                    zeros.append((_normalize(field, a[0], lead)[0], lead))
                 continue
             lead = next(iter(rem))
             rem, scale = _normalize(field, rem, lead)
@@ -605,7 +600,7 @@ def _signature_loop(pk, field, gens, below=None):
                 a = _scaled(p, a, scale)
         if not lead and not colon:
             # A constant: the basis is [1], whose packed lead is 0.
-            return [0], [1], [[]]
+            return [({0: 1}, 0)]
         n = len(basis)
         ratio = sig - (lead << b)
         top = (lead & fields) | guard
@@ -658,7 +653,7 @@ def _signature_loop(pk, field, gens, below=None):
         if colon:
             cofactors.append(a)
 
-    return zeros if colon else (leads, lcs, tails)
+    return below + zeros if colon else list(zip(basis, leads))
 
 
 def _cofactor(pk, p, a, t, u, record, cofactors):
@@ -714,34 +709,35 @@ def _scaled(p, a, k):
     return terms, d
 
 
-def _reduce_basis(pk, ring, leads, lcs, tails, front=0):
+def _reduce_basis(pk, back, elements):
     """Minimize and inter-reduce a packed Groebner basis in kernel form.
 
-    One ascending sweep: each minimal element's tail is divided by the
-    elements already reduced, and its lead coefficient, times the
-    multiplier of that division, is put back in front. Tail terms lie below
-    the lead, so no larger lead divides them, and the normal form modulo a
-    Groebner basis is unique, so the result is the reduced basis. Returns
-    the monic polynomials, sorted ascending by lead monomial.
+    elements are (packed terms, packed lead) pairs. One ascending sweep:
+    each minimal element's tail is divided by the elements already reduced,
+    and its lead coefficient, times the multiplier of that division, is put
+    back in front. Tail terms lie below the lead, so no larger lead divides
+    them, and the normal form modulo a Groebner basis is unique, so the
+    result is the reduced basis. Returns the monic polynomials of `back`,
+    sorted ascending by lead monomial.
 
-    Only the kept block is reduced: an element whose lead has one of the
-    first `front` variables is dropped first. The order must rank every
-    monomial with a front variable above every monomial without, as a block
-    order with the front block first does. Then only front-free leads
-    divide a front-free lead, and the tail of a front-free lead is
-    front-free, so the result is exactly the front-free slice of the
-    reduced basis: the reduced basis of the elimination ideal.
+    back is the packing's ring, or its last back.nvars variables under an
+    order that ranks every monomial with one of the front variables before
+    them above every monomial without, as a block order with the front block
+    first does. An element whose lead has a front variable is dropped first.
+    Then only front-free leads divide a front-free lead, and the tail of a
+    front-free lead is front-free, so the result is exactly the front-free
+    slice of the reduced basis: the reduced basis of the elimination ideal.
     """
-    field = ring.field
+    field = back.field
     guard = pk.guard
+    front = len(pk.shifts) - back.nvars
     mask = sum(pk.field_mask << s for s in pk.shifts[:front])
-    minimal: list[int] = []
-    for k in sorted((k for k, lm in enumerate(leads) if not lm & mask),
-                    key=leads.__getitem__):
-        lm = leads[k]
-        if any(not (lm - leads[h]) & guard for h in minimal):
+    minimal: list[tuple] = []
+    for terms, lead in sorted((e for e in elements if not e[1] & mask),
+                              key=itemgetter(1)):
+        if any(not (lead - h) & guard for _, h in minimal):
             continue
-        minimal.append(k)
+        minimal.append((terms, lead))
     # The elements reduced so far, in kernel form: the divisors of the next
     # tail. Their leads only grow, so one memo serves the whole sweep.
     rleads: list[int] = []
@@ -750,11 +746,10 @@ def _reduce_basis(pk, ring, leads, lcs, tails, front=0):
     memo: dict[int, int] = {}
     reduced = []
     p = field.char
-    for k in minimal:
-        lead = leads[k]
-        rem, u = _divide(pk, p, dict(tails[k]), rleads, rlcs, rtails, None,
-                         memo)
-        lc = lcs[k] * u
+    for terms, lead in minimal:
+        tail = {m: c for m, c in terms.items() if m != lead}
+        rem, u = _divide(pk, p, tail, rleads, rlcs, rtails, None, memo)
+        lc = terms[lead] * u
         # Over Q the element is made primitive again; over GF(p), lc is 1.
         if not p and (g := gcd(lc, *rem.values())) != 1:
             lc //= g
@@ -764,50 +759,5 @@ def _reduce_basis(pk, ring, leads, lcs, tails, front=0):
         rtails.append(list(rem.items()))
         terms = {lead: lc}
         terms.update(rem)
-        reduced.append(_unpack(pk, ring, terms, field.inv(field.coerce(lc))))
+        reduced.append(_unpack(pk, back, terms, field.inv(field.coerce(lc))))
     return reduced
-
-
-class GroebnerBasis:
-    """A reduced Groebner basis with membership and witness queries."""
-
-    def __init__(self, gens):
-        gens = list(gens)
-        if not gens:
-            raise ValueError("GroebnerBasis needs at least one generator")
-        self.gens = gens
-        self.basis = buchberger(gens)
-        self.ring = self.basis[0].ring if self.basis else gens[0].ring
-
-    def __iter__(self):
-        return iter(self.basis)
-
-    def __len__(self):
-        return len(self.basis)
-
-    def __getitem__(self, i):
-        return self.basis[i]
-
-    def normal_form(self, p, with_quotients=False):
-        return normal_form(self.ring.convert(p), self.basis, with_quotients)
-
-    def contains(self, p) -> bool:
-        return self.normal_form(p).is_zero()
-
-    def membership_witness(self, p):
-        """Quotients of p by the basis, or None when p is not in the ideal."""
-        r, qs = self.normal_form(p, with_quotients=True)
-        if not r.is_zero():
-            return None
-        return qs
-
-    def __eq__(self, other):
-        if isinstance(other, GroebnerBasis):
-            return self.ring == other.ring and self.basis == other.basis
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ring, tuple(self.basis)))
-
-    def __repr__(self):
-        return f"GroebnerBasis({len(self.basis)} elements over {self.ring!r})"

@@ -1,15 +1,18 @@
 """Ideal-level operations built on Groebner bases.
 
-Membership, equality, colon, product, intersection, elimination, saturation,
-ring-map kernels, Rees ideals, Krull dimension of the quotient, colength, and
-the localization-at-origin predicate. The ambient regular local ring is
-modeled by a polynomial ring: global identities are computed with Groebner
-bases and local claims are decided through colon ideals and constant terms.
+Membership, equality, colon, product, intersection, elimination, ring-map
+kernels, Rees ideals, Krull dimension of the quotient, colength, and the
+localization-at-origin predicate. The ambient regular local ring is modeled
+by a polynomial ring: global identities are computed with Groebner bases and
+local claims are decided through colon ideals and constant terms. `Ideal`
+is the one object that caches a reduced basis and answers membership.
 Colon ideals come from one signature step on top of the reduced basis
-(`groebner.colon_basis`); intersection, saturation, elimination, kernels and
-Rees ideals eliminate front variables under a block order. Eliminations and
-the colon step of `Ideal.colon_ideal` minimize and inter-reduce only the
-front-free elements (`groebner._reduce_basis`).
+(`groebner.colon_basis`); intersection, elimination, kernels and Rees ideals
+eliminate front variables under a block order. Every basis comes from the
+one driver `groebner._basis`. For an elimination, and for the colon step of
+`Ideal.colon_ideal`, it minimizes and inter-reduces only the front-free
+elements and returns them as polynomials of the ring without the front
+variables.
 """
 
 from __future__ import annotations
@@ -17,13 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .groebner import (
-    _kept_basis,
-    _kept_colon_basis,
-    buchberger,
-    colon_basis,
-    normal_form,
-)
+from .groebner import _basis, buchberger, colon_basis, normal_form
 from .matrix import PolyMatrix
 from .orders import Block, DegRevLex
 from .poly import Polynomial, Ring, monomial_divides
@@ -135,10 +132,8 @@ class Ideal:
         `groebner.colon_basis` runs the step with f on top of the cached
         reduced basis; the result keeps the reduced basis it returns.
         """
-        f = self.ring.convert(f)
-        if f.is_zero():
-            raise ValueError("colon by the zero polynomial")
-        return _with_basis(self.ring, colon_basis(self.groebner(), f))
+        return _with_basis(self.ring, colon_basis(self.groebner(),
+                                                  self.ring.convert(f)))
 
     def colon_ideal(self, other: "Ideal") -> "Ideal":
         """(I : J), by one colon step in R[@y] with f = sum y^(j-1) g_j.
@@ -155,17 +150,8 @@ class Ideal:
         ext = _block_ring(("@y",), self.ring)
         y = ext.var(0)
         f = sum((y**j * ext.convert(g) for j, g in enumerate(gens)), ext.zero)
-        return _front_free(1, self.ring, _kept_colon_basis(
-            [ext.convert(g) for g in self.groebner()], f, 1))
-
-    def saturate(self, f) -> "Ideal":
-        """(I : f^inf), by eliminating t from I + (1 - t*f)."""
-        f = self.ring.convert(f)
-        if f.is_zero():
-            raise ValueError("saturation by the zero polynomial")
-        return _eliminate_front(("@t",), self.ring, lambda ext: (
-            [ext.convert(g) for g in self.nonzero_gens()]
-            + [ext.one - ext.var(0) * ext.convert(f)]))
+        return _with_basis(self.ring, _basis(
+            [f], self.ring, [ext.convert(g) for g in self.groebner()]))
 
     def eliminate(self, names) -> "Ideal":
         """I cap k[remaining variables], as an ideal of the smaller ring."""
@@ -306,16 +292,12 @@ def _transversal(sets, limit) -> int:
     while pick:
         v = pick & -pick
         pick ^= v
-        rest = []
-        for s in sets:
-            if not s & v:
-                s &= ~left_out
-                if not s:
-                    break
-                rest.append(s)
-        else:
-            rest.sort(key=int.bit_count)
-            best = 1 + _transversal(rest, best - 1)
+        # A set that misses v keeps a variable outside left_out: were it
+        # inside, the set would lie in sets[0] without v, so it would be
+        # smaller than sets[0], the smallest.
+        rest = sorted((s & ~left_out for s in sets if not s & v),
+                      key=int.bit_count)
+        best = 1 + _transversal(rest, best - 1)
         left_out |= v
     return size + best
 
@@ -330,27 +312,10 @@ def _eliminate_front(front, back: Ring, gens) -> Ideal:
     """Eliminate the `front` variables from the ideal that gens(ext) generates.
 
     ext is `_block_ring(front, back)` and gens(ext) returns the generators
-    as polynomials of ext. The result is an ideal of `back`. Only the
-    front-free elements of the basis are minimized and inter-reduced.
+    as polynomials of ext. The result is an ideal of `back`, with its
+    reduced basis cached.
     """
-    ext = _block_ring(front, back)
-    k = len(front)
-    return _front_free(k, back, _kept_basis(gens(ext), k))
-
-
-def _front_free(k, back: Ring, basis) -> Ideal:
-    """The ideal of `back` that basis generates, with the first k exponents,
-    all zero, dropped.
-
-    basis is the front-free slice of a reduced basis under `_block_ring`.
-    It is itself a reduced basis, and each element keeps its terms in
-    descending order, because the block order restricts to back's own
-    order.
-    """
-    kept = [Polynomial._descending(back,
-                                   {e[k:]: c for e, c in g.terms.items()})
-            for g in basis]
-    return _with_basis(back, kept)
+    return _with_basis(back, _basis(gens(_block_ring(front, back)), back))
 
 
 def _with_basis(ring: Ring, basis) -> Ideal:

@@ -87,9 +87,6 @@ class Ring:
                 clean[tuple(exps)] = c
         return Polynomial(self, clean)
 
-    def change_order(self, order) -> "Ring":
-        return Ring(self.field, self.names, order)
-
     def convert(self, p: "Polynomial") -> "Polynomial":
         """Map a polynomial into this ring, matching variables by name.
 

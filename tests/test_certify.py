@@ -4,6 +4,7 @@ regular sequences, valuation vectors."""
 import pytest
 
 from idealkit.certify import (
+    MAX_MATERIALIZED_MINORS,
     ComplexData,
     GradeCertificate,
     MinorIdeal,
@@ -189,6 +190,51 @@ def test_grade_at_least_minor_ideal_with_hints():
     assert grade_at_least(target, 2, bad).status != "verified"
 
 
+@pytest.mark.parametrize("size", [3, 2], ids=["maximal", "smaller"])
+def test_grade_at_least_materializes_a_minor_ideal_without_hints(size):
+    # f1 is a maximal minor of phi2, so it lies in every ideal of its minors.
+    (f1, _, _, _), cd = lemma3_complex()
+    rep = grade_at_least(MinorIdeal(cd.matrices[1], size), 1,
+                         GradeCertificate(1, (f1,)))
+    assert rep.status == "verified"
+    assert set(rep.witness) == {"membership", "regular_sequence"}
+    assert rep.witness["membership"] == [
+        {"membership": "normal form vanishes"}]
+
+
+def test_grade_at_least_refuses_to_materialize_too_many_minors():
+    x, _, _ = R3.gens()
+    target = MinorIdeal(PolyMatrix(R3, [[x] * 10] * 10), 5)
+    assert target.count > MAX_MATERIALIZED_MINORS
+    rep = grade_at_least(target, 1, GradeCertificate(1, (x,)))
+    assert rep.status == "inconclusive"
+    assert rep.witness == {"membership": [{
+        "reason": "minor ideal too large to materialize without a hint",
+        "count": target.count}]}
+
+
+def test_grade_at_least_with_a_sequence_that_is_not_regular():
+    x, y, _ = R3.gens()
+    rep = grade_at_least(Ideal(R3, [x, y]), 2,
+                         GradeCertificate(2, (x, x * y)))
+    assert rep.status == "refuted"
+    assert set(rep.witness) == {"membership", "regular_sequence"}
+    assert rep.witness["regular_sequence"]["reason"] == \
+        "colon contains a unit at the origin"
+
+
+def test_grade_at_least_with_a_simplification_mismatch():
+    (f1, f2, _, _), cd = lemma3_complex()
+    x, y, z = R3.gens()
+    cert = lemma3_certs(f1, f2)[2]
+    cert.expected = Ideal(R3, [x, y**3, z**2])
+    rep = grade_at_least(MinorIdeal(cd.matrices[1], 3), 2, cert)
+    assert rep.status == "refuted"
+    assert set(rep.witness) == {"membership", "regular_sequence",
+                                "simplification"}
+    assert rep.witness["simplification"] == "ideal mismatch"
+
+
 def test_resolution_minimal():
     _, cd = lemma3_complex()
     rep = resolution_minimal(cd)
@@ -228,6 +274,16 @@ def test_regular_sequence_refuted_unit_colon():
     rep = is_regular_sequence([x, x * y])
     assert rep.status == "refuted"
     assert "unit" in rep.witness["reason"]
+
+
+def test_regular_sequence_inconclusive_when_the_colon_grows_locally():
+    # (xy) : xz = (y): larger than (xy), but inside the maximal ideal.
+    x, y, z = R3.gens()
+    rep = is_regular_sequence([x * y, x * z])
+    assert rep.status == "inconclusive"
+    assert rep.witness == {
+        "reason": "global colon grows but stays inside the maximal ideal",
+        "index": 1, "steps": [{"index": 0, "colon_equals_prefix": True}]}
 
 
 def test_regular_sequence_zero_and_unit_elements():

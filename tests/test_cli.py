@@ -364,6 +364,17 @@ def test_exit_2_on_oversized_power(capsys, tmp_path):
     assert "line 2, column 11: coefficient too large" in err
 
 
+@pytest.mark.parametrize("expr, reason", [
+    ("x^99999*(x^2)", "exponent too large"),
+    ("(2^4000*x + 1)*(2^200*x + 1)", "coefficient too large"),
+], ids=["folded-factor", "multi-term-product"])
+def test_exit_2_on_a_product_past_its_bound(capsys, tmp_path, expr, reason):
+    p = tmp_path / "big.ikt"
+    p.write_text(f"ring Q[x];\npoly f = {expr};\n")
+    assert main(["run", str(p), "gb", "f"]) == 2
+    assert f"line 2, column 10: {reason}" in capsys.readouterr().err
+
+
 def test_exit_2_on_unknown_name(capsys, demo):
     code = main(["run", demo, "gb", "missing"])
     assert code == 2

@@ -128,16 +128,18 @@ def colon_ideal_by_elimination(I, J):
 
 def colon_with_step_basis(colon, I, arg):
     """colon(I, arg), and the basis that the step hands to `_reduce_basis`:
-    the basis of I with the cofactors of the step's reductions to zero."""
+    the basis of I with the cofactors of the step's reductions to zero, as
+    polynomials of the step's ring (R[@y] for `Ideal.colon_ideal`)."""
     I.groebner()
+    ring = I.ring if colon is Ideal.colon else _block_ring(("@y",), I.ring)
     seen = []
     reduce_basis = groebner._reduce_basis
 
-    def capture(pk, ring, leads, lcs, tails, front):
-        seen[:] = [groebner._unpack(pk, ring, {m: c, **dict(tail)},
-                                    ring.field.one)
-                   for m, c, tail in zip(leads, lcs, tails)]
-        return reduce_basis(pk, ring, leads, lcs, tails, front)
+    def capture(pk, back, elements):
+        seen[:] = [groebner._unpack(pk, ring, {m: terms[m] for m in sorted(
+                       terms, reverse=True)}, ring.field.one)
+                   for terms, _ in elements]
+        return reduce_basis(pk, back, elements)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groebner, "_reduce_basis", capture)
@@ -179,6 +181,35 @@ def test_colon_step_matches_elimination(field, order):
         got, step = colon_with_step_basis(Ideal.colon_ideal, I, J)
         assert got.groebner() == colon_ideal_by_elimination(I, J).groebner()
         assert is_groebner(step)
+
+
+@pytest.mark.parametrize("field", ["q", "fp:32003"])
+def test_run_colon_by_an_ideal_matches_elimination(field, tmp_path, capsys):
+    # `run ... colon I J` with J naming an ideal goes through
+    # `Ideal.colon_ideal`, as every `session` benchmark pass does.
+    text = """ring Q[x, y, z, t];
+    ideal I = x*t - 3*y^2, x*t - y*z, t^2 - x^2;
+    ideal J = y^2 - x*t, y*t - 3*x^2;
+    """
+    path = tmp_path / "colon.ikt"
+    path.write_text(text)
+    assert main(["run", str(path), "colon", "I", "J", "--field", field]) == 0
+    session = parse_session(text, QQ if field == "q" else GF(32003))
+    I, J = (Ideal(session.ring, session.ideals[n]) for n in "IJ")
+    expected = colon_ideal_by_elimination(I, J).groebner()
+    assert len(expected) > 1
+    assert capsys.readouterr().out.splitlines() == [str(g) for g in expected]
+
+
+def test_basis_driver_refuses_mixed_rings():
+    x, y = R2.gens()
+    other = Ring(GF(7), ("x", "y"))
+    with pytest.raises(ValueError, match="share one ring"):
+        buchberger([x, other.var(1)])
+    with pytest.raises(ValueError, match="share one ring"):
+        colon_basis([other.var(0)], y)
+    with pytest.raises(ValueError, match="share one ring"):
+        groebner._basis([x * y], R2, [x, R3.var(2)])
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(32003)], ids=repr)
@@ -357,12 +388,6 @@ def test_eliminate_soundness():
         assert I.contains(ring.convert(g))
 
 
-def test_saturate():
-    x, y = R2.gens()
-    I = Ideal(R2, [x**2 * y, x * y**2])
-    assert I.saturate(x) == Ideal(R2, [y])
-
-
 def test_kernel_of_map_cusp():
     rt = Ring(QQ, ("t",))
     t = rt.var(0)
@@ -505,16 +530,19 @@ def subset_scan_dim(leads, n):
 
 
 def test_dim_search_matches_the_subset_scan():
+    # Under every bound from 0 to n, the search returns the fewest
+    # variables that meet every support, or the bound when no fewer do.
     rng = random.Random(19)
     for _ in range(3000):
         n = rng.randint(1, 7)
         leads = [tuple(rng.choice((0, 0, 1, 2)) for _ in range(n))
                  for _ in range(rng.randint(0, 8))]
         leads = [lm for lm in leads if any(lm)]
-        supports = {sum(1 << i for i, e in enumerate(lm) if e)
-                    for lm in leads}
-        cover = _transversal(sorted(supports, key=int.bit_count), n)
-        assert n - cover == subset_scan_dim(leads, n)
+        supports = sorted({sum(1 << i for i, e in enumerate(lm) if e)
+                           for lm in leads}, key=int.bit_count)
+        cover = n - subset_scan_dim(leads, n)
+        for limit in range(n + 1):
+            assert _transversal(supports, limit) == min(cover, limit)
     # The monomial ideal of the leads has them as its lead monomials.
     ring = Ring(QQ, ("x", "y", "z", "w", "v"))
     for _ in range(40):

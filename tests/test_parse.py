@@ -238,6 +238,11 @@ def test_comments_and_blank_lines():
     ("ring Q[x, y];\npoly f = 3/4*x^100000*x;", 2, 10, "exponent too large"),
     ("ring Q[x, y];\npoly f = 3/4*" + "9" * 1200 + "*x*" + "9" * 1200 + ";",
      2, 10, "coefficient too large"),
+    # A single-term factor folded into the product, and a product of two
+    # factors with several terms each.
+    ("ring Q[x];\npoly f = x^99999*(x^2);", 2, 10, "exponent too large"),
+    ("ring Q[x];\npoly f = (2^4000*x + 1)*(2^200*x + 1);", 2, 10,
+     "coefficient too large"),
 ])
 def test_error_positions(src, line, col, fragment):
     with pytest.raises(InputError) as exc:

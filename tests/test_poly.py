@@ -158,7 +158,7 @@ def test_substitute():
 
 
 def test_order_change_convert():
-    lex_ring = R2.change_order(Lex(2))
+    lex_ring = Ring(R2.field, R2.names, Lex(2))
     x, y = R2.gens()
     p = x + y**3
     q = lex_ring.convert(p)
