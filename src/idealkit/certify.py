@@ -100,9 +100,8 @@ class MinorIdeal:
         return comb(self.matrix.nrows, self.size) * comb(self.matrix.ncols, self.size)
 
     def materialize(self) -> Ideal:
-        return Ideal(self.matrix.ring, self.matrix.maximal_minors()
-                     if self.size == min(self.matrix.shape)
-                     else list(self.matrix.minors(self.size).values()))
+        return Ideal(self.matrix.ring,
+                     list(self.matrix.minors(self.size).values()))
 
 
 @dataclass

@@ -53,7 +53,12 @@ ideals (`PITFALL` in `tests/test_groebner.py` lost y); either rule alone
 was right on all of them. The loop stops at the first nonzero constant
 remainder, since the reduced basis is then [1]. The same loop, run on one
 input f above a Groebner basis of I, is the colon step of `colon_basis`,
-which gives I : f without an elimination variable.
+which gives I : f without an elimination variable. There each element
+carries its cofactor with respect to f inside its own terms, as tagged
+terms: a packed monomial minus a tag above every packed monomial. They sort
+below every monomial term and no division reduces them, so the shifts,
+reductions and normalizations that make an element make its cofactor in
+the same pass, and a reduction to zero leaves exactly the cofactor.
 
 Division and the Buchberger loop run on packed monomials (Monagan and
 Pearce, JSC 2011; Roune and Stillman, ISSAC 2012). A packed monomial is
@@ -135,6 +140,13 @@ class _Packing:
             for v in col:
                 weight = weight * base + v
             self.units.append((weight << key_shift) | (1 << self.shifts[i]))
+        # A nonzero monomial's key is lexicographically positive, so every
+        # unit is positive and the monomial of all max_exp exponents is the
+        # largest packed int. The colon step carries a cofactor term c*m as
+        # the tagged term m - tag: it sorts below every monomial, and its low
+        # bits are m's, so shifts, guard checks and unpacking act on it as
+        # on m.
+        self.tag = 1 << (sum(self.units) * self.max_exp).bit_length()
 
     def pack(self, exps):
         if exps and max(exps) > self.max_exp:
@@ -233,7 +245,9 @@ def _divide(pk, p, terms, leads, lcs, tails, record, memo, regular=None):
     quotient terms per divisor. memo maps a packed monomial to the index of
     its lowest-index dividing lead, or to ~k when no lead in leads[:k]
     divides it; it is read and extended here and stays valid for later
-    calls whose leads extend these. When regular is (sig, b, ratios) the
+    calls whose leads extend these. A popped term below 0 is a tagged
+    cofactor term (see `_Packing`) and goes to the remainder unreduced,
+    after every monomial term. When regular is (sig, b, ratios) the
     division is the signature loop's regular reduction: divisor i may take
     c*m only when m/lead_i times it has a signature below sig, that is
     ratios[i] < sig - (m << b), so the popped term goes to the lowest-index
@@ -263,6 +277,9 @@ def _divide(pk, p, terms, leads, lcs, tails, record, memo, regular=None):
             continue
         i = divisor(m, -1)
         if i < 0:
+            if m < 0:
+                remainder[m] = c
+                continue
             for i in range(~i, n):
                 if not (m - leads[i]) & guard:
                     break
@@ -388,10 +405,12 @@ def colon_basis(basis, f):
     lead(a)*e_f. The elements of G have cofactor 0 and sit below every
     signature, so they may always reduce. A regular reduction subtracts q*h
     of elements of smaller signature, so lead(a) is kept and the new
-    cofactor is u*t*a - sum(q*a_q) (`_cofactor`). Each reduction to zero at
-    t*e_f leaves an a in I : f with lead t; they form A, and the result is
-    the reduced basis of G and A (`_reduce_basis`). A constant a ends the
-    step with I : f = (1).
+    cofactor is u*t*a - sum(q*a_q). Each h carries a as tagged terms below
+    its own (see `_Packing`), which no division reduces, so the division of
+    t*h computes that sum with h's. Each reduction to zero at t*e_f leaves
+    only tagged terms, an a in I : f with lead t; they form A, and the
+    result is the reduced basis of G and A (`_reduce_basis`). A constant a
+    ends the step with I : f = (1).
 
     Proof that G and A are a Groebner basis of I : f. Let L be the monomial
     ideal of the leads of G and A, and T in LT(I : f): we show T in L. Then
@@ -452,9 +471,13 @@ def _basis(polys, back=None, below=None):
     field = ring.field
 
     def run(pk):
-        packed = None if below is None else _kernel_inputs(pk, field, below)
-        return _reduce_basis(pk, back or ring, _signature_loop(
-            pk, field, _kernel_inputs(pk, field, polys), packed))
+        gens, packed = _kernel_inputs(pk, field, polys), None
+        if below is not None:
+            # f carries its cofactor 1 as the tagged constant monomial.
+            gens[0][0][-pk.tag] = 1
+            packed = _kernel_inputs(pk, field, below)
+        return _reduce_basis(pk, back or ring,
+                             _signature_loop(pk, field, gens, packed))
 
     return _widening(ring, run)
 
@@ -485,11 +508,14 @@ def _signature_loop(pk, field, gens, below=None):
     basis [1] at the first nonzero constant remainder. The encoding of
     signatures and the criteria are in the module docstring. With `below`,
     the kernel-form elements of a Groebner basis G of I, the loop is the
-    colon step of `colon_basis`: gens is [f], and the loop returns G and
-    the normalized cofactors a of its reductions to zero (a*f in I), or the
-    basis [1] when a is a constant, that is when f lies in I.
+    colon step of `colon_basis`: gens is [f], whose terms include its
+    cofactor 1 as a tagged term (see `_Packing`), so every element of the
+    run carries its cofactor a as tagged terms, which every shift, reduction
+    and normalization of the element applies to as well. The loop returns G
+    and the normalized cofactors a of its reductions to zero (a*f in I), or
+    the basis [1] when a is a constant, that is when f lies in I.
     """
-    p = field.char
+    p, tag = field.char, pk.tag
     guard, units = pk.guard, pk.units
     shifts, field_mask = pk.shifts, pk.field_mask
     fields = (1 << pk.key_shift) - 1
@@ -501,8 +527,7 @@ def _signature_loop(pk, field, gens, below=None):
 
     # Element k: packed terms basis[k] in the form `_normalize` gives,
     # packed lead leads[k], lead coefficient lcs[k], tail tails[k],
-    # signature sigs[k] and ratios[k] = sigs[k] - (leads[k] << b); in the
-    # colon step also its cofactor cofactors[k] (see `_cofactor`).
+    # signature sigs[k] and ratios[k] = sigs[k] - (leads[k] << b).
     # owned[i] lists (k, packed signature monomial) of the elements whose
     # signature has index i, in the order they were added; syz[i] the
     # minimal monomials of known syzygy signatures with index i, none
@@ -511,7 +536,7 @@ def _signature_loop(pk, field, gens, below=None):
     # exponent fields of a packed monomial to the whole packed monomial.
     # `divisors` is the divisor memo of `_divide` for every reduction of
     # this run: `leads` only grows, so its entries stay true.
-    # The elements of `below` come first, with cofactor 0 and ratio -1. A
+    # The elements of `below` come first, with no cofactor and ratio -1. A
     # term that a reduction meets is at most the lead of its polynomial,
     # whose ratio is at least 0, so they may always reduce it; and they
     # never give the larger side of a J-pair.
@@ -522,7 +547,6 @@ def _signature_loop(pk, field, gens, below=None):
     tails = [_tail(terms, lead) for terms, lead in below]
     sigs: list = [None] * len(below)
     ratios = [-1] * len(below)
-    cofactors: list = [({}, 1)] * len(below)
     zeros: list[tuple] = []
     owned: list[list] = [[] for _ in gens]
     syz: list[list] = [[] for _ in gens]
@@ -573,31 +597,25 @@ def _signature_loop(pk, field, gens, below=None):
             terms = None
             if any(not (e - l) & guard for e in rem for l in leads):
                 terms = dict(rem)
-        if colon:
-            # The input's cofactor is 1, the packed constant monomial 0.
-            a = cofactors[k] if k >= 0 else ({0: 1}, 1)
         if terms is not None:
-            record = [{} for _ in leads] if colon else None
-            rem, u = _divide(pk, p, terms, leads, lcs, tails, record, divisors,
+            rem, _ = _divide(pk, p, terms, leads, lcs, tails, None, divisors,
                              regular=(sig, b, ratios))
-            if colon:
-                a = _cofactor(pk, p, a, t, u, record, cofactors)
-            if not rem:
-                # No entry of syz[i] divides m, or the pair had been
-                # skipped; the entries that m divides go.
+            lead = next(iter(rem), -1)
+            if lead < 0:
+                # A reduction to zero. No entry of syz[i] divides m, or the
+                # pair had been skipped; the entries that m divides go.
                 monos = syz[i]
                 monos[:] = [s for s in monos if (s - m) & guard]
                 monos.append(m)
-                if colon:
-                    if k < 0:
+                if rem:
+                    # The colon step: rem is the tagged cofactor a alone.
+                    lead += tag
+                    if not lead:
                         return [({0: 1}, 0)]
-                    lead = max(a[0])
-                    zeros.append((_normalize(field, a[0], lead)[0], lead))
+                    a = {e + tag: c for e, c in rem.items()}
+                    zeros.append((_normalize(field, a, lead)[0], lead))
                 continue
-            lead = next(iter(rem))
-            rem, scale = _normalize(field, rem, lead)
-            if colon and scale != 1:
-                a = _scaled(p, a, scale)
+            rem, _ = _normalize(field, rem, lead)
         if not lead and not colon:
             # A constant: the basis is [1], whose packed lead is 0.
             return [({0: 1}, 0)]
@@ -650,63 +668,8 @@ def _signature_loop(pk, field, gens, below=None):
         sigs.append(sig)
         ratios.append(ratio)
         owned[i].append((n, m))
-        if colon:
-            cofactors.append(a)
 
     return below + zeros if colon else list(zip(basis, leads))
-
-
-def _cofactor(pk, p, a, t, u, record, cofactors):
-    """The cofactor of a colon-step remainder.
-
-    A cofactor is a pair (terms, d): packed terms A with integer
-    coefficients and an int d, for the polynomial A/d; over GF(p), d is 1.
-    `_divide` took t times the element of cofactor a, its multiplier was u
-    and record[j] is its quotient by element j, so the result is
-    u*t*a - sum(record[j] * cofactors[j]), over the denominator D, the lcm
-    of those of the elements involved. Only the loop's own elements have a
-    nonzero cofactor, and each of their multiples in the sum has a smaller
-    signature, so the lead of t*a is kept.
-    """
-    guard = pk.guard
-    terms, d = a
-    used = [(q, h, e) for q, (h, e) in zip(record, cofactors) if q and h]
-    D = lcm(d, *[e for _, _, e in used]) if not p else 1
-    w = u * (D // d)
-    out = {}
-    for e, c in terms.items():
-        e += t
-        if e & guard:
-            raise _Overflow
-        out[e] = c * w
-    get = out.get
-    for q, h, dh in used:
-        w = D // dh
-        for e, c in h.items():
-            c *= w
-            for s, v in q.items():
-                s += e
-                if s & guard:
-                    raise _Overflow
-                out[s] = get(s, 0) - c * v
-    if p:
-        return {e: c % p for e, c in out.items() if c % p}, 1
-    return {e: c for e, c in out.items() if c}, D
-
-
-def _scaled(p, a, k):
-    """The cofactor a times the field element k, in lowest terms over Q."""
-    terms, d = a
-    if p:
-        return {e: c * k % p for e, c in terms.items()}, 1
-    num = k.numerator
-    terms = {e: c * num for e, c in terms.items()}
-    d *= k.denominator
-    g = gcd(d, *terms.values())
-    if g != 1:
-        terms = {e: c // g for e, c in terms.items()}
-        d //= g
-    return terms, d
 
 
 def _reduce_basis(pk, back, elements):

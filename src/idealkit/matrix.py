@@ -62,6 +62,7 @@ class PolyMatrix:
         return all(e.is_zero() for row in self.rows for e in row)
 
     def transpose(self) -> "PolyMatrix":
+        """The transpose; kept for the det(M) == det(M^T) tests."""
         return PolyMatrix(self.ring, list(zip(*self.rows)))
 
     def mul(self, other: "PolyMatrix") -> "PolyMatrix":
@@ -201,6 +202,7 @@ class PolyMatrix:
     def maximal_minors(self):
         """Minors of maximal size, deduplicated up to sign.
 
+        Kept for the acceptance and matrix tests, which read phi2's minors.
         Returns a list in scan order; each nonzero value is sign-normalized
         (lead coefficient positive over the rationals, least residue not
         above p // 2 over a prime field). Zero appears at most once.

@@ -203,6 +203,7 @@ class Polynomial:
         return self.sorted_terms()[0][1]
 
     def lead_key(self):
+        """The order key of the lead monomial; tests sort bases by it."""
         return self.ring.order.key(self.lead_monomial())
 
     # -- arithmetic --------------------------------------------------------
@@ -334,6 +335,7 @@ class Polynomial:
         return Polynomial(self.ring, out)
 
     def monic(self) -> "Polynomial":
+        """self over its lead coefficient; tests and oracles compare by it."""
         if not self.terms:
             return self
         lc = self.lead_coeff()

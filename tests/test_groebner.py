@@ -1,5 +1,6 @@
 """Division, Buchberger, reduced-basis uniqueness, membership witnesses."""
 
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -509,6 +510,54 @@ def test_divisor_memo_shared_across_divisions_matches_reference(
     assert memo
 
 
+# -- tagged cofactor terms ---------------------------------------------------
+
+@pytest.mark.parametrize("width", [8, 16])
+@pytest.mark.parametrize("order", [
+    Lex(3), DegRevLex(3), Block((Lex(1), Block((DegRevLex(1), Lex(1)))))],
+    ids=str)
+def test_packed_monomials_lie_below_the_tag(order, width):
+    # Every unit is positive, so the packed monomials run from 0, the
+    # constant, to the monomial with every exponent at max_exp, which lies
+    # below the tag. A tagged term m - tag keeps m's fields and guard bits.
+    ring = Ring(QQ, ("x", "y", "z"), order)
+    pk = _packing(ring, width)
+    top = pk.max_exp
+    assert all(unit > 0 for unit in pk.units)
+    assert pk.pack((0, 0, 0)) == 0
+    assert pk.pack((top, top, top)) < pk.tag
+    rng = random.Random(width)
+    samples = [*itertools.product((0, 1, top), repeat=3),
+               *(tuple(rng.randint(0, top) for _ in range(3))
+                 for _ in range(100))]
+    for exps in samples:
+        m = pk.pack(exps)
+        assert 0 <= m <= pk.pack((top, top, top))
+        assert pk.unpack(m - pk.tag) == exps
+        assert (m - pk.tag) & pk.guard == 0
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=repr)
+def test_divide_passes_tagged_terms_through(field):
+    # Lex x > y, and [m] is the tagged term m - tag. Dividing x^2 + [1] by
+    # x - y + 5*[x]: x^2 and then x*y go to the divisor, which adds
+    # -5*[x^2] and -5*[x*y], and y^2 stays. The lead x divides the monomial
+    # of [x^2], but no tagged term is reduced or enters the memo; they
+    # follow y^2 in descending order.
+    ring = Ring(field, ("x", "y"), Lex(2))
+    pk = _packing(ring, 8)
+    one, y, x, yy, xy, xx = map(pk.pack, [(0, 0), (0, 1), (1, 0), (0, 2),
+                                          (1, 1), (2, 0)])
+    tag, memo = pk.tag, {}
+    rem, u = groebner._divide(pk, field.char, {xx: 1, one - tag: 1}, [x],
+                              [1], [[(y, -1), (x - tag, 5)]], None, memo)
+    c = field.coerce(-5)
+    assert u == 1
+    assert list(rem.items()) == [(yy, 1), (xx - tag, c), (xy - tag, c),
+                                 (one - tag, 1)]
+    assert sorted(memo) == [yy, xy, xx]
+
+
 def _basis_from_width(width, gens):
     """The basis of gens when the run starts at `width`-bit fields."""
     with pytest.MonkeyPatch.context() as mp:
@@ -706,9 +755,9 @@ def test_signature_monomial_first_passes_127(monkeypatch, field):
     assert narrow and max(narrow) == 100
 
 
-def _regular_reductions(monkeypatch, run):
-    """(Regular reductions, of which to zero) that run() makes: J-pairs
-    and the inputs that some lead divides."""
+def _log_regular_remainders(monkeypatch):
+    """The list that the remainders of later regular reductions go to:
+    J-pairs and the inputs that some lead divides."""
     remainders = []
     divide = groebner._divide
 
@@ -719,8 +768,17 @@ def _regular_reductions(monkeypatch, run):
         return rem, u
 
     monkeypatch.setattr(groebner, "_divide", logged_divide)
+    return remainders
+
+
+def _regular_reductions(monkeypatch, run):
+    """(Regular reductions, of which to zero) that run() makes. A reduction
+    to zero leaves no term >= 0: nothing, or in the colon step only the
+    tagged cofactor terms."""
+    remainders = _log_regular_remainders(monkeypatch)
     run()
-    return len(remainders), sum(not rem for rem in remainders)
+    return (len(remainders),
+            sum(all(m < 0 for m in rem) for rem in remainders))
 
 
 @pytest.mark.parametrize("system, counts", [
@@ -767,16 +825,7 @@ def test_loop_stops_at_the_first_constant_remainder(monkeypatch, field):
     # there with the basis [1]; it used to go on for 28 more reductions, 19
     # of them to zero.
     _, gens = _seeded_system(field, 11)
-    remainders = []
-    divide = groebner._divide
-
-    def logged_divide(*args, regular=None):
-        rem, u = divide(*args, regular=regular)
-        if regular is not None:
-            remainders.append(rem)
-        return rem, u
-
-    monkeypatch.setattr(groebner, "_divide", logged_divide)
+    remainders = _log_regular_remainders(monkeypatch)
     assert buchberger(gens) == [gens[0].ring.one]
     assert len(remainders) == 136
     assert [max(rem) for rem in remainders if rem][-1] == 0

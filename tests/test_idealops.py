@@ -31,6 +31,8 @@ from idealkit.orders import Block, DegRevLex, Lex
 from idealkit.parse import parse_session
 from idealkit.poly import Ring
 
+from test_groebner import _regular_reductions
+
 R2 = Ring(QQ, ("x", "y"))
 R3 = Ring(QQ, ("x", "y", "z"))
 R4 = Ring(QQ, ("x", "y", "z", "t"))
@@ -238,6 +240,25 @@ def test_colon_step_edge_cases(field):
             assert got == colon_by_elimination(J, f)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=repr)
+def test_colon_step_restarts_wider_with_its_cofactors(field):
+    # Degrevlex, exponents at most 68: the basis of I fits 8-bit fields,
+    # but products in the colon step pass 127, so the step starts again at
+    # 16 bits with f's tagged cofactor, and its cofactors still give I : f.
+    ring = Ring(field, ("x", "y"), DegRevLex(2))
+    x, y = ring.gens()
+    I = Ideal(ring, [3 * x**57 * y**65 + 3 * x**24 * y**23,
+                     -x**57 * y**38 - 2 * x**60 * y**23])
+    f = 3 * x**50 * y**57 - 2 * x**11 * y**68
+    I.groebner()
+    assert sorted(ring._packings) == [8]
+    got, step = colon_with_step_basis(Ideal.colon, I, f)
+    assert sorted(ring._packings) == [8, 16]
+    assert is_groebner(step)
+    assert got.groebner() == colon_by_elimination(I, f).groebner()
+    assert len(got.groebner()) == 3
+
+
 def random_binomial(rng, ring):
     return ring.poly({
         tuple(rng.randint(0, 2) for _ in range(ring.nvars)):
@@ -328,21 +349,14 @@ def test_colon_step_work(monkeypatch, arg, counts):
     session = parse_session(text, GF(32003))
     I = Ideal(session.ring, session.ideals["I"])
     I.groebner()
-    remainders = []
-    divide = groebner._divide
 
-    def logged_divide(*args, regular=None):
-        rem, u = divide(*args, regular=regular)
-        if regular is not None:
-            remainders.append(rem)
-        return rem, u
+    def run():
+        if arg == "f":
+            I.colon(session.polys["f"])
+        else:
+            I.colon_ideal(Ideal(session.ring, session.ideals["J"]))
 
-    monkeypatch.setattr(groebner, "_divide", logged_divide)
-    if arg == "f":
-        I.colon(session.polys["f"])
-    else:
-        I.colon_ideal(Ideal(session.ring, session.ideals["J"]))
-    assert (len(remainders), sum(not rem for rem in remainders)) == counts
+    assert _regular_reductions(monkeypatch, run) == counts
 
 
 def test_intersect():
