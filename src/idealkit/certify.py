@@ -325,7 +325,7 @@ def buchsbaum_eisenbud(cd: ComplexData, certs,
     per_k = []
     for k in range(n):
         m, r = mats[k], ranks[k]
-        cert = certs.get(k + 1) if hasattr(certs, "get") else certs[k]
+        cert = certs.get(k + 1)
         entry: dict = {"position": k + 1, "rank": r}
         hints = cert.minor_hints if cert is not None else None
         found = _hinted_minor(m, r, hints)

@@ -138,7 +138,6 @@ L4_STANDARD_MONOMIALS = (
 )
 
 TORIC_EXPONENTS = (12, 15, 20, 23)
-HUNEKE_EXPONENTS = (6, (7, 10), 8)
 
 
 @dataclass(frozen=True)

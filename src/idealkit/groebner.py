@@ -3,7 +3,7 @@
 The module computes unique reduced Groebner bases: elements are monic,
 no lead monomial divides another, no term of any element is divisible by the
 lead monomial of another, and the basis is sorted ascending by lead monomial.
-Division is deterministic (lowest-index divisor first) and can record the
+Division is deterministic (lowest-index divisor first) and can return the
 quotients, which is what ideal-membership witnesses are built from.
 `is_groebner` checks a basis with `s_polynomial` and `normal_form` alone.
 
@@ -55,10 +55,12 @@ remainder, since the reduced basis is then [1]. The same loop, run on one
 input f above a Groebner basis of I, is the colon step of `colon_basis`,
 which gives I : f without an elimination variable. There each element
 carries its cofactor with respect to f inside its own terms, as tagged
-terms: a packed monomial minus a tag above every packed monomial. They sort
-below every monomial term and no division reduces them, so the shifts,
-reductions and normalizations that make an element make its cofactor in
-the same pass, and a reduction to zero leaves exactly the cofactor.
+terms: a packed monomial minus a multiple of a tag above every packed
+monomial (see `_Packing`). They sort below every monomial term and no
+division reduces them, so the shifts, reductions and normalizations that
+make an element make its cofactor in the same pass, and a reduction to zero
+leaves exactly the cofactor. The quotients of `normal_form` are tagged terms
+of the same kind, one tag per divisor.
 
 Division and the Buchberger loop run on packed monomials (Monagan and
 Pearce, JSC 2011; Roune and Stillman, ISSAC 2012). A packed monomial is
@@ -97,9 +99,9 @@ to cancel a term c*m, the working polynomial is multiplied by a/gcd(a, c)
 and (c/gcd(a, c)) times the divisor is subtracted, so no `Fraction` is
 built per term, and each finished remainder is divided by its content
 once. The basis is made monic only when it is unpacked, and `normal_form`
-divides its integer remainder and quotients by the product of the scale
-factors, so both fields give the same results as monic division over the
-field.
+divides its integer remainder, whose tagged terms are the quotients, by the
+product of the scale factors, so both fields give the same results as monic
+division over the field.
 """
 
 from __future__ import annotations
@@ -142,10 +144,14 @@ class _Packing:
             self.units.append((weight << key_shift) | (1 << self.shifts[i]))
         # A nonzero monomial's key is lexicographically positive, so every
         # unit is positive and the monomial of all max_exp exponents is the
-        # largest packed int. The colon step carries a cofactor term c*m as
-        # the tagged term m - tag: it sorts below every monomial, and its low
-        # bits are m's, so shifts, guard checks and unpacking act on it as
-        # on m.
+        # largest packed int. Cofactors are tagged terms: input i of a
+        # division (`normal_form`) or of the colon step carries -1 at
+        # ~i * tag, so whatever is built from it by shifts and reductions
+        # carries its cofactor of input i, up to sign, as terms m + ~i * tag
+        # (the signs are in `normal_form` and `colon_basis`). A tagged
+        # term e names input ~(e // tag) and monomial e % tag. It sorts below
+        # every monomial, and its low bits are m's, so shifts, guard checks
+        # and unpacking act on it as on m.
         self.tag = 1 << (sum(self.units) * self.max_exp).bit_length()
 
     def pack(self, exps):
@@ -230,7 +236,7 @@ def _unpack(pk, ring, terms, k):
                                          for m, c in terms.items()})
 
 
-def _divide(pk, p, terms, leads, lcs, tails, record, memo, regular=None):
+def _divide(pk, p, terms, leads, lcs, tails, memo, regular=None):
     """Divide the packed term dict `terms` (consumed) by packed divisors.
 
     p is the field's characteristic. Divisor i has lead monomial leads[i],
@@ -239,23 +245,21 @@ def _divide(pk, p, terms, leads, lcs, tails, record, memo, regular=None):
     reduced mod p when p is set and skipped when zero, so a term that
     cancels stays in `terms` as an int that is 0 (mod p). The popped c*m
     goes to the lowest-index divisor whose lead divides it; over Q, with
-    a = lcs[i] and g = gcd(a, c), the working terms, the remainder and the
-    recorded quotients are first multiplied by a/g. Then (c/g) * m/lead_i
-    times divisor i is subtracted. When record is not None it collects
-    quotient terms per divisor. memo maps a packed monomial to the index of
-    its lowest-index dividing lead, or to ~k when no lead in leads[:k]
-    divides it; it is read and extended here and stays valid for later
-    calls whose leads extend these. A popped term below 0 is a tagged
+    a = lcs[i] and g = gcd(a, c), the working terms and the remainder are
+    first multiplied by a/g. Then (c/g) * m/lead_i times divisor i is
+    subtracted, tagged terms and all. memo maps a packed monomial to the
+    index of its lowest-index dividing lead, or to ~k when no lead in
+    leads[:k] divides it; it is read and extended here and stays valid for
+    later calls whose leads extend these. A popped term below 0 is a tagged
     cofactor term (see `_Packing`) and goes to the remainder unreduced,
     after every monomial term. When regular is (sig, b, ratios) the
     division is the signature loop's regular reduction: divisor i may take
     c*m only when m/lead_i times it has a signature below sig, that is
     ratios[i] < sig - (m << b), so the popped term goes to the lowest-index
     such divisor, or to the remainder. Returns (remainder, u), with u the
-    product of the multipliers (1 over GF(p)): u * dividend ==
-    remainder + sum(record[i] * divisor_i). The remainder lists its terms
-    in descending order; its coefficients and the quotients' lie in
-    range(p) over GF(p).
+    product of the multipliers (1 over GF(p)): u * dividend == remainder +
+    sum(q_i * divisor_i) for some quotients q_i. The remainder lists its
+    terms in descending order; its coefficients lie in range(p) over GF(p).
     """
     guard = pk.guard
     get = terms.get
@@ -304,11 +308,9 @@ def _divide(pk, p, terms, leads, lcs, tails, record, memo, regular=None):
             f = a // g
             if f != 1:
                 u *= f
-                for part in (terms, remainder, *(record or ())):
+                for part in (terms, remainder):
                     for e, v in part.items():
                         part[e] = v * f
-        if record is not None:
-            record[i][t] = c
         for e, gc in tails[i]:
             e += t
             if e & guard:
@@ -327,7 +329,10 @@ def normal_form(p, gens, with_quotients=False):
 
     Returns r, or (r, [q_0, ..., q_{n-1}]) with p == sum(q_i * gens[i]) + r
     and no term of r divisible by any lead monomial of gens. Divisor choice
-    is lowest index first, so results are reproducible.
+    is lowest index first, so results are reproducible. For the quotients,
+    gens[i] enters the division with its tagged term (see `_Packing`), so
+    p - sum(q_i * (gens[i] - [input i])) == r + sum(q_i * [input i]): the
+    remainder's tagged terms of input i are q_i, scaled as r is.
     """
     ring = p.ring
     gens = list(gens)
@@ -339,27 +344,31 @@ def normal_form(p, gens, with_quotients=False):
     field = ring.field
 
     def run(pk):
-        leads, lcs, tails, scales = [], [], [], []
-        for g in gens:
+        leads, lcs, tails, tag = [], [], [], pk.tag
+        for i, g in enumerate(gens):
             terms = pk.pack_terms(g)
             lead = max(terms)
-            terms, k = _normalize(field, terms, lead)
+            if with_quotients:
+                terms[~i * tag] = -1
+            terms, _ = _normalize(field, terms, lead)
             leads.append(lead)
             lcs.append(terms[lead])
             tails.append(_tail(terms, lead))
-            scales.append(k)
         terms, k = pk.pack_terms(p), field.one
         if terms:
             terms, k = _normalize(field, terms, max(terms))
-        record = [{} for _ in gens] if with_quotients else None
-        rem, u = _divide(pk, field.char, terms, leads, lcs, tails, record, {})
-        # u * k * p == rem + sum(record[i] * scales[i] * gens[i])
+        rem, u = _divide(pk, field.char, terms, leads, lcs, tails, {})
+        # rem == u * k * (r + sum(q_i * [input i])), and w == 1 / (u * k).
         w = field.inv(u * k)
-        r = _unpack(pk, ring, rem, w)
         if not with_quotients:
-            return r
-        return r, [_unpack(pk, ring, q, s * w)
-                   for q, s in zip(record, scales)]
+            return _unpack(pk, ring, rem, w)
+        # A monomial e has e // tag == 0, so it lands in parts[-1], the
+        # remainder; the split keeps each part in descending order.
+        parts = [{} for _ in range(len(gens) + 1)]
+        for e, c in rem.items():
+            parts[~(e // tag)][e % tag] = c
+        *qs, r = [_unpack(pk, ring, part, w) for part in parts]
+        return r, qs
 
     return _widening(ring, run)
 
@@ -405,10 +414,11 @@ def colon_basis(basis, f):
     lead(a)*e_f. The elements of G have cofactor 0 and sit below every
     signature, so they may always reduce. A regular reduction subtracts q*h
     of elements of smaller signature, so lead(a) is kept and the new
-    cofactor is u*t*a - sum(q*a_q). Each h carries a as tagged terms below
-    its own (see `_Packing`), which no division reduces, so the division of
-    t*h computes that sum with h's. Each reduction to zero at t*e_f leaves
-    only tagged terms, an a in I : f with lead t; they form A, and the
+    cofactor is u*t*a - sum(q*a_q). f is input 0 of the tagged-term
+    encoding (see `_Packing`), so each h carries -a as tagged terms below its
+    own, which no division reduces, and the division of t*h computes that
+    sum with h's. Each reduction to zero at t*e_f leaves only tagged terms,
+    -a for an a in I : f with lead t; normalized, they form A, and the
     result is the reduced basis of G and A (`_reduce_basis`). A constant a
     ends the step with I : f = (1).
 
@@ -473,8 +483,8 @@ def _basis(polys, back=None, below=None):
     def run(pk):
         gens, packed = _kernel_inputs(pk, field, polys), None
         if below is not None:
-            # f carries its cofactor 1 as the tagged constant monomial.
-            gens[0][0][-pk.tag] = 1
+            # f is input 0 of the tagged-term encoding (see `_Packing`).
+            gens[0][0][-pk.tag] = -1
             packed = _kernel_inputs(pk, field, below)
         return _reduce_basis(pk, back or ring,
                              _signature_loop(pk, field, gens, packed))
@@ -508,10 +518,10 @@ def _signature_loop(pk, field, gens, below=None):
     basis [1] at the first nonzero constant remainder. The encoding of
     signatures and the criteria are in the module docstring. With `below`,
     the kernel-form elements of a Groebner basis G of I, the loop is the
-    colon step of `colon_basis`: gens is [f], whose terms include its
-    cofactor 1 as a tagged term (see `_Packing`), so every element of the
-    run carries its cofactor a as tagged terms, which every shift, reduction
-    and normalization of the element applies to as well. The loop returns G
+    colon step of `colon_basis`: gens is [f], input 0 of the tagged-term
+    encoding (see `_Packing`), so every element of the run carries minus its
+    cofactor a as tagged terms, which every shift, reduction and
+    normalization of the element applies to as well. The loop returns G
     and the normalized cofactors a of its reductions to zero (a*f in I), or
     the basis [1] when a is a constant, that is when f lies in I.
     """
@@ -598,7 +608,7 @@ def _signature_loop(pk, field, gens, below=None):
             if any(not (e - l) & guard for e in rem for l in leads):
                 terms = dict(rem)
         if terms is not None:
-            rem, _ = _divide(pk, p, terms, leads, lcs, tails, None, divisors,
+            rem, _ = _divide(pk, p, terms, leads, lcs, tails, divisors,
                              regular=(sig, b, ratios))
             lead = next(iter(rem), -1)
             if lead < 0:
@@ -608,7 +618,7 @@ def _signature_loop(pk, field, gens, below=None):
                 monos[:] = [s for s in monos if (s - m) & guard]
                 monos.append(m)
                 if rem:
-                    # The colon step: rem is the tagged cofactor a alone.
+                    # The colon step: rem is the tagged cofactor -a alone.
                     lead += tag
                     if not lead:
                         return [({0: 1}, 0)]
@@ -711,7 +721,7 @@ def _reduce_basis(pk, back, elements):
     p = field.char
     for terms, lead in minimal:
         tail = {m: c for m, c in terms.items() if m != lead}
-        rem, u = _divide(pk, p, tail, rleads, rlcs, rtails, None, memo)
+        rem, u = _divide(pk, p, tail, rleads, rlcs, rtails, memo)
         lc = terms[lead] * u
         # Over Q the element is made primitive again; over GF(p), lc is 1.
         if not p and (g := gcd(lc, *rem.values())) != 1:

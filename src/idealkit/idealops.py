@@ -209,10 +209,7 @@ class Ideal:
         before the last one raised, so it meets each monomial once; it stops
         at multiples of a lead monomial.
         """
-        gb = self.groebner()
-        if gb and gb[0].degree() == 0:
-            return []
-        leads = [g.lead_monomial() for g in gb]
+        leads = [g.lead_monomial() for g in self.groebner()]
         n = self.ring.nvars
         pure = {i for lm in leads for i, e in enumerate(lm) if e == sum(lm)}
         if len(pure) < n:
@@ -395,7 +392,5 @@ def linear_type_by_rees(ideal: Ideal) -> bool:
         (linear if g.degree_in(t_indices) == 1 else rest).append(g)
     if not rest:
         return True
-    if not linear:
-        return False
     linear_ideal = Ideal(rees.ring, linear)
     return all(linear_ideal.contains(g) for g in rest)

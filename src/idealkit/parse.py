@@ -188,16 +188,13 @@ class _Parser:
             self.error("input declares no ring")
         return self.session
 
-    def _require_ring(self) -> SessionInput:
-        if self.session is None:
-            self.error("a ring declaration must come first")
-        return self.session
-
     def _declare(self, what: str):
         """The name a statement declares, checked to be new."""
         at = self.pos
         name = self.expect("IDENT", what)
-        session = self._require_ring()
+        session = self.session
+        if session is None:
+            self.error("a ring declaration must come first")
         if name in session.ring._index:
             self.error(f"name {name!r} is already a ring variable", at)
         for table in (session.polys, session.ideals, session.matrices):
@@ -432,7 +429,7 @@ class _Parser:
         if i is not None:
             self.pos += 1
             return self.session.ring.var(i).terms
-        session = self._require_ring()
+        session = self.session
         ring = session.ring
         kind = _kind(tok)
         if kind == "INT":

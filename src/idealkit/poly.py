@@ -115,11 +115,6 @@ class Ring:
                 out[e] = c
         return Polynomial(self, out)
 
-    def __call__(self, source: str) -> "Polynomial":
-        from .parse import parse_poly
-
-        return parse_poly(self, source)
-
     def __eq__(self, other):
         return (
             isinstance(other, Ring)

@@ -361,6 +361,28 @@ def test_division_over_q_matches_fraction_reference_across_widening():
     assert sorted(ring._packings) == [8, 16]
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(32003)], ids=str)
+@pytest.mark.parametrize("case", ["g, 2g, h", "g, g, h", "h, g, 3h"])
+def test_division_quotients_land_on_the_lowest_index_copy(field, case):
+    # g has integer content 2 and h a fractional coefficient. A divisor and
+    # a later multiple of it share a lead, so every term goes to the first:
+    # the later copy takes none and its quotient is zero.
+    ring = Ring(field, ("x", "y", "z"), Lex(3))
+    x, y, z = ring.gens()
+    g = 6 * x * y + 4 * y**2 - 2 * z
+    h = Fraction(3, 2) * y**2 - z
+    gens, later = {
+        "g, 2g, h": ([g, 2 * g, h], 1),
+        "g, g, h": ([g, g, h], 1),
+        "h, g, 3h": ([h, g, 3 * h], 2),
+    }[case]
+    p = x**2 * y**2 + 5 * x * y**3 + y**4 - x * z + 7 * y**2 * z + z**2
+    _check_against_reference(p, gens)
+    _, qs = normal_form(p, gens, with_quotients=True)
+    assert not qs[0].is_zero()
+    assert qs[later].is_zero()
+
+
 # The largest prime that `is_prime` accepts below `MR_PROVEN_BOUND`: there
 # p * p is largest, so the kernel's unreduced ints grow most.
 LARGEST_PROVEN_PRIME = 3317044064679887385961813
@@ -436,7 +458,9 @@ def test_division_skips_terms_that_cancel_mid_loop(monkeypatch, field):
     def logged_divide(pk, char, terms, *rest):
         stored = []
         out = divide(pk, char, _LoggedTerms(terms, stored), *rest)
-        log.extend((pk.unpack(m), c) for m, c in stored)
+        # Skip tagged quotient terms (m < 0): their low bits unpack as the
+        # monomial terms' do.
+        log.extend((pk.unpack(m), c) for m, c in stored if m >= 0)
         return out
 
     monkeypatch.setattr(groebner, "_divide", logged_divide)
@@ -550,7 +574,7 @@ def test_divide_passes_tagged_terms_through(field):
                                           (1, 1), (2, 0)])
     tag, memo = pk.tag, {}
     rem, u = groebner._divide(pk, field.char, {xx: 1, one - tag: 1}, [x],
-                              [1], [[(y, -1), (x - tag, 5)]], None, memo)
+                              [1], [[(y, -1), (x - tag, 5)]], memo)
     c = field.coerce(-5)
     assert u == 1
     assert list(rem.items()) == [(yy, 1), (xx - tag, c), (xy - tag, c),
