@@ -402,14 +402,28 @@ def linear_type_obstruction(mu: int, ambient_dim: int,
     return _finish(claim, INCONCLUSIVE, witness, anchor, t0)
 
 
+def _lift_multiplies_out(lift, H: Ideal, I: Ideal, target: Polynomial) -> bool:
+    """Whether target == sum(c * H.gens[i] * I.gens[j]) over the lift's terms."""
+    rest = target
+    for c, i, j in lift:
+        if not (0 <= i < len(H.gens) and 0 <= j < len(I.gens)):
+            raise ValueError(f"lift term ({i}, {j}) names no generator pair")
+        rest = rest - target.ring.convert(c) * H.gens[i] * I.gens[j]
+    return rest.is_zero()
+
+
 def syzygetic_obstruction(H: Ideal, f: Polynomial, I: Ideal,
-                          claim="syzygetic", anchor="") -> CertificateReport:
+                          claim="syzygetic", anchor="",
+                          lift=None) -> CertificateReport:
     """Refute syzygetic-ness of I = H + (f) by a colon jump at the origin.
 
     Fast path: f^2 in H*I while (H : f) stays inside the maximal ideal;
-    then H:f is strictly smaller than HI:f^2 locally. General path: scan
-    the reduced basis of (H*I : f^2) for an element outside (H : f) at the
-    origin.
+    then H:f is strictly smaller than HI:f^2 locally. An optional lift,
+    terms (c, i, j) naming the products H.gens[i] * I.gens[j], proves
+    f^2 in H*I when it multiplies out exactly to f^2, before any basis of
+    H*I is built; otherwise membership is decided by the reduced basis of
+    H*I. General path: scan the reduced basis of (H*I : f^2) for an
+    element outside (H : f) at the origin.
     """
     t0 = time.perf_counter()
     ring = I.ring
@@ -426,9 +440,11 @@ def syzygetic_obstruction(H: Ideal, f: Polynomial, I: Ideal,
     colon_basis = hf.groebner()
     inside_maximal = all(
         g.constant_term() == ring.field.zero for g in colon_basis)
-    hi = H * I
     f2 = f * f
-    if inside_maximal and hi.contains(f2):
+    lifted = (inside_maximal and lift is not None
+              and _lift_multiplies_out(lift, H, I, f2))
+    hi = None if lifted else H * I
+    if lifted or (inside_maximal and hi.contains(f2)):
         witness = {
             "path": "fast",
             "f_squared_in_HI": True,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -294,6 +295,19 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head -1` does. Following the
+        # SIGPIPE note of the Python docs, point stdout at devnull so that
+        # the flush at exit cannot raise again, and exit without a traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _dispatch(argv) -> int:
     ns = _build_parser().parse_args(argv)
     try:
         if ns.command == "verify":

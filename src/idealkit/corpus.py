@@ -405,10 +405,13 @@ def _verify_lemma4(session: SessionInput):
         "t, t^2"))
 
     t0 = time.perf_counter()
-    f1, f2, f5, f6, f7, f8 = (p[n] for n in
-                              ("f1", "f2", "f5", "f6", "f7", "f8"))
-    combo = (x**2 * y * z * t * f1 * f1 - x**4 * f1 * f5
-             - x**2 * f2 * f7 + t * f5 * f6 + x**2 * f6 * f7)
+    f8 = p["f8"]
+    # f8^2 as terms (c, i, j) of c * f_i * f_j, with f_i in H = (f1..f7)
+    # and f_j in I = (f1..f8): the same list is the lift of f8^2 in H*I.
+    square = ((x**2 * y * z * t, 1, 1), (-x**4, 1, 5), (-x**2, 2, 7),
+              (t, 5, 6), (x**2, 6, 7))
+    combo = sum((c * p[f"f{i}"] * p[f"f{j}"] for c, i, j in square),
+                ring.zero)
     reports.append(_finish(
         "square_identity",
         VERIFIED if (f8 * f8 - combo).is_zero() else REFUTED,
@@ -418,7 +421,8 @@ def _verify_lemma4(session: SessionInput):
         "f_i*f_j, hence f8^2 lies in H*I", t0))
 
     reports.append(_negate(
-        syzygetic_obstruction(H, f8, I),
+        syzygetic_obstruction(
+            H, f8, I, lift=[(c, i - 1, j - 1) for c, i, j in square]),
         "not_syzygetic",
         "(H : f8) stays inside the maximal ideal while f8^2 already "
         "lies in H*I, so the colon jumps and the ideal is not syzygetic"))

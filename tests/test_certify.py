@@ -335,6 +335,24 @@ def test_syzygetic_obstruction_colon_scan():
     assert rep.witness["element"] == "x"
 
 
+def test_syzygetic_obstruction_bogus_lift_cannot_prove_membership():
+    # f^2 = x^2*y^4 is not in H*I, and a lift that does not multiply out
+    # to it must leave the verdict to the colon scan, as with no lift.
+    r2 = Ring(QQ, ("x", "y"))
+    x, y = r2.gens()
+    H = Ideal(r2, [x**3, y**3])
+    f = x * y**2
+    I = H + Ideal(r2, [f])
+    assert not (H * I).contains(f * f)
+    without = syzygetic_obstruction(H, f, I)
+    for lift in ([(x**2 * y, 1, 1)], [(r2.one, 0, 2), (-x, 1, 2)], []):
+        rep = syzygetic_obstruction(H, f, I, lift=lift)
+        assert (rep.status, rep.witness) == (without.status, without.witness)
+        assert rep.witness["path"] == "colon-scan"
+    with pytest.raises(ValueError):
+        syzygetic_obstruction(H, f, I, lift=[(r2.one, 2, 0)])
+
+
 def test_smallest_valuation_vector():
     got = smallest_valuation_vector(
         [(-5, 0, 3, 0), (-2, -3, 0, 3), (-5, 4, 0, 0)], 4)

@@ -1,8 +1,12 @@
 """Command-line interface: verify and run subcommands, formats, exit codes."""
 
+import fcntl
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -481,3 +485,26 @@ def test_main_reuses_one_parser_across_calls(capsys, demo):
     assert capsys.readouterr().out == "y^2\n"
     code, data = run_json(capsys, ["run", demo, "gb", "I", "--format", "json"])
     assert data["result"] == ["x*y", "x^2 - y^2", "y^3"]
+
+
+def test_closed_stdout_pipe_exits_without_traceback():
+    # `idealkit verify --lemma lemma4 | head -1`: read one line, then close
+    # the pipe. The pipe holds one page, less than the 4.7 kB report, and
+    # stdout is unbuffered, so the command is still writing when the
+    # reader goes away.
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    env = dict(os.environ, PYTHONUNBUFFERED="1",
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "idealkit.cli", "verify", "--lemma", "lemma4"],
+        stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    line = b""
+    while not line.endswith(b"\n"):
+        line += os.read(read_end, 1)
+    os.close(read_end)
+    _, err = proc.communicate(timeout=120)
+    assert line == b"lemma: lemma4\n"
+    assert b"Traceback" not in err
+    assert proc.returncode == 1

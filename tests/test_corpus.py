@@ -2,6 +2,8 @@
 
 import pytest
 
+from idealkit import groebner, idealops
+from idealkit.certify import syzygetic_obstruction
 from idealkit.corpus import (
     CORPUS,
     L3_MINORS,
@@ -13,7 +15,7 @@ from idealkit.corpus import (
     TORIC_EXPONENTS,
     verify_lemma,
 )
-from idealkit.fields import GF
+from idealkit.fields import GF, QQ
 from idealkit.idealops import Ideal, kernel_of_map
 from idealkit.parse import parse_session
 from test_parse import render_session
@@ -192,3 +194,81 @@ def test_huneke_over_gf2_is_a_complete_intersection():
     report = by_claim["minimal_generators"]
     assert report.status == "refuted"
     assert report.witness["mu"] == 2
+
+
+@pytest.fixture
+def basis_sizes(monkeypatch):
+    """Input counts of every `groebner._basis` call, in call order."""
+    sizes = []
+    real = groebner._basis
+
+    def spy(polys, *args, **kwargs):
+        polys = list(polys)
+        sizes.append(len(polys))
+        return real(polys, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_basis", spy)
+    monkeypatch.setattr(idealops, "_basis", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["q", "fp:7"])
+def test_lemma4_builds_no_basis_of_the_product(basis_sizes, field):
+    # not_syzygetic takes f8^2 in H*I from the square identity's lift, so
+    # no basis of the 56 products H*I is built; of the bases the bundle
+    # still builds, the largest has 9 inputs.
+    reports = verify_lemma("lemma4", field)
+    assert all(r.status == "verified" for r in reports)
+    assert basis_sizes and max(basis_sizes) < 56
+
+
+def _lemma4_obstruction_data(field):
+    s = CORPUS["lemma4"].session(field)
+    x, y, z, t = s.ring.gens()
+    H = Ideal(s.ring, s.ideals["H"])
+    I = Ideal(s.ring, s.ideals["I"])
+    # f8^2 = x^2*y*z*t*f1^2 - x^4*f1*f5 - x^2*f2*f7 + t*f5*f6 + x^2*f6*f7,
+    # as terms (c, i, j) of c * H.gens[i] * I.gens[j]
+    lift = [(x**2 * y * z * t, 0, 0), (-x**4, 0, 4), (-x**2, 1, 6),
+            (t, 4, 5), (x**2, 5, 6)]
+    return H, s.polys["f8"], I, lift
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["q", "fp:7"])
+def test_lemma4_lift_takes_the_fast_path_without_the_product_basis(
+        basis_sizes, field):
+    H, f8, I, lift = _lemma4_obstruction_data(field)
+    with_lift = syzygetic_obstruction(H, f8, I, lift=lift)
+    assert max(basis_sizes) < 56
+    without = syzygetic_obstruction(H, f8, I)
+    assert 56 in basis_sizes
+    assert with_lift.status == without.status == "refuted"
+    assert with_lift.witness == without.witness
+    assert with_lift.witness["path"] == "fast"
+
+
+def _bad_cofactor(lift):
+    c, i, j = lift[0]
+    return [(2 * c, i, j)] + lift[1:]
+
+
+def _bad_index(lift):
+    c, i, _ = lift[2]
+    return lift[:2] + [(c, i, 7)] + lift[3:]   # f2*f8 in place of f2*f7
+
+
+@pytest.mark.parametrize("corrupt", [_bad_cofactor, _bad_index],
+                         ids=["cofactor", "index"])
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["q", "fp:7"])
+def test_lemma4_corrupted_lift_falls_back_to_the_basis(
+        basis_sizes, field, corrupt):
+    # A lift that does not multiply out to f8^2 proves nothing: the verdict
+    # and witness are those of the call without a lift, reached through
+    # the basis of H*I.
+    H, f8, I, lift = _lemma4_obstruction_data(field)
+    without = syzygetic_obstruction(H, f8, I)
+    del basis_sizes[:]
+    report = syzygetic_obstruction(H, f8, I, lift=corrupt(lift))
+    assert 56 in basis_sizes
+    assert (report.status, report.witness) == (without.status,
+                                               without.witness)

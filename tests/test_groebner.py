@@ -836,8 +836,9 @@ def _toric_kernel():
     (_toric_kernel, (74, 17)),
 ], ids=["lemma4_product", "toric_kernel"])
 def test_corpus_reductions(monkeypatch, run, counts):
-    # The two bases that dominate a corpus pass, over GF(32003): the 56
-    # products of H*I (35 distinct) and the elimination of s.
+    # Two corpus bases as engine work pins, over GF(32003): the 56 products
+    # of lemma4's H*I (35 distinct), which the bundle no longer builds since
+    # its lift certifies f8^2 in H*I, and the elimination of s.
     assert _regular_reductions(monkeypatch, run) == counts
 
 
