@@ -234,19 +234,6 @@ def _lemma4_obstruction_data(field):
     return H, s.polys["f8"], I, lift
 
 
-@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["q", "fp:7"])
-def test_lemma4_lift_takes_the_fast_path_without_the_product_basis(
-        basis_sizes, field):
-    H, f8, I, lift = _lemma4_obstruction_data(field)
-    with_lift = syzygetic_obstruction(H, f8, I, lift=lift)
-    assert max(basis_sizes) < 56
-    without = syzygetic_obstruction(H, f8, I)
-    assert 56 in basis_sizes
-    assert with_lift.status == without.status == "refuted"
-    assert with_lift.witness == without.witness
-    assert with_lift.witness["path"] == "fast"
-
-
 def _bad_cofactor(lift):
     c, i, j = lift[0]
     return [(2 * c, i, j)] + lift[1:]
