@@ -8,11 +8,14 @@ explicit regular sequences. A rank is decided by one fraction-free
 elimination of the matrix (`PolyMatrix.rank_profile`) unless a hinted nonzero
 minor already has the largest possible size; every minor a witness names is
 an explicit index set.
+
+No function here reads a clock: a report's `millis` stays 0 unless the
+runner that asked for the claim (`corpus.verify_lemma`, or the CLI's `run`)
+sets it to the time the claim took.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from math import comb, gcd, lcm
 
@@ -31,7 +34,10 @@ MAX_MATERIALIZED_MINORS = 512
 
 @dataclass
 class CertificateReport:
-    """Outcome of one certified claim, with a replayable witness."""
+    """Outcome of one certified claim, with a replayable witness.
+
+    `millis` is the claim's wall time, set by the runner that timed it.
+    """
 
     claim: str
     status: str
@@ -51,11 +57,6 @@ class CertificateReport:
             "anchor": self.anchor,
             "millis": self.millis,
         }
-
-
-def _finish(claim, status, witness, anchor, t0: float) -> CertificateReport:
-    millis = int((time.perf_counter() - t0) * 1000)
-    return CertificateReport(claim, status, witness, anchor, millis)
 
 
 @dataclass
@@ -136,7 +137,6 @@ def is_regular_sequence(seq, claim="regular_sequence", anchor="") -> Certificate
     origin refutes the step; a strict global inclusion inside the maximal
     ideal leaves the local statement undecided.
     """
-    t0 = time.perf_counter()
     seq = list(seq)
     if not seq:
         raise ValueError("empty sequence")
@@ -144,16 +144,14 @@ def is_regular_sequence(seq, claim="regular_sequence", anchor="") -> Certificate
     steps = []
     for i, s in enumerate(seq):
         if s.is_zero():
-            return _finish(
+            return CertificateReport(
                 claim, REFUTED,
-                {"reason": "zero element", "index": i, "steps": steps},
-                anchor, t0)
+                {"reason": "zero element", "index": i, "steps": steps}, anchor)
         if s.constant_term() != ring.field.zero:
-            return _finish(
+            return CertificateReport(
                 claim, REFUTED,
                 {"reason": "unit at the origin", "index": i,
-                 "element": str(s), "steps": steps},
-                anchor, t0)
+                 "element": str(s), "steps": steps}, anchor)
         prefix = Ideal(ring, seq[:i])
         col = prefix.colon(s)
         if col.equals(prefix):
@@ -161,18 +159,16 @@ def is_regular_sequence(seq, claim="regular_sequence", anchor="") -> Certificate
             continue
         for g in col.groebner():
             if g.constant_term() != ring.field.zero:
-                return _finish(
+                return CertificateReport(
                     claim, REFUTED,
                     {"reason": "colon contains a unit at the origin",
-                     "index": i, "element": str(g), "steps": steps},
-                    anchor, t0)
-        return _finish(
+                     "index": i, "element": str(g), "steps": steps}, anchor)
+        return CertificateReport(
             claim, INCONCLUSIVE,
             {"reason": "global colon grows but stays inside the maximal ideal",
-             "index": i, "steps": steps},
-            anchor, t0)
-    return _finish(
-        claim, VERIFIED, {"length": len(seq), "steps": steps}, anchor, t0)
+             "index": i, "steps": steps}, anchor)
+    return CertificateReport(
+        claim, VERIFIED, {"length": len(seq), "steps": steps}, anchor)
 
 
 def _witness_membership(target, w, hint):
@@ -208,67 +204,69 @@ def _witness_membership(target, w, hint):
 def grade_at_least(target, k: int, cert: GradeCertificate,
                    claim="grade_at_least", anchor="") -> CertificateReport:
     """Certify grade(target) >= k through cert's explicit regular sequence."""
-    t0 = time.perf_counter()
     if cert.bound != k:
         raise ValueError("certificate bound does not match the claim")
     witnesses = list(cert.witnesses)
     if len(witnesses) < k:
-        return _finish(
+        return CertificateReport(
             claim, INCONCLUSIVE,
             {"reason": f"need at least {k} witnesses, got {len(witnesses)}"},
-            anchor, t0)
+            anchor)
     hints = list(cert.minor_hints) if cert.minor_hints is not None else [None] * len(witnesses)
+    if len(hints) != len(witnesses):
+        # zip would stop at the shorter list and leave a witness unchecked
+        return CertificateReport(
+            claim, INCONCLUSIVE,
+            {"reason": f"{len(hints)} minor hints for "
+                       f"{len(witnesses)} witnesses"},
+            anchor)
     member_info = []
     for w, hint in zip(witnesses, hints):
         status, info = _witness_membership(target, w, hint)
         member_info.append(info)
         if status != VERIFIED:
-            return _finish(
-                claim, status, {"membership": member_info}, anchor, t0)
+            return CertificateReport(
+                claim, status, {"membership": member_info}, anchor)
     reg = is_regular_sequence(witnesses)
     if reg.status != VERIFIED:
-        return _finish(
+        return CertificateReport(
             claim, reg.status,
             {"membership": member_info, "regular_sequence": reg.witness},
-            anchor, t0)
+            anchor)
     witness = {"membership": member_info, "regular_sequence": reg.witness}
     if cert.expected is not None:
         ring = witnesses[0].ring
         gens = witnesses + ([cert.aux] if cert.aux is not None else [])
         simplified = Ideal(ring, gens)
         if not simplified.equals(cert.expected):
-            return _finish(
+            return CertificateReport(
                 claim, REFUTED,
-                {**witness, "simplification": "ideal mismatch"},
-                anchor, t0)
+                {**witness, "simplification": "ideal mismatch"}, anchor)
         witness["simplification"] = {
             "ideal": [str(g) for g in simplified.groebner()],
         }
-    return _finish(claim, VERIFIED, witness, anchor, t0)
+    return CertificateReport(claim, VERIFIED, witness, anchor)
 
 
 def verify_complex(cd: ComplexData, claim="complex", anchor="") -> CertificateReport:
     """Check that consecutive differentials compose to zero."""
-    t0 = time.perf_counter()
     mats = cd.matrices
     products = []
     for k in range(len(mats) - 1):
         a, b = mats[k], mats[k + 1]
         if a.ncols != b.nrows:
-            return _finish(
+            return CertificateReport(
                 claim, INCONCLUSIVE,
                 {"reason": "dimension mismatch",
                  "position": k + 1,
-                 "shapes": [list(a.shape), list(b.shape)]},
-                anchor, t0)
+                 "shapes": [list(a.shape), list(b.shape)]}, anchor)
         if not a.mul(b).is_zero():
-            return _finish(
+            return CertificateReport(
                 claim, REFUTED,
-                {"reason": "nonzero composite", "position": k + 1},
-                anchor, t0)
+                {"reason": "nonzero composite", "position": k + 1}, anchor)
         products.append(f"M{k+1}*M{k+2} = 0")
-    return _finish(
-        claim, VERIFIED, {"products": products}, anchor, t0)
+    return CertificateReport(
+        claim, VERIFIED, {"products": products}, anchor)
 
 
 def _pivot_minor(matrix: PolyMatrix, profile, size: int):
@@ -304,7 +302,6 @@ def buchsbaum_eisenbud(cd: ComplexData, certs,
     inconclusive. The rank-sum arithmetic is checked before any minor is
     evaluated.
     """
-    t0 = time.perf_counter()
     mats = cd.matrices
     ranks = cd.ranks
     n = len(mats)
@@ -312,11 +309,10 @@ def buchsbaum_eisenbud(cd: ComplexData, certs,
     for k in range(n):
         expect = ranks[k] + (ranks[k + 1] if k + 1 < n else 0)
         if mats[k].ncols != expect:
-            return _finish(
+            return CertificateReport(
                 claim, REFUTED,
                 {"clause": "rank_sum", "position": k + 1,
-                 "cols": mats[k].ncols, "expected": expect},
-                anchor, t0)
+                 "cols": mats[k].ncols, "expected": expect}, anchor)
     detail["rank_sums"] = [
         f"cols(M{k+1}) = {ranks[k]} + {ranks[k+1] if k+1 < n else 0}"
         for k in range(n)
@@ -335,22 +331,20 @@ def buchsbaum_eisenbud(cd: ComplexData, certs,
         if found is None or r < min(m.shape):
             profile = m.rank_profile()
             if profile[0] < r:
-                return _finish(
+                return CertificateReport(
                     claim, REFUTED,
                     {**detail, "clause": "nonzero_minor", "position": k + 1,
-                     "detail": per_k},
-                    anchor, t0)
+                     "detail": per_k}, anchor)
             if found is None:
                 found = _pivot_minor(m, profile, r)
         entry["nonzero_minor"] = {"rows": list(found[0]), "cols": list(found[1])}
         if profile is not None and profile[0] > r:
             offender = _pivot_minor(m, profile, r + 1)
-            return _finish(
+            return CertificateReport(
                 claim, REFUTED,
                 {**detail, "clause": "vanishing_minors", "position": k + 1,
                  "offender": [list(offender[0]), list(offender[1])],
-                 "detail": per_k},
-                anchor, t0)
+                 "detail": per_k}, anchor)
         entry["vanishing_minors"] = (
             "vacuous" if r + 1 > min(m.shape)
             else f"all {comb(m.nrows, r+1) * comb(m.ncols, r+1)} of size {r+1} vanish"
@@ -364,7 +358,7 @@ def buchsbaum_eisenbud(cd: ComplexData, certs,
             statuses.append(g.status)
         per_k.append(entry)
     detail["detail"] = per_k
-    return _finish(claim, _combine(statuses), detail, anchor, t0)
+    return CertificateReport(claim, _combine(statuses), detail, anchor)
 
 
 def resolution_minimal(cd: ComplexData, claim="resolution_minimal",
@@ -375,31 +369,28 @@ def resolution_minimal(cd: ComplexData, claim="resolution_minimal",
     first syzygy module input, mu, equals the column count of the first
     differential.
     """
-    t0 = time.perf_counter()
     for k, m in enumerate(cd.matrices):
         field_zero = m.ring.field.zero
         for i in range(m.nrows):
             for j in range(m.ncols):
                 if m[i, j].constant_term() != field_zero:
-                    return _finish(
+                    return CertificateReport(
                         claim, REFUTED,
                         {"matrix": k + 1, "row": i, "col": j,
-                         "entry": str(m[i, j])},
-                        anchor, t0)
-    return _finish(
-        claim, VERIFIED, {"mu": cd.matrices[0].ncols}, anchor, t0)
+                         "entry": str(m[i, j])}, anchor)
+    return CertificateReport(
+        claim, VERIFIED, {"mu": cd.matrices[0].ncols}, anchor)
 
 
 def linear_type_obstruction(mu: int, ambient_dim: int,
                             claim="linear_type", anchor="") -> CertificateReport:
     """Refute linear type when mu exceeds the ambient dimension."""
-    t0 = time.perf_counter()
     witness = {"mu": mu, "ambient_dim": ambient_dim}
     if mu > ambient_dim:
         witness["obstruction"] = f"{mu} generators > dimension {ambient_dim}"
-        return _finish(claim, REFUTED, witness, anchor, t0)
+        return CertificateReport(claim, REFUTED, witness, anchor)
     witness["obstruction"] = "none"
-    return _finish(claim, INCONCLUSIVE, witness, anchor, t0)
+    return CertificateReport(claim, INCONCLUSIVE, witness, anchor)
 
 
 def _lift_multiplies_out(lift, H: Ideal, I: Ideal, target: Polynomial) -> bool:
@@ -425,17 +416,15 @@ def syzygetic_obstruction(H: Ideal, f: Polynomial, I: Ideal,
     H*I. General path: scan the reduced basis of (H*I : f^2) for an
     element outside (H : f) at the origin.
     """
-    t0 = time.perf_counter()
     ring = I.ring
     f = ring.convert(f)
     if f.is_zero():
         raise ValueError("obstruction element must be nonzero")
     presented = Ideal(ring, list(H.gens) + [f])
     if not presented.equals(I):
-        return _finish(
+        return CertificateReport(
             claim, INCONCLUSIVE,
-            {"reason": "H + (f) differs from I"},
-            anchor, t0)
+            {"reason": "H + (f) differs from I"}, anchor)
     hf = H.colon(f)
     colon_basis = hf.groebner()
     inside_maximal = all(
@@ -451,27 +440,27 @@ def syzygetic_obstruction(H: Ideal, f: Polynomial, I: Ideal,
             "colon_H_f_constant_terms_zero": inside_maximal,
             "colon_H_f_basis": [str(g) for g in colon_basis],
         }
-        return _finish(claim, REFUTED, witness, anchor, t0)
+        return CertificateReport(claim, REFUTED, witness, anchor)
     scanned = []
     for g in (hi.colon(f2)).groebner():
         local = hf.locally_contains_at_origin(g)
         scanned.append(str(g))
         if not local.verdict:
             if not hi.contains(g * f2):
-                return _finish(
+                return CertificateReport(
                     claim, INCONCLUSIVE,
-                    {"reason": "internal witness replay failed", "element": str(g)},
-                    anchor, t0)
+                    {"reason": "internal witness replay failed",
+                     "element": str(g)},
+                    anchor)
             witness = {
                 "path": "colon-scan",
                 "element": str(g),
                 "element_times_f2_in_HI": True,
             }
-            return _finish(claim, REFUTED, witness, anchor, t0)
-    return _finish(
+            return CertificateReport(claim, REFUTED, witness, anchor)
+    return CertificateReport(
         claim, INCONCLUSIVE,
-        {"reason": "no obstruction found", "scanned": scanned},
-        anchor, t0)
+        {"reason": "no obstruction found", "scanned": scanned}, anchor)
 
 
 def smallest_valuation_vector(relations, nsyms: int):

@@ -16,8 +16,8 @@ import sys
 import time
 
 from .certify import (
+    CertificateReport,
     ComplexData,
-    _finish,
     buchsbaum_eisenbud,
     is_regular_sequence,
     syzygetic_obstruction,
@@ -91,11 +91,11 @@ def _emit_reports(reports, fmt, head=None) -> int:
     return 0 if ok else 1
 
 
-def _emit_values(lines, fmt, key="result") -> int:
+def _emit_values(lines, fmt) -> int:
     if fmt == "json":
-        print(json.dumps({"schema": 1, key: _jsonable(lines)}, indent=2))
+        print(json.dumps({"schema": 1, "result": lines}, indent=2))
     else:
-        for line in lines if isinstance(lines, (list, tuple)) else [lines]:
+        for line in lines:
             print(line)
     return 0
 
@@ -151,15 +151,16 @@ def _derived_ranks(matrices):
     return ranks
 
 
-def _run_command(sess: _Session, op: str, args, fmt: str) -> int:
+def _run_command(sess: _Session, op: str, args):
+    """The output lines of a computation, or the report of a claim."""
     if op == "gb":
         (name,) = _need(args, 1, "gb <ideal>")
-        return _emit_values(_basis_lines(sess.ideal(name)), fmt)
+        return _basis_lines(sess.ideal(name))
 
     if op == "nf":
         name, expr = _need(args, 2, "nf <ideal> <poly>")
         basis = sess.ideal(name).groebner()
-        return _emit_values([str(normal_form(sess.poly(expr), basis))], fmt)
+        return [str(normal_form(sess.poly(expr), basis))]
 
     if op == "colon":
         name, arg = _need(args, 2, "colon <ideal> <poly-or-ideal>")
@@ -168,12 +169,11 @@ def _run_command(sess: _Session, op: str, args, fmt: str) -> int:
             result = I.colon_ideal(sess.ideal(arg))
         else:
             result = I.colon(sess.poly(arg))
-        return _emit_values(_basis_lines(result), fmt)
+        return _basis_lines(result)
 
     if op == "intersect":
         a, b = _need(args, 2, "intersect <ideal> <ideal>")
-        return _emit_values(
-            _basis_lines(sess.ideal(a).intersect(sess.ideal(b))), fmt)
+        return _basis_lines(sess.ideal(a).intersect(sess.ideal(b)))
 
     if op == "eliminate":
         if len(args) < 2:
@@ -182,41 +182,38 @@ def _run_command(sess: _Session, op: str, args, fmt: str) -> int:
         for v in args[1:]:
             if v not in sess.ring._index:
                 raise UsageError(f"{v!r} is not a ring variable")
-        return _emit_values(_basis_lines(I.eliminate(args[1:])), fmt)
+        return _basis_lines(I.eliminate(args[1:]))
 
     if op == "kernel":
         if not args:
             raise UsageError("usage: kernel <poly> [<poly> ...]")
         images = [sess.poly(a) for a in args]
         kernel = kernel_of_map(images)
-        return _emit_values(_basis_lines(kernel), fmt)
+        return _basis_lines(kernel)
 
     if op == "rees":
         (name,) = _need(args, 1, "rees <ideal>")
-        return _emit_values(_basis_lines(rees_ideal(sess.ideal(name))), fmt)
+        return _basis_lines(rees_ideal(sess.ideal(name)))
 
     if op == "lineartype":
         (name,) = _need(args, 1, "lineartype <ideal>")
-        I = sess.ideal(name)
-        t0 = time.perf_counter()
-        linear = linear_type_by_rees(I)
-        report = _finish(
+        linear = linear_type_by_rees(sess.ideal(name))
+        return CertificateReport(
             "linear_type",
             "verified" if linear else "refuted",
             {"rees_ideal_generated_in_degree_one": linear},
             "the defining ideal of the blowup algebra is generated by "
-            "its degree-one part exactly for ideals of linear type", t0)
-        return _emit_reports([report], fmt)
+            "its degree-one part exactly for ideals of linear type")
 
     if op == "dim":
         (name,) = _need(args, 1, "dim <ideal>")
-        return _emit_values([str(sess.ideal(name).krull_dim_quotient())], fmt)
+        return [str(sess.ideal(name).krull_dim_quotient())]
 
     if op == "colength":
         (name,) = _need(args, 1, "colength <ideal>")
         value = sess.ideal(name).colength()
         text = "infinite" if value == float("inf") else str(value)
-        return _emit_values([text], fmt)
+        return [text]
 
     if op == "minors":
         name, size_text = _need(args, 2, "minors <matrix> <size>")
@@ -224,21 +221,20 @@ def _run_command(sess: _Session, op: str, args, fmt: str) -> int:
         if not (size_text.isascii() and size_text.isdecimal()):
             raise UsageError("minor size must be written in digits 0-9")
         minors = m.minors(int(size_text))
-        return _emit_values(
-            [str(v) for v in distinct_up_to_sign(minors.values())], fmt)
+        return [str(v) for v in distinct_up_to_sign(minors.values())]
 
     if op == "regseq":
         if not args:
             raise UsageError("usage: regseq <poly> [<poly> ...]")
         seq = [sess.poly(a) for a in args]
-        return _emit_reports([is_regular_sequence(seq)], fmt)
+        return is_regular_sequence(seq)
 
     if op == "complex":
         if len(args) < 2:
             raise UsageError("usage: complex <matrix> <matrix> [...]")
         mats = [sess.matrix(a) for a in args]
         cd = ComplexData(mats, _derived_ranks(mats))
-        return _emit_reports([verify_complex(cd)], fmt)
+        return verify_complex(cd)
 
     if op == "be":
         if len(args) < 1:
@@ -246,14 +242,13 @@ def _run_command(sess: _Session, op: str, args, fmt: str) -> int:
         mats = [sess.matrix(a) for a in args]
         cd = ComplexData(mats, _derived_ranks(mats))
         certs = {k + 1: None for k in range(len(mats))}
-        return _emit_reports([buchsbaum_eisenbud(cd, certs)], fmt)
+        return buchsbaum_eisenbud(cd, certs)
 
     if op == "syzygetic":
         h_name, expr, i_name = _need(
             args, 3, "syzygetic <ideal H> <poly f> <ideal I>")
-        report = syzygetic_obstruction(
+        return syzygetic_obstruction(
             sess.ideal(h_name), sess.poly(expr), sess.ideal(i_name))
-        return _emit_reports([report], fmt)
 
     raise UsageError(f"unknown command {op!r}")
 
@@ -322,7 +317,12 @@ def _dispatch(argv) -> int:
             return 2
         order = {"lex": Lex, "degrevlex": DegRevLex}.get(ns.order)
         session = parse_session(text, _parse_field(ns.field), order)
-        return _run_command(_Session(session), ns.op, ns.args, ns.format)
+        start = time.perf_counter()
+        result = _run_command(_Session(session), ns.op, ns.args)
+        if isinstance(result, CertificateReport):
+            result.millis = int((time.perf_counter() - start) * 1000)
+            return _emit_reports([result], ns.format)
+        return _emit_values(result, ns.format)
     except (InputError, UsageError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,15 +1,20 @@
 """Embedded worked examples and their end-to-end verification bundles.
 
 Each entry carries a session text (the rings, generators, and matrices
-written out term by term) plus a bundle function that runs the full
+written out term by term) plus a bundle generator that runs the full
 certificate chain for that example. Bundles never raise on a failed
-check; they return reports whose status records what happened, so the
+check; they yield reports whose status records what happened, so the
 same chain can be replayed over other coefficient fields.
+
+Bundles read no clock. `verify_lemma` times each claim, from the previous
+report to the one it yields, and stores that in the report's `millis`; a
+report built by calling a `certify` function directly keeps `millis` 0.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from .certify import (
@@ -20,7 +25,6 @@ from .certify import (
     ComplexData,
     GradeCertificate,
     MinorWitness,
-    _finish,
     buchsbaum_eisenbud,
     linear_type_obstruction,
     resolution_minimal,
@@ -142,11 +146,13 @@ TORIC_EXPONENTS = (12, 15, 20, 23)
 
 @dataclass(frozen=True)
 class LemmaCorpusEntry:
-    """One embedded example: id, session text, and its claim chain."""
+    """One embedded example: id, session text, its claim chain, and the
+    bundle that yields the chain's reports one by one."""
 
     lemma_id: str
     text: str
     claims: tuple
+    bundle: Callable[[SessionInput], Iterator[CertificateReport]]
 
     def session(self, field_override=None) -> SessionInput:
         return parse_session(self.text, field_override)
@@ -159,8 +165,7 @@ def _negate(inner: CertificateReport, claim: str,
             INCONCLUSIVE: INCONCLUSIVE}
     witness = dict(inner.witness)
     witness["refuted_property"] = inner.claim
-    return CertificateReport(claim, flip[inner.status], witness, anchor,
-                             inner.millis)
+    return CertificateReport(claim, flip[inner.status], witness, anchor)
 
 
 def _verify_lemma2(session: SessionInput):
@@ -168,22 +173,19 @@ def _verify_lemma2(session: SessionInput):
     f = session.polys["f"]
     J = Ideal(ring, session.ideals["J"])
     I = Ideal(ring, session.ideals["I"])
-    reports = []
 
-    t0 = time.perf_counter()
     remainder = normal_form(f, J.groebner())
     outside_global = not remainder.is_zero()
     outside_local = not J.locally_contains_at_origin(f).verdict
-    reports.append(_finish(
+    yield CertificateReport(
         "element_outside_subideal",
         VERIFIED if outside_global and outside_local else REFUTED,
         {"normal_form": str(remainder),
          "outside_globally": outside_global,
          "outside_at_origin": outside_local},
         "x*y lies outside (x^2, y^2), globally and after localizing "
-        "at the origin", t0))
+        "at the origin")
 
-    t0 = time.perf_counter()
     JI = J * I
     witness = JI.membership_witness(f * f)
     ok = witness is not None
@@ -192,32 +194,29 @@ def _verify_lemma2(session: SessionInput):
         quotients, basis = witness
         combo = {str(b): str(q) for b, q in zip(basis, quotients)
                  if not q.is_zero()}
-    reports.append(_finish(
+    yield CertificateReport(
         "square_in_product", VERIFIED if ok else REFUTED,
         {"membership": ok, "combination": combo},
-        "(x*y)^2 lies in the product ideal (x^2, y^2) * (x^2, x*y, y^2)",
-        t0))
+        "(x*y)^2 lies in the product ideal (x^2, y^2) * (x^2, x*y, y^2)")
 
-    t0 = time.perf_counter()
     colon = J.colon(f).groebner()
     zero = ring.field.zero
     colon_in_m = bool(colon) and all(
         g.constant_term() == zero for g in colon)
     unit_colon = not JI.colon(f * f).is_proper()
-    reports.append(_finish(
+    yield CertificateReport(
         "colon_strictness", VERIFIED if colon_in_m and unit_colon else REFUTED,
         {"colon_basis": [str(g) for g in colon],
          "colon_inside_maximal_ideal": colon_in_m,
          "product_colon_is_unit_ideal": unit_colon},
         "(J : x*y) stays inside (x, y) while (J*I : (x*y)^2) is the "
-        "unit ideal", t0))
+        "unit ideal")
 
-    reports.append(_negate(
+    yield _negate(
         syzygetic_obstruction(J, f, I),
         "not_syzygetic",
         "the colon jump (J : x*y) != (J*I : (x*y)^2) at the origin "
-        "refutes syzygetic-ness of the squared maximal ideal"))
-    return reports
+        "refutes syzygetic-ness of the squared maximal ideal")
 
 
 def _l3_complex(session: SessionInput) -> ComplexData:
@@ -244,7 +243,6 @@ def _l3_certs(session: SessionInput):
 
 
 def _minor_match_report(claim, matrices, assignments, polys, anchor):
-    t0 = time.perf_counter()
     checked = []
     ok = True
     for mat_name, poly_name, rows, cols, sign in assignments:
@@ -257,32 +255,31 @@ def _minor_match_report(claim, matrices, assignments, polys, anchor):
             "rows": list(rows), "cols": list(cols), "sign": sign,
             "match": match,
         })
-    return _finish(claim, VERIFIED if ok else REFUTED,
-                   {"assignments": checked}, anchor, t0)
+    return CertificateReport(claim, VERIFIED if ok else REFUTED,
+                             {"assignments": checked}, anchor)
 
 
 def _slice_report(claim, I, aux, expected_monomials, anchor):
     """Colength and standard monomials of I + (aux)."""
-    t0 = time.perf_counter()
     sliced = Ideal(I.ring, list(I.gens) + [aux])
     std = sliced.standard_monomials()
     if std is None:
-        return _finish(claim, REFUTED,
-                       {"colength": "infinite"}, anchor, t0)
+        return CertificateReport(claim, REFUTED,
+                                 {"colength": "infinite"}, anchor)
     got = [str(m) for m in std]
     expected = sorted(expected_monomials)
     ok = len(got) == len(expected_monomials) and sorted(got) == expected
-    return _finish(claim, VERIFIED if ok else REFUTED,
-                   {"colength": len(got), "standard_monomials": got,
-                    "expected_count": len(expected_monomials)},
-                   anchor, t0)
+    return CertificateReport(claim, VERIFIED if ok else REFUTED,
+                             {"colength": len(got), "standard_monomials": got,
+                              "expected_count": len(expected_monomials)},
+                             anchor)
 
 
 def _dimension_report(I: Ideal, expected: int, anchor: str):
-    t0 = time.perf_counter()
     dim = I.krull_dim_quotient()
-    return _finish("dimension", VERIFIED if dim == expected else REFUTED,
-                   {"dim": dim, "expected": expected}, anchor, t0)
+    return CertificateReport(
+        "dimension", VERIFIED if dim == expected else REFUTED,
+        {"dim": dim, "expected": expected}, anchor)
 
 
 def _verify_lemma3(session: SessionInput):
@@ -291,53 +288,50 @@ def _verify_lemma3(session: SessionInput):
     x, y, z = (ring.var(n) for n in ("x", "y", "z"))
     I = Ideal(ring, session.ideals["I"])
     cd = _l3_complex(session)
-    reports = []
 
-    reports.append(_minor_match_report(
+    yield _minor_match_report(
         "minors_match", session.matrices,
         tuple(("phi2",) + a for a in L3_MINORS), polys,
         "the four 3x3 minors of the 4x3 presentation matrix are the "
-        "four generators up to sign"))
+        "four generators up to sign")
 
-    reports.append(verify_complex(
+    yield verify_complex(
         cd, "complex",
-        "the composite of the two differentials is the zero matrix"))
+        "the composite of the two differentials is the zero matrix")
 
-    reports.append(buchsbaum_eisenbud(
+    yield buchsbaum_eisenbud(
         cd, _l3_certs(session), "acyclic",
-        "rank and grade clauses hold with expected ranks (1, 3)"))
+        "rank and grade clauses hold with expected ranks (1, 3)")
 
-    t0 = time.perf_counter()
     lhs = Ideal(ring, [polys["f1"], polys["f2"], x])
     rhs = Ideal(ring, [x, y**3, z**3])
     equal = lhs.equals(rhs)
-    reports.append(_finish(
+    yield CertificateReport(
         "grade_simplification", VERIFIED if equal else REFUTED,
         {"lhs_basis": [str(g) for g in lhs.groebner()],
          "rhs_basis": [str(g) for g in rhs.groebner()]},
-        "(f1, f2, x) = (x, y^3, z^3) as ideals", t0))
+        "(f1, f2, x) = (x, y^3, z^3) as ideals")
 
     minimal = resolution_minimal(
         cd, "minimal",
         "every differential entry vanishes at the origin, so the "
         "resolution is minimal and mu equals the generator count")
-    reports.append(minimal)
+    yield minimal
 
     mu = minimal.witness.get("mu", 0) if minimal.verified else 0
-    reports.append(_negate(
+    yield _negate(
         linear_type_obstruction(mu, ring.nvars),
         "not_linear_type",
         "an ideal of linear type needs at most dim-many generators; "
-        "mu = 4 > 3 rules it out"))
+        "mu = 4 > 3 rules it out")
 
-    reports.append(_dimension_report(
-        I, 1, "the quotient by the ideal has Krull dimension 1"))
+    yield _dimension_report(
+        I, 1, "the quotient by the ideal has Krull dimension 1")
 
-    reports.append(_slice_report(
+    yield _slice_report(
         "colength_slice", I, x, L3_STANDARD_MONOMIALS,
         "the quotient by (x) + I is a 6-dimensional vector space "
-        "spanned by 1, y, z, y^2, y*z, z^2"))
-    return reports
+        "spanned by 1, y, z, y^2, y*z, z^2")
 
 
 def _l4_complex(session: SessionInput) -> ComplexData:
@@ -373,38 +367,36 @@ def _verify_lemma4(session: SessionInput):
     I = Ideal(ring, session.ideals["I"])
     H = Ideal(ring, session.ideals["H"])
     cd = _l4_complex(session)
-    reports = []
 
-    reports.append(verify_complex(
+    yield verify_complex(
         cd, "complex",
-        "both consecutive composites of the three differentials vanish"))
+        "both consecutive composites of the three differentials vanish")
 
-    reports.append(_minor_match_report(
+    yield _minor_match_report(
         "minors_located", session.matrices, L4_MINORS, p,
         "g1, g2 appear as signed 7x7 minors of the second differential "
-        "and h1, h2, h3 as signed 5x5 minors of the third"))
+        "and h1, h2, h3 as signed 5x5 minors of the third")
 
-    reports.append(buchsbaum_eisenbud(
+    yield buchsbaum_eisenbud(
         cd, _l4_certs(session), "acyclic",
         "rank and grade clauses hold with expected ranks (1, 7, 5); "
-        "in particular all 8x8 minors of the middle differential vanish"))
+        "in particular all 8x8 minors of the middle differential vanish")
 
     minimal = resolution_minimal(
         cd, "minimal",
         "every differential entry vanishes at the origin, so the "
         "resolution is minimal and mu = 8")
-    reports.append(minimal)
+    yield minimal
 
-    reports.append(_dimension_report(
-        I, 1, "the quotient by the ideal has Krull dimension 1"))
+    yield _dimension_report(
+        I, 1, "the quotient by the ideal has Krull dimension 1")
 
-    reports.append(_slice_report(
+    yield _slice_report(
         "colength_slice", I, x, L4_STANDARD_MONOMIALS,
         "the quotient by (x) + I is a 12-dimensional vector space "
         "spanned by 1, y, y*t, y*t^2, y^2, y^2*t, y^3, z, z*t, z^2, "
-        "t, t^2"))
+        "t, t^2")
 
-    t0 = time.perf_counter()
     f8 = p["f8"]
     # f8^2 as terms (c, i, j) of c * f_i * f_j, with f_i in H = (f1..f7)
     # and f_j in I = (f1..f8): the same list is the lift of f8^2 in H*I.
@@ -412,36 +404,34 @@ def _verify_lemma4(session: SessionInput):
               (t, 5, 6), (x**2, 6, 7))
     combo = sum((c * p[f"f{i}"] * p[f"f{j}"] for c, i, j in square),
                 ring.zero)
-    reports.append(_finish(
+    yield CertificateReport(
         "square_identity",
         VERIFIED if (f8 * f8 - combo).is_zero() else REFUTED,
         {"identity": "f8^2 = x^2*y*z*t*f1^2 - x^4*f1*f5 - x^2*f2*f7 "
                       "+ t*f5*f6 + x^2*f6*f7"},
         "f8^2 decomposes exactly as the stated combination of products "
-        "f_i*f_j, hence f8^2 lies in H*I", t0))
+        "f_i*f_j, hence f8^2 lies in H*I")
 
-    reports.append(_negate(
+    yield _negate(
         syzygetic_obstruction(
             H, f8, I, lift=[(c, i - 1, j - 1) for c, i, j in square]),
         "not_syzygetic",
         "(H : f8) stays inside the maximal ideal while f8^2 already "
-        "lies in H*I, so the colon jumps and the ideal is not syzygetic"))
+        "lies in H*I, so the colon jumps and the ideal is not syzygetic")
 
-    t0 = time.perf_counter()
     sring = Ring(ring.field, ("s",))
     s = sring.var(0)
     kernel = kernel_of_map([s**e for e in TORIC_EXPONENTS],
                            ("x", "y", "z", "t"))
     equal = kernel.equals(I)
-    reports.append(_finish(
+    yield CertificateReport(
         "toric_kernel", VERIFIED if equal else REFUTED,
         {"exponents": list(TORIC_EXPONENTS),
          "kernel_basis_size": len(kernel.gens),
          "equals_ideal": equal},
         "the kernel of x,y,z,t -> s^12, s^15, s^20, s^23 equals the "
-        "ideal of the eight generators", t0))
+        "ideal of the eight generators")
 
-    t0 = time.perf_counter()
     vector = smallest_valuation_vector(L4_VALUATION_RELATIONS, 4)
     satisfied = all(
         sum(a * v for a, v in zip(rel, vector)) == 0
@@ -452,77 +442,69 @@ def _verify_lemma4(session: SessionInput):
     ]
     ok = (tuple(vector) == L4_VALUATION_EXPECTED and satisfied
           and bool(disputed_fails))
-    reports.append(_finish(
+    yield CertificateReport(
         "valuation_vector", VERIFIED if ok else REFUTED,
         {"relations": list(L4_VALUATION_TEXT),
          "vector": list(vector),
          "also_reported": list(L4_VALUATION_DISPUTED),
          "also_reported_violates": disputed_fails},
         "the relations force (12, 15, 20, 23); the value (12, 15, 29, "
-        "23) reported elsewhere violates 3*v_z = 5*v_x", t0))
-    return reports
+        "23) reported elsewhere violates 3*v_z = 5*v_x")
 
 
 def _verify_huneke(session: SessionInput):
     ring = session.ring
     images = [session.polys[n] for n in ("cx", "cy", "cz")]
-    reports = []
 
-    t0 = time.perf_counter()
     kernel = kernel_of_map(images, ("x", "y", "z"))
     basis = kernel.groebner()
     sound = bool(basis) and all(
         g.substitute(images, ring).is_zero() for g in basis)
-    reports.append(_finish(
+    yield CertificateReport(
         "kernel_sound", VERIFIED if sound else REFUTED,
         {"basis_size": len(basis),
          "substitution_vanishes": sound},
         "every kernel basis element vanishes under x,y,z -> s^6, "
-        "s^7 + s^10, s^8", t0))
+        "s^7 + s^10, s^8")
 
-    reports.append(_dimension_report(
-        kernel, 1, "the coordinate ring of the curve has dimension 1"))
+    yield _dimension_report(
+        kernel, 1, "the coordinate ring of the curve has dimension 1")
 
-    t0 = time.perf_counter()
     mu = kernel.min_generators_at_origin()
-    reports.append(_finish(
+    yield CertificateReport(
         "minimal_generators", VERIFIED if mu == 4 else REFUTED,
         {"mu": mu, "expected": 4},
-        "the kernel needs exactly four generators at the origin", t0))
+        "the kernel needs exactly four generators at the origin")
 
-    reports.append(_negate(
+    yield _negate(
         linear_type_obstruction(mu, kernel.ring.nvars),
         "not_linear_type",
         "mu = 4 exceeds the ambient dimension 3, which no ideal of "
-        "linear type allows"))
-    return reports
+        "linear type allows")
 
 
 CORPUS = {
     "lemma2": LemmaCorpusEntry(
         "lemma2", LEMMA2_TEXT,
         ("element_outside_subideal", "square_in_product",
-         "colon_strictness", "not_syzygetic")),
+         "colon_strictness", "not_syzygetic"),
+        _verify_lemma2),
     "lemma3": LemmaCorpusEntry(
         "lemma3", LEMMA3_TEXT,
         ("minors_match", "complex", "acyclic", "grade_simplification",
-         "minimal", "not_linear_type", "dimension", "colength_slice")),
+         "minimal", "not_linear_type", "dimension", "colength_slice"),
+        _verify_lemma3),
     "lemma4": LemmaCorpusEntry(
         "lemma4", LEMMA4_TEXT,
         ("complex", "minors_located", "acyclic", "minimal", "dimension",
          "colength_slice", "square_identity", "not_syzygetic",
-         "toric_kernel", "valuation_vector")),
+         "toric_kernel", "valuation_vector"),
+        _verify_lemma4),
     "huneke": LemmaCorpusEntry(
         "huneke", HUNEKE_TEXT,
         ("kernel_sound", "dimension", "minimal_generators",
-         "not_linear_type")),
-}
-
-_BUNDLES = {
-    "lemma2": _verify_lemma2,
-    "lemma3": _verify_lemma3,
-    "lemma4": _verify_lemma4,
-    "huneke": _verify_huneke,
+         "not_linear_type"),
+        _verify_huneke),
 }
 
 
@@ -530,11 +512,21 @@ def verify_lemma(lemma_id: str, field=None):
     """Run the certificate chain for one corpus entry.
 
     Returns the list of CertificateReport in chain order. `field`
-    overrides the session's declared coefficient field.
+    overrides the session's declared coefficient field. Each report's
+    `millis` is the time since the previous report was yielded, the first
+    counted from the end of parsing the session.
     """
     if lemma_id not in CORPUS:
         raise KeyError(
             f"unknown lemma {lemma_id!r}; choose from "
             f"{sorted(CORPUS)}")
-    session = CORPUS[lemma_id].session(field)
-    return _BUNDLES[lemma_id](session)
+    entry = CORPUS[lemma_id]
+    session = entry.session(field)
+    reports = []
+    start = time.perf_counter()
+    for report in entry.bundle(session):
+        end = time.perf_counter()
+        report.millis = int((end - start) * 1000)
+        reports.append(report)
+        start = end
+    return reports

@@ -36,9 +36,10 @@ of a sum may not pass MAX_SUM_POWER, no integer literal (in any field) and,
 over Q, no numerator or denominator may pass MAX_COEFF_BITS bits. Literals
 and powers are checked before they are computed, a product right after
 each factor is multiplied in (a zero product is not checked), and a sum at
-each coefficient it changes (its operands are within bounds). Open
-parentheses and unary minus signs may nest at most MAX_NESTING deep, which
-keeps the recursive descent far from Python's recursion limit.
+each coefficient it changes (its operands are within bounds). A matrix
+dimension may have at most 9 digits. Open parentheses and unary minus
+signs may nest at most MAX_NESTING deep, which keeps the recursive descent
+far from Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -279,15 +280,23 @@ class _Parser:
 
     def _dims(self):
         """Parse `4x3` (lexed INT IDENT) or `4 x 3` (INT IDENT INT)."""
-        rows = int(self.expect("INT", "matrix dimensions like 4x3"))
+        rows = self._dim(self.expect("INT", "matrix dimensions like 4x3"))
         at = self.pos
         tok = self.expect("IDENT", "matrix dimensions like 4x3")
         if tok == "x":
-            return rows, int(self.expect("INT", "a column count"))
+            return rows, self._dim(self.expect("INT", "a column count"))
         cols = tok[1:]
         if tok.startswith("x") and cols.isascii() and cols.isdecimal():
-            return rows, int(cols)
+            return rows, self._dim(cols)
         self.error("expected matrix dimensions like 4x3", at)
+
+    def _dim(self, digits: str) -> int:
+        """The dimension in the token just read; more than 9 digits is an
+        error at that token, raised before the literal is converted."""
+        digits = digits.lstrip("0") or "0"
+        if len(digits) > 9:
+            self.error("matrix dimension too large", self.pos - 1)
+        return int(digits)
 
     def _expr_list(self):
         out = [self._expr()]

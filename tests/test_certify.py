@@ -190,6 +190,19 @@ def test_grade_at_least_minor_ideal_with_hints():
     assert grade_at_least(target, 2, bad).status != "verified"
 
 
+@pytest.mark.parametrize("nhints", [1, 3], ids=["short", "long"])
+def test_grade_at_least_needs_one_minor_hint_per_witness(nhints):
+    # z is not in I_1([x y]) = (x, y); a hint list of another length than
+    # the witnesses must not let a witness go unchecked.
+    x, y, z = R3.gens()
+    hints = (MinorWitness((0,), (0,)), MinorWitness((0,), (1,)),
+             MinorWitness((0,), (0,)))[:nhints]
+    rep = grade_at_least(MinorIdeal(PolyMatrix(R3, [[x, y]]), 1), 2,
+                         GradeCertificate(2, (x, z), hints))
+    assert rep.status == "inconclusive"
+    assert rep.witness == {"reason": f"{nhints} minor hints for 2 witnesses"}
+
+
 @pytest.mark.parametrize("size", [3, 2], ids=["maximal", "smaller"])
 def test_grade_at_least_materializes_a_minor_ideal_without_hints(size):
     # f1 is a maximal minor of phi2, so it lies in every ideal of its minors.

@@ -1,5 +1,8 @@
 """Embedded verification corpus: text fidelity, frozen witnesses, bundles."""
 
+import itertools
+import time
+
 import pytest
 
 from idealkit import groebner, idealops
@@ -151,6 +154,18 @@ def test_bundles_all_verified(lemma_id):
     for r in reports:
         assert r.anchor
         assert isinstance(r.witness, dict)
+
+
+def test_each_claim_is_timed_once(monkeypatch):
+    # With a clock that advances 0.25 s per read, a claim reads 250 ms only
+    # if it is one interval of verify_lemma and nothing under it reads the
+    # clock.
+    clock = itertools.count(0.0, 0.25)
+    monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
+    for lemma_id, entry in CORPUS.items():
+        reports = verify_lemma(lemma_id, QQ)
+        assert [r.claim for r in reports] == list(entry.claims)
+        assert [r.millis for r in reports] == [250] * len(reports), lemma_id
 
 
 def test_unknown_lemma_id():

@@ -243,6 +243,11 @@ def test_comments_and_blank_lines():
     ("ring Q[x];\npoly f = x^99999*(x^2);", 2, 10, "exponent too large"),
     ("ring Q[x];\npoly f = (2^4000*x + 1)*(2^200*x + 1);", 2, 10,
      "coefficient too large"),
+    # A matrix dimension is checked at its token before it is converted.
+    ("ring Q[x];\nmatrix M " + "9" * 5000 + "x1 = [x];", 2, 10,
+     "matrix dimension too large"),
+    ("ring Q[x];\nmatrix M 1x" + "9" * 5000 + " = [x];", 2, 11,
+     "matrix dimension too large"),
 ])
 def test_error_positions(src, line, col, fragment):
     with pytest.raises(InputError) as exc:
