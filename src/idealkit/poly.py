@@ -305,7 +305,9 @@ class Polynomial:
         """Quotient self / d when d divides exactly; raises otherwise.
 
         A single-term divisor divides term by term; a longer one goes
-        through one division in `groebner.normal_form`.
+        through one division in `groebner.normal_form`. No `src/` caller is
+        left (Bareiss divides packed entries in `matrix`); it is kept as
+        public API that the tests use and `perfbench/run.py` traces.
         """
         if d.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
@@ -364,7 +366,12 @@ class Polynomial:
         if isinstance(other, Polynomial):
             return self.ring == other.ring and self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self.terms == self.ring.const(other).terms
+            try:
+                c = self.ring.const(other)
+            except ZeroDivisionError:
+                # A denominator that vanishes mod p: no element equals it.
+                return False
+            return self.terms == c.terms
         return NotImplemented
 
     def __hash__(self):

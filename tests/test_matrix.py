@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from idealkit import matrix
+from idealkit import groebner, matrix
 from idealkit.cli import main
 from idealkit.corpus import verify_lemma
 from idealkit.fields import GF, QQ
@@ -210,18 +210,98 @@ def test_run_minors_past_the_bound_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def seeded_entry(ring, rng):
+    """0-3 terms of degree up to 2 per variable, coefficients like -5/3."""
+    return ring.poly({
+        tuple(rng.randint(0, 2) for _ in range(ring.nvars)):
+            Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        for _ in range(rng.randint(0, 3))})
+
+
+@pytest.mark.parametrize("big", [0, 70, 150])
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF"])
+@pytest.mark.parametrize("n", [4, 5])
+def test_packed_bareiss_matches_cofactor_expansion(monkeypatch, n, field, big):
+    # The packed elimination against `_laplace`, with fractional entries
+    # over Q (row scaling) and over GF(p). x^big in the top left entry
+    # makes it restart at 16-bit fields: x^150 does not fit 8 bits when
+    # packed, and x^70 does, but the second step's products reach x^140.
+    widths = []
+    packing = groebner._packing
+
+    def logged_packing(ring, width):
+        widths.append(width)
+        return packing(ring, width)
+
+    monkeypatch.setattr(groebner, "_packing", logged_packing)
+    ring = Ring(field, ("x", "y", "z"))
+    rng = random.Random(100 * n + big)
+    lift = ring.var(0) ** big if big else ring.zero
+
+    full = PolyMatrix(ring, [
+        [seeded_entry(ring, rng) + (lift if i == j == 0 else ring.zero)
+         for j in range(n)] for i in range(n)])
+    det = full.det()
+    assert det == matrix._laplace(full.rows, ring.zero)
+    assert not det.is_zero()
+    assert full.rank_profile()[0] == n
+    # A product through n - 2 dimensions has rank at most n - 2, so a
+    # nonzero minor of that size on the pivots proves the rank. It has no
+    # x^big: in a factor, that made its elimination take about 1 s.
+    deficient = (
+        PolyMatrix(ring, [[seeded_entry(ring, rng) for _ in range(n - 2)]
+                          for _ in range(n)])
+        * PolyMatrix(ring, [[seeded_entry(ring, rng) for _ in range(n)]
+                            for _ in range(n - 2)]))
+    rank, rows, cols = deficient.rank_profile()
+    assert rank == n - 2
+    pivot_minor = deficient.submatrix(rows, cols)
+    assert not matrix._laplace(pivot_minor.rows, ring.zero).is_zero()
+    assert deficient.det().is_zero()
+    assert set(widths) == ({8, 16} if big else {8})
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_packed_division_is_exact_or_raises(field):
+    # The kernel's one division by a Bareiss pivot returns the quotient
+    # when it is exact, in Z[x] over Q, and raises otherwise.
+    ring = Ring(field, ("x", "y"))
+    x, y = ring.gens()
+    pk = groebner._packing(ring, 8)
+
+    def packed(f):
+        return {e: int(c) for e, c in pk.pack_terms(f).items()}
+
+    def quotient(num, den):
+        divisor = matrix._tagged_divisor(field, packed(den), pk.tag)
+        return matrix._exact_quotient(pk, field.char, packed(num), divisor, {})
+
+    assert quotient(x**2 - y**2, x + y) == packed(x - y)
+    assert quotient(x**2 - y**2, -x - y) == packed(y - x)
+    assert quotient(6 * x**2 + 3 * x * y, 2 * x + y) == packed(3 * x)
+    for num, den in ((x**2 + y, x + y), (x * y + 1, x), (x, y)):
+        with pytest.raises(ArithmeticError):
+            quotient(num, den)
+    if field.char:
+        assert quotient(3 * x, 2 * x) == packed(ring.const(5))
+    else:
+        # 3/2 is exact over Q but not in Z[x], where the rows live.
+        with pytest.raises(ArithmeticError):
+            quotient(3 * x, 2 * x)
+
+
 def test_bareiss_forms_no_product_with_a_zero_factor(monkeypatch):
     # The lemma4 eliminations meet many zero entries; the row update skips
     # every product that would have a zero factor instead of forming it.
+    # Its products are the packed ones of `_mul_into`.
     factors = []
-    mul = Polynomial.__mul__
+    mul_into = matrix._mul_into
 
-    def logged_mul(a, b):
-        if sys._getframe(1).f_code is PolyMatrix._bareiss.__code__:
-            factors.append((a, b))
-        return mul(a, b)
+    def logged_mul_into(acc, a, b, guard, s):
+        factors.append((a, b))
+        return mul_into(acc, a, b, guard, s)
 
-    monkeypatch.setattr(Polynomial, "__mul__", logged_mul)
+    monkeypatch.setattr(matrix, "_mul_into", logged_mul_into)
     reports = verify_lemma("lemma4")
     assert all(r.status == "verified" for r in reports)
     assert factors

@@ -95,6 +95,17 @@ def test_constant_term_and_coeff():
     assert p.coeff((9, 9)) == 0
 
 
+def test_scalar_equality():
+    f7 = Ring(GF(7), ("x",))
+    assert f7.one == 1 and f7.one == 8 and f7.one == Fraction(8, 15)
+    assert f7.zero == 0 and f7.zero == 7
+    # 1/7 is no element of GF(7): unequal to every polynomial, not an error.
+    assert not f7.one == Fraction(1, 7)
+    assert f7.one != Fraction(1, 7)
+    assert not f7.zero == Fraction(3, 14)
+    assert R2.one == Fraction(2, 2) and R2.one != Fraction(1, 7)
+
+
 def test_divexact():
     x, y = R2.gens()
     p = (x + y) * (x - 2 * y)

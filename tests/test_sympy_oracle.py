@@ -210,6 +210,10 @@ def test_det_matches_sympy(size, seed):
     assert ours.det() == from_sympy(ours.ring, expected)
 
 
+def sympy_rank(m):
+    return DomainMatrix.from_Matrix(m).to_field().rank()
+
+
 @pytest.mark.parametrize("nrows, inner, ncols", [
     (4, 1, 4), (5, 2, 4), (4, 3, 5), (5, 3, 5)])
 @pytest.mark.parametrize("seed", range(3))
@@ -220,15 +224,25 @@ def test_rank_of_thin_product_matches_sympy(nrows, inner, ncols, seed):
     rng = random.Random(seed)
     a, sa = random_matrix(rng, nrows, inner)
     b, sb = random_matrix(rng, inner, ncols)
-
-    def sympy_rank(m):
-        return DomainMatrix.from_Matrix(m).to_field().rank()
-
     assert sympy_rank(sa) == sympy_rank(sb) == inner
     assert sympy_rank(sa * sb) == inner
     assert (a * b).rank_profile()[0] == inner
     if nrows == ncols:
         assert (a * b).det().is_zero()
+
+
+def test_rank_of_dense_product():
+    # A 5x4 times 4x5 product over Q[x, y, z] whose entries have up to 10
+    # terms with denominators. By Sylvester's inequality its rank is 4 once
+    # both factors have rank 4, so sympy checks only the factors: its rank
+    # of the product alone takes seconds.
+    rng = random.Random(0)
+    a, sa = random_matrix(rng, 5, 4)
+    b, sb = random_matrix(rng, 4, 5)
+    assert sympy_rank(sa) == sympy_rank(sb) == 4
+    product = a * b
+    assert product.rank_profile()[0] == 4
+    assert product.det().is_zero()
 
 
 # -- the session parser against sympy's reading of the same text ------------
