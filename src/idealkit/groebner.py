@@ -9,13 +9,14 @@ quotients, which is what ideal-membership witnesses are built from.
 
 One driver, `_basis`, builds every Groebner basis, whatever the order and
 the number of inputs: the bases of `buchberger`, the colon step of
-`colon_basis`, and the eliminations of `idealops`. It packs the inputs
-(`_kernel_inputs`: normalized and deduplicated), runs one signature loop
-and hands the loop's elements to one minimization and inter-reduction
-(`_reduce_basis`), which unpacks the result into the caller's ring: for an
-elimination, the ring without the eliminated front variables, whose
-elements it alone reduces. The loop is signature-based, and the
-reason is measured against the Gebauer-Moeller loop that it replaced.
+`colon_basis`, and the eliminations of `idealops`. It packs the inputs,
+puts them in kernel form (`_kernel_inputs`: normalized and deduplicated),
+runs one signature loop and hands the loop's elements to one minimization
+and inter-reduction (`_reduce_basis`), which unpacks the result into the
+caller's ring: for an elimination, the ring without the eliminated front
+variables, whose elements it alone reduces. The loop is signature-based,
+and the reason is measured against the Gebauer-Moeller loop that it
+replaced.
 Over GF(32003) that loop made 343 S-pair reductions on cyclic-6 and 176
 on katsura-7, 245 and 140 of them to zero; the signature loop makes 218
 and 54 reductions (J-pairs, and inputs that a lead divides), 28 and 11 of
@@ -60,7 +61,11 @@ monomial (see `_Packing`). They sort below every monomial term and no
 division reduces them, so the shifts, reductions and normalizations that
 make an element make its cofactor in the same pass, and a reduction to zero
 leaves exactly the cofactor. The quotients of `normal_form` are tagged terms
-of the same kind, one tag per divisor.
+of the same kind, one tag per divisor, and so is the quotient of each exact
+division by a Bareiss pivot in `matrix` (`_exact_quotient`). One function,
+`_kernel_inputs`, puts every divisor that enters the kernel from outside in
+kernel form, tagged or not: those of `normal_form`, the basis below the
+colon step, and each Bareiss pivot; no other module reads a tag.
 
 Division and the Buchberger loop run on packed monomials (Monagan and
 Pearce, JSC 2011; Roune and Stillman, ISSAC 2012). A packed monomial is
@@ -329,10 +334,15 @@ def normal_form(p, gens, with_quotients=False):
 
     Returns r, or (r, [q_0, ..., q_{n-1}]) with p == sum(q_i * gens[i]) + r
     and no term of r divisible by any lead monomial of gens. Divisor choice
-    is lowest index first, so results are reproducible. For the quotients,
-    gens[i] enters the division with its tagged term (see `_Packing`), so
+    is lowest index first, so results are reproducible. Every divisor, of one
+    term or more, goes through one run of the kernel's division, built by
+    `_kernel_inputs`. Without quotients a divisor equal to an earlier one up
+    to a scalar is dropped there: the earlier one always divides first, so
+    the remainder is the same. For the quotients, gens[i] enters the
+    division with its tagged term (see `_Packing`), so
     p - sum(q_i * (gens[i] - [input i])) == r + sum(q_i * [input i]): the
-    remainder's tagged terms of input i are q_i, scaled as r is.
+    remainder's tagged terms of input i are q_i, scaled as r is. Tagged
+    divisors are never equal, so each input gets its quotient.
     """
     ring = p.ring
     gens = list(gens)
@@ -344,24 +354,17 @@ def normal_form(p, gens, with_quotients=False):
     field = ring.field
 
     def run(pk):
-        leads, lcs, tails, tag = [], [], [], pk.tag
-        for i, g in enumerate(gens):
-            terms = pk.pack_terms(g)
-            lead = max(terms)
-            if with_quotients:
-                terms[~i * tag] = -1
-            terms, _ = _normalize(field, terms, lead)
-            leads.append(lead)
-            lcs.append(terms[lead])
-            tails.append(_tail(terms, lead))
+        divisors = _divisors(_kernel_inputs(
+            pk, field, [pk.pack_terms(g) for g in gens], with_quotients))
         terms, k = pk.pack_terms(p), field.one
         if terms:
             terms, k = _normalize(field, terms, max(terms))
-        rem, u = _divide(pk, field.char, terms, leads, lcs, tails, {})
+        rem, u = _divide(pk, field.char, terms, *divisors, {})
         # rem == u * k * (r + sum(q_i * [input i])), and w == 1 / (u * k).
         w = field.inv(u * k)
         if not with_quotients:
             return _unpack(pk, ring, rem, w)
+        tag = pk.tag
         # A monomial e has e // tag == 0, so it lands in parts[-1], the
         # remainder; the split keeps each part in descending order.
         parts = [{} for _ in range(len(gens) + 1)]
@@ -479,35 +482,68 @@ def _basis(polys, back=None, below=None):
     if any(p.ring != ring for p in [*polys, *(below or ())]):
         raise ValueError("generators must share one ring")
     field = ring.field
+    colon = below is not None
 
     def run(pk):
-        gens, packed = _kernel_inputs(pk, field, polys), None
-        if below is not None:
-            # f is input 0 of the tagged-term encoding (see `_Packing`).
-            gens[0][0][-pk.tag] = -1
-            packed = _kernel_inputs(pk, field, below)
+        # For the colon step, f is input 0 of the tagged-term encoding (see
+        # `_Packing`).
+        gens = _kernel_inputs(pk, field, [pk.pack_terms(p) for p in polys],
+                              colon)
+        packed = None
+        if colon:
+            packed = _kernel_inputs(pk, field,
+                                    [pk.pack_terms(g) for g in below])
         return _reduce_basis(pk, back or ring,
                              _signature_loop(pk, field, gens, packed))
 
     return _widening(ring, run)
 
 
-def _kernel_inputs(pk, field, polys):
-    """The distinct inputs as (packed terms, packed lead) pairs.
+def _kernel_inputs(pk, field, packed, tagged=False):
+    """The distinct packed term dicts as kernel-form (terms, lead) pairs.
 
-    Terms are in the form `_normalize` gives, so inputs that are scalar
-    multiples of one another become equal, and only the first is kept.
+    With tagged, input i first gets the tagged term -1 at ~i * tag (see
+    `_Packing`), in a copy. Terms are then in the form `_normalize` gives,
+    so inputs that are scalar multiples of one another become equal, and
+    only the first is kept; tagged inputs never compare equal. The inputs
+    of the signature loop and the divisors of `normal_form`, of the colon
+    step's basis and of each Bareiss pivot (`matrix`) are all built here.
     """
-    gens, seen = [], set()
-    for p in polys:
-        terms = pk.pack_terms(p)
+    gens, kept, tag = [], {}, pk.tag
+    for i, terms in enumerate(packed):
         lead = max(terms)
+        if tagged:
+            terms = {**terms, ~i * tag: -1}
         terms, _ = _normalize(field, terms, lead)
-        key = frozenset(terms.items())
-        if key not in seen:
-            seen.add(key)
+        # Equal inputs share a lead, so only those with this lead are
+        # compared: hashing every input's terms cost about 1% of `corpus`.
+        same = kept.setdefault(lead, [])
+        if terms not in same:
+            same.append(terms)
             gens.append((terms, lead))
     return gens
+
+
+def _divisors(gens):
+    """The lists (leads, lcs, tails) of `_divide` for kernel-form pairs."""
+    return ([lead for _, lead in gens], [terms[lead] for terms, lead in gens],
+            [_tail(terms, lead) for terms, lead in gens])
+
+
+def _exact_quotient(pk, p, terms, divisor, memo):
+    """terms (consumed) over one tagged divisor, both packed; exact or raises.
+
+    divisor is the `_divisors` of one tagged `_kernel_inputs` pair, so the
+    remainder's tagged terms are u times the quotient, u the multiplier of
+    the division (see `normal_form`). A monomial term left in the
+    remainder, or u != 1 (over Q: the quotient is not in Z[x]), raises
+    `ArithmeticError`.
+    """
+    rem, u = _divide(pk, p, terms, *divisor, memo)
+    if u != 1 or next(iter(rem), -1) >= 0:
+        raise ArithmeticError("inexact polynomial division")
+    tag = pk.tag
+    return {e + tag: c for e, c in rem.items()}
 
 
 def _signature_loop(pk, field, gens, below=None):
@@ -552,9 +588,7 @@ def _signature_loop(pk, field, gens, below=None):
     # never give the larger side of a J-pair.
     below = below or []
     basis = [terms for terms, _ in below]
-    leads = [lead for _, lead in below]
-    lcs = [terms[lead] for terms, lead in below]
-    tails = [_tail(terms, lead) for terms, lead in below]
+    leads, lcs, tails = _divisors(below)
     sigs: list = [None] * len(below)
     ratios = [-1] * len(below)
     zeros: list[tuple] = []

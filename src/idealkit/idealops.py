@@ -144,6 +144,8 @@ class Ideal:
         reduced basis is the reduced basis of that intersection, and only
         that part is reduced.
         """
+        if other.ring != self.ring:
+            raise ValueError("ideal colon over mismatched rings")
         gens = other.nonzero_gens()
         if not gens:
             raise ValueError("colon by the zero ideal")
@@ -327,7 +329,8 @@ def kernel_of_map(images, target_names=None) -> Ideal:
 
     The images live in a common parameter ring k[params]; the result is an
     ideal of k[target_names]. Up to four images default to the names
-    x, y, z, t; more get X1, X2, ...
+    x, y, z, t; more, or defaults that a parameter name takes, get X1, X2,
+    ... Target names that collide with a parameter raise `ValueError`.
     """
     images = list(images)
     if not images:
@@ -338,9 +341,8 @@ def kernel_of_map(images, target_names=None) -> Ideal:
             raise ValueError("images must share one parameter ring")
     n = len(images)
     if target_names is None:
-        if n <= 4:
-            target_names = ("x", "y", "z", "t")[:n]
-        else:
+        target_names = ("x", "y", "z", "t")[:n]
+        if n > 4 or set(target_names) & set(pring.names):
             target_names = tuple(f"X{i+1}" for i in range(n))
     else:
         target_names = tuple(target_names)
@@ -383,14 +385,12 @@ def linear_type_by_rees(ideal: Ideal) -> bool:
 
     The reduced basis splits into its T-degree-1 elements L and the rest.
     Each element of L lies in (L), so only the rest is tested; when there
-    is no rest, the answer is yes without a basis of (L).
+    is no rest, no basis of (L) is built.
     """
     rees = rees_ideal(ideal)
     t_indices = range(len(ideal.nonzero_gens()))
     linear, rest = [], []
     for g in rees.groebner():
         (linear if g.degree_in(t_indices) == 1 else rest).append(g)
-    if not rest:
-        return True
     linear_ideal = Ideal(rees.ring, linear)
     return all(linear_ideal.contains(g) for g in rest)

@@ -16,11 +16,13 @@ Over Q each row is first scaled by the lcm of its denominators, which moves
 neither the rank nor the pivots, so every entry is an integer polynomial.
 Each intermediate entry is then a minor of the scaled matrix (Sylvester's
 identity), so each division by the previous pivot is exact in Z[x], or
-Fp[x] over GF(p). It goes through the kernel's own division,
-`groebner._divide`, with the pivot as one tagged divisor, as
-`normal_form(..., with_quotients=True)` does; a remainder raises
-`ArithmeticError`, so everything stays in exact arithmetic. Only the last
-pivot is unpacked, into the determinant.
+Fp[x] over GF(p). The pivot becomes one tagged divisor through the
+kernel's one divisor builder (`groebner._kernel_inputs`), and each
+division is `groebner._exact_quotient`, one run of the kernel's division
+as in `normal_form(..., with_quotients=True)`; a remainder raises
+`ArithmeticError`, so everything stays in exact arithmetic. The tagged
+terms stay inside `groebner`. Only the last pivot is unpacked, into the
+determinant.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm, prod
 
-from .groebner import _Overflow, _divide, _normalize, _tail, _unpack, _widening
+from .groebner import (_Overflow, _divisors, _exact_quotient, _kernel_inputs,
+                       _unpack, _widening)
 from .poly import Polynomial
 
 # 20x the largest minor ideal in the bundles (lemma4: 495 minors of 8 x 12).
@@ -165,8 +168,8 @@ class PolyMatrix:
             order = list(range(nrows))
             sign = 1
             pivot_cols = []
-            # The previous pivot as a `_tagged_divisor`, and the divisor
-            # memo of its divisions.
+            # The previous pivot as one tagged divisor, and the divisor memo
+            # of its divisions.
             divisor = memo = None
             k = 0
             for j in range(ncols):
@@ -198,7 +201,8 @@ class PolyMatrix:
                             v = _exact_quotient(pk, p, v, divisor, memo)
                         row[c] = v
                     row[j] = {}
-                divisor, memo = _tagged_divisor(field, pivot, pk.tag), {}
+                divisor, memo = _divisors(_kernel_inputs(
+                    pk, field, [pivot], tagged=True)), {}
                 pivot_cols.append(j)
                 k += 1
             det = ring.zero
@@ -304,35 +308,6 @@ def _mul_into(acc, a, b, guard, s):
             if e & guard:
                 raise _Overflow
             acc[e] = get(e, 0) + ca * cb
-
-
-def _tagged_divisor(field, terms, tag):
-    """The packed term dict as the one divisor of `_divide`: (leads, lcs,
-    tails), with the tagged term of input 0 in its tail (see `normal_form`).
-
-    It is normalized once: monic over GF(p), as `_divide` needs, and with a
-    positive lead over Q, where the tagged -1 keeps the content at 1.
-    """
-    lead = max(terms)
-    terms = dict(terms)
-    terms[-tag] = -1
-    terms, _ = _normalize(field, terms, lead)
-    return [lead], [terms[lead]], [_tail(terms, lead)]
-
-
-def _exact_quotient(pk, p, terms, divisor, memo):
-    """terms (consumed) over one tagged divisor, both packed; exact or raises.
-
-    divisor is a `_tagged_divisor`, so the remainder's tagged terms are u
-    times the quotient, u the multiplier of the division (see
-    `normal_form`). A monomial term left in the remainder, or u != 1 (over
-    Q: the quotient is not in Z[x]), raises `ArithmeticError`.
-    """
-    rem, u = _divide(pk, p, terms, *divisor, memo)
-    if u != 1 or next(iter(rem), -1) >= 0:
-        raise ArithmeticError("inexact polynomial division")
-    tag = pk.tag
-    return {e + tag: c for e, c in rem.items()}
 
 
 def _laplace(rows, zero):

@@ -304,32 +304,19 @@ class Polynomial:
     def divexact(self, d: "Polynomial") -> "Polynomial":
         """Quotient self / d when d divides exactly; raises otherwise.
 
-        A single-term divisor divides term by term; a longer one goes
-        through one division in `groebner.normal_form`. No `src/` caller is
-        left (Bareiss divides packed entries in `matrix`); it is kept as
-        public API that the tests use and `perfbench/run.py` traces.
+        One division with quotients in `groebner.normal_form`, whatever the
+        number of terms of d. No `src/` caller is left (Bareiss divides
+        packed entries in `matrix`); it is kept as public API that the
+        tests use and `perfbench/run.py` traces.
         """
         if d.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        if d.ring is not self.ring and d.ring != self.ring:
-            raise ValueError("mixing polynomials from different rings")
-        if len(d.terms) > 1:
-            from .groebner import normal_form
+        from .groebner import normal_form
 
-            r, (q,) = normal_form(self, [d], with_quotients=True)
-            if not r.is_zero():
-                raise ArithmeticError("inexact polynomial division")
-            return q
-        ((a, c),) = d.terms.items()
-        p = self.ring.field.char
-        inv = self.ring.field.inv(c)
-        out = {}
-        for e, v in self.terms.items():
-            if not monomial_divides(a, e):
-                raise ArithmeticError("inexact polynomial division")
-            v *= inv
-            out[monomial_div(e, a)] = v % p if p else v
-        return Polynomial(self.ring, out)
+        r, (q,) = normal_form(self, [d], with_quotients=True)
+        if not r.is_zero():
+            raise ArithmeticError("inexact polynomial division")
+        return q
 
     def monic(self) -> "Polynomial":
         """self over its lead coefficient; tests and oracles compare by it."""

@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from idealkit.cli import main
+from idealkit.parse import parse_poly, parse_session
+from idealkit.poly import Ring
 
 DEMO = """\
 ring Q[x, y];
@@ -202,6 +204,23 @@ def test_run_kernel_expressions(capsys, tmp_path):
     code = main(["run", str(p), "kernel", "t^2", "t^3"])
     assert code == 0
     assert capsys.readouterr().out.strip() == "x^3 - y^2"
+
+
+def test_run_kernel_in_a_ring_with_default_target_names(capsys, tmp_path):
+    # x and y are the ring's own names, so the targets are X1, X2, X3.
+    p = tmp_path / "s.ikt"
+    p.write_text("ring Q[x, y];\n")
+    images = ["x^2", "x*y", "y^2 - x"]
+    code = main(["run", str(p), "kernel", *images])
+    lines = capsys.readouterr().out.split("\n")[:-1]
+    assert code == 0 and lines
+    session = parse_session(p.read_text())
+    target = Ring(session.ring.field, ("X1", "X2", "X3"))
+    subs = [parse_poly(session.ring, text) for text in images]
+    for line in lines:
+        g = parse_poly(target, line)
+        assert not g.is_zero()
+        assert g.substitute(subs, session.ring).is_zero()
 
 
 def test_run_dim_and_colength(capsys, demo):

@@ -147,6 +147,29 @@ def test_membership_witness_reconstruction():
     assert acc == f
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_normal_form_with_repeated_and_scaled_divisors(field):
+    # A divisor equal to an earlier one up to a scalar never divides first,
+    # so it moves no remainder; with quotients every input keeps its own,
+    # and the repeated ones get zero.
+    ring = Ring(field, ("x", "y"))
+    x, y = ring.gens()
+    g, h = x**2 * y - 3 * y, x * y**2 + 2 * x
+    p = x**4 * y**3 + 5 * x**3 * y - x * y**2 + y
+    for gens, first in (([g, 2 * g, h], [g, h]), ([g, g, h], [g, h]),
+                        ([3 * h, g, h, 2 * g], [h, g])):
+        distinct = normal_form(p, first)
+        assert normal_form(p, gens) == distinct
+        r, qs = normal_form(p, gens, with_quotients=True)
+        assert r == distinct and len(qs) == len(gens)
+        assert sum((q * gi for q, gi in zip(qs, gens)), r) == p
+        seen = []
+        for q, gi in zip(qs, gens):
+            if gi.monic() in seen:
+                assert q.is_zero()
+            seen.append(gi.monic())
+
+
 def test_groebner_over_prime_field():
     f5 = Ring(GF(5), ("x", "y"))
     x, y = f5.gens()

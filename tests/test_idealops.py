@@ -112,6 +112,17 @@ def test_colon_ideal():
         I.colon_ideal(Ideal(R2, []))
 
 
+def test_colon_ideal_refuses_another_ring():
+    # As for +, * and intersect: J of another field is not coerced, and J
+    # with another variable is not a KeyError.
+    x, y = R2.gens()
+    I = Ideal(R2, [x**2, y**2])
+    f7 = Ring(GF(7), ("x", "y"))
+    for other in (Ideal(f7, [f7.var(0)]), Ideal(R3, [R3.var(2)])):
+        with pytest.raises(ValueError, match="mismatched rings"):
+            I.colon_ideal(other)
+
+
 def colon_by_elimination(I, f):
     """(I : f) as I cap (f), divided by f: the elimination route that the
     signature step replaced, kept here as the differential reference."""
@@ -421,6 +432,16 @@ def test_kernel_of_map_soundness_and_names():
         kernel_of_map([t**2, t**3], ("t", "y"))
     with pytest.raises(ValueError):
         kernel_of_map([])
+    # Default names that a parameter takes fall back to X1, X2, ...; the
+    # defaults are kept when no parameter takes them.
+    x, y = R2.gens()
+    K = kernel_of_map([x**2, x * y, y**2])
+    assert K.ring.names == ("X1", "X2", "X3")
+    X1, X2, X3 = K.ring.gens()
+    assert K == Ideal(K.ring, [X1 * X3 - X2**2])
+    z, t = Ring(QQ, ("z", "t")).gens()
+    assert kernel_of_map([z, t]).ring.names == ("x", "y")
+    assert kernel_of_map([z, t, z * t]).ring.names == ("X1", "X2", "X3")
 
 
 def test_rees_ideal_principal():

@@ -273,8 +273,10 @@ def test_packed_division_is_exact_or_raises(field):
         return {e: int(c) for e, c in pk.pack_terms(f).items()}
 
     def quotient(num, den):
-        divisor = matrix._tagged_divisor(field, packed(den), pk.tag)
-        return matrix._exact_quotient(pk, field.char, packed(num), divisor, {})
+        divisor = groebner._divisors(
+            groebner._kernel_inputs(pk, field, [packed(den)], tagged=True))
+        return groebner._exact_quotient(pk, field.char, packed(num), divisor,
+                                        {})
 
     assert quotient(x**2 - y**2, x + y) == packed(x - y)
     assert quotient(x**2 - y**2, -x - y) == packed(y - x)

@@ -131,8 +131,8 @@ def test_integer_basis_edge_cases_match_sympy(case, order, monkeypatch):
     kept = []
     inputs = groebner._kernel_inputs
 
-    def counting(pk, field, polys):
-        gens = inputs(pk, field, polys)
+    def counting(pk, field, packed, tagged=False):
+        gens = inputs(pk, field, packed, tagged)
         kept.append(len(gens))
         return gens
 
