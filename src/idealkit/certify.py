@@ -417,7 +417,7 @@ def syzygetic_obstruction(H: Ideal, f: Polynomial, I: Ideal,
     element outside (H : f) at the origin.
     """
     ring = I.ring
-    f = ring.convert(f)
+    f = I._element(f)
     if f.is_zero():
         raise ValueError("obstruction element must be nonzero")
     presented = Ideal(ring, list(H.gens) + [f])

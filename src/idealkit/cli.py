@@ -1,5 +1,12 @@
 """Command-line interface: lemma verification bundles and session commands.
 
+`RUN_COMMANDS` is the one table of `run` commands: it maps each name, in
+the order that help lists them, to its usage arguments and to the handler
+that returns the output lines or the report of a claim. The argparse
+choices and help come from its keys. Arity rule: the required arguments are
+the `<...>` of the usage before any `[`, and more may follow only when the
+usage has a `[`; any other count exits 2 with `usage: <command> <usage>`.
+
 Exit codes: 0 when every emitted claim is verified (or the command is a
 plain computation that succeeded), 1 when some claim is refuted or
 inconclusive, 2 on input errors (bad arguments, parse errors, unknown
@@ -30,13 +37,6 @@ from .idealops import Ideal, kernel_of_map, linear_type_by_rees, rees_ideal
 from .matrix import distinct_up_to_sign
 from .orders import DegRevLex, Lex
 from .parse import InputError, parse_poly, parse_session
-
-RUN_COMMANDS = (
-    "gb", "nf", "colon", "intersect", "eliminate", "kernel", "rees",
-    "lineartype", "dim", "colength", "minors", "regseq", "complex",
-    "be", "syzygetic",
-)
-
 
 class UsageError(Exception):
     pass
@@ -128,129 +128,100 @@ class _Session:
             ) from None
 
 
-def _need(args, n, usage):
-    if len(args) != n:
-        raise UsageError(f"usage: {usage}")
-    return args
-
-
 def _basis_lines(ideal: Ideal):
     basis = ideal.groebner()
     return [str(g) for g in basis] if basis else ["0"]
 
 
-def _derived_ranks(matrices):
-    ranks = [0] * len(matrices)
+def _nf(s, name, expr):
+    basis = s.ideal(name).groebner()
+    return [str(normal_form(s.poly(expr), basis))]
+
+
+def _colon(s, name, arg):
+    I = s.ideal(name)
+    if arg in s.session.ideals:
+        return _basis_lines(I.colon_ideal(s.ideal(arg)))
+    return _basis_lines(I.colon(s.poly(arg)))
+
+
+def _lineartype(s, name):
+    linear = linear_type_by_rees(s.ideal(name))
+    return CertificateReport(
+        "linear_type",
+        "verified" if linear else "refuted",
+        {"rees_ideal_generated_in_degree_one": linear},
+        "the defining ideal of the blowup algebra is generated by "
+        "its degree-one part exactly for ideals of linear type")
+
+
+def _colength(s, name):
+    value = s.ideal(name).colength()
+    return ["infinite" if value == float("inf") else str(value)]
+
+
+def _minors(s, name, size_text):
+    m = s.matrix(name)
+    if not (size_text.isascii() and size_text.isdecimal()):
+        raise UsageError("minor size must be written in digits 0-9")
+    minors = m.minors(int(size_text))
+    return [str(v) for v in distinct_up_to_sign(minors.values())]
+
+
+def _chain(s, names):
+    """The named matrices as a complex, each rank read off the later maps."""
+    mats = [s.matrix(n) for n in names]
+    ranks = [0] * len(mats)
     following = 0
-    for k in range(len(matrices) - 1, -1, -1):
-        ranks[k] = matrices[k].ncols - following
+    for k in range(len(mats) - 1, -1, -1):
+        ranks[k] = mats[k].ncols - following
         following = ranks[k]
         if ranks[k] < 0:
             raise UsageError(
                 "matrix chain admits no consistent rank expectations")
-    return ranks
+    return ComplexData(mats, ranks)
+
+
+# Handlers name library functions in their bodies, not as table values, so
+# each call looks them up in this module and a wrapper installed there by a
+# tracer still sees it.
+RUN_COMMANDS = {
+    "gb": ("<ideal>", lambda s, n: _basis_lines(s.ideal(n))),
+    "nf": ("<ideal> <poly>", _nf),
+    "colon": ("<ideal> <poly-or-ideal>", _colon),
+    "intersect": ("<ideal> <ideal>",
+                  lambda s, a, b: _basis_lines(
+                      s.ideal(a).intersect(s.ideal(b)))),
+    "eliminate": ("<ideal> <var> [<var> ...]",
+                  lambda s, n, *vs: _basis_lines(s.ideal(n).eliminate(vs))),
+    "kernel": ("<poly> [<poly> ...]",
+               lambda s, *fs: _basis_lines(
+                   kernel_of_map([s.poly(f) for f in fs]))),
+    "rees": ("<ideal>", lambda s, n: _basis_lines(rees_ideal(s.ideal(n)))),
+    "lineartype": ("<ideal>", _lineartype),
+    "dim": ("<ideal>", lambda s, n: [str(s.ideal(n).krull_dim_quotient())]),
+    "colength": ("<ideal>", _colength),
+    "minors": ("<matrix> <size>", _minors),
+    "regseq": ("<poly> [<poly> ...]",
+               lambda s, *fs: is_regular_sequence([s.poly(f) for f in fs])),
+    "complex": ("<matrix> <matrix> [...]",
+                lambda s, *ms: verify_complex(_chain(s, ms))),
+    "be": ("<matrix> [<matrix> ...]",
+           lambda s, *ms: buchsbaum_eisenbud(_chain(s, ms), {})),
+    "syzygetic": ("<ideal H> <poly f> <ideal I>",
+                  lambda s, h, f, i: syzygetic_obstruction(
+                      s.ideal(h), s.poly(f), s.ideal(i))),
+}
 
 
 def _run_command(sess: _Session, op: str, args):
     """The output lines of a computation, or the report of a claim."""
-    if op == "gb":
-        (name,) = _need(args, 1, "gb <ideal>")
-        return _basis_lines(sess.ideal(name))
-
-    if op == "nf":
-        name, expr = _need(args, 2, "nf <ideal> <poly>")
-        basis = sess.ideal(name).groebner()
-        return [str(normal_form(sess.poly(expr), basis))]
-
-    if op == "colon":
-        name, arg = _need(args, 2, "colon <ideal> <poly-or-ideal>")
-        I = sess.ideal(name)
-        if arg in sess.session.ideals:
-            result = I.colon_ideal(sess.ideal(arg))
-        else:
-            result = I.colon(sess.poly(arg))
-        return _basis_lines(result)
-
-    if op == "intersect":
-        a, b = _need(args, 2, "intersect <ideal> <ideal>")
-        return _basis_lines(sess.ideal(a).intersect(sess.ideal(b)))
-
-    if op == "eliminate":
-        if len(args) < 2:
-            raise UsageError("usage: eliminate <ideal> <var> [<var> ...]")
-        I = sess.ideal(args[0])
-        for v in args[1:]:
-            if v not in sess.ring._index:
-                raise UsageError(f"{v!r} is not a ring variable")
-        return _basis_lines(I.eliminate(args[1:]))
-
-    if op == "kernel":
-        if not args:
-            raise UsageError("usage: kernel <poly> [<poly> ...]")
-        images = [sess.poly(a) for a in args]
-        kernel = kernel_of_map(images)
-        return _basis_lines(kernel)
-
-    if op == "rees":
-        (name,) = _need(args, 1, "rees <ideal>")
-        return _basis_lines(rees_ideal(sess.ideal(name)))
-
-    if op == "lineartype":
-        (name,) = _need(args, 1, "lineartype <ideal>")
-        linear = linear_type_by_rees(sess.ideal(name))
-        return CertificateReport(
-            "linear_type",
-            "verified" if linear else "refuted",
-            {"rees_ideal_generated_in_degree_one": linear},
-            "the defining ideal of the blowup algebra is generated by "
-            "its degree-one part exactly for ideals of linear type")
-
-    if op == "dim":
-        (name,) = _need(args, 1, "dim <ideal>")
-        return [str(sess.ideal(name).krull_dim_quotient())]
-
-    if op == "colength":
-        (name,) = _need(args, 1, "colength <ideal>")
-        value = sess.ideal(name).colength()
-        text = "infinite" if value == float("inf") else str(value)
-        return [text]
-
-    if op == "minors":
-        name, size_text = _need(args, 2, "minors <matrix> <size>")
-        m = sess.matrix(name)
-        if not (size_text.isascii() and size_text.isdecimal()):
-            raise UsageError("minor size must be written in digits 0-9")
-        minors = m.minors(int(size_text))
-        return [str(v) for v in distinct_up_to_sign(minors.values())]
-
-    if op == "regseq":
-        if not args:
-            raise UsageError("usage: regseq <poly> [<poly> ...]")
-        seq = [sess.poly(a) for a in args]
-        return is_regular_sequence(seq)
-
-    if op == "complex":
-        if len(args) < 2:
-            raise UsageError("usage: complex <matrix> <matrix> [...]")
-        mats = [sess.matrix(a) for a in args]
-        cd = ComplexData(mats, _derived_ranks(mats))
-        return verify_complex(cd)
-
-    if op == "be":
-        if len(args) < 1:
-            raise UsageError("usage: be <matrix> [<matrix> ...]")
-        mats = [sess.matrix(a) for a in args]
-        cd = ComplexData(mats, _derived_ranks(mats))
-        certs = {k + 1: None for k in range(len(mats))}
-        return buchsbaum_eisenbud(cd, certs)
-
-    if op == "syzygetic":
-        h_name, expr, i_name = _need(
-            args, 3, "syzygetic <ideal H> <poly f> <ideal I>")
-        return syzygetic_obstruction(
-            sess.ideal(h_name), sess.poly(expr), sess.ideal(i_name))
-
-    raise UsageError(f"unknown command {op!r}")
+    usage, handler = RUN_COMMANDS[op]
+    required, bracket, _ = usage.partition("[")
+    count = required.count("<")
+    if len(args) < count or (len(args) > count and not bracket):
+        raise UsageError(f"usage: {op} {usage}")
+    return handler(sess, *args)
 
 
 # Built on the first call and reused: parse_args leaves the parser as it

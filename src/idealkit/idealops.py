@@ -70,15 +70,28 @@ class Ideal:
             self._gb = buchberger(self.gens)
         return self._gb
 
+    def _element(self, f: Polynomial) -> Polynomial:
+        """f in this ideal's ring, for a query about f.
+
+        Unlike construction, a query does not coerce coefficients: a
+        polynomial over another field raises ValueError, since its answer
+        would be about another polynomial.
+        """
+        if f.ring.field != self.ring.field:
+            raise ValueError(
+                f"{f} has coefficients in {f.ring.field.name}, "
+                f"not in {self.ring.field.name}")
+        return self.ring.convert(f)
+
     def contains(self, f) -> bool:
-        f = self.ring.convert(f)
+        f = self._element(f)
         if f.is_zero():
             return True
         return normal_form(f, self.groebner()).is_zero()
 
     def membership_witness(self, f):
         """(quotients, basis) with f = sum q_i b_i, or None when f not in I."""
-        f = self.ring.convert(f)
+        f = self._element(f)
         gb = self.groebner()
         r, qs = normal_form(f, gb, with_quotients=True)
         if not r.is_zero():
@@ -133,7 +146,7 @@ class Ideal:
         reduced basis; the result keeps the reduced basis it returns.
         """
         return _with_basis(self.ring, colon_basis(self.groebner(),
-                                                  self.ring.convert(f)))
+                                                  self._element(f)))
 
     def colon_ideal(self, other: "Ideal") -> "Ideal":
         """(I : J), by one colon step in R[@y] with f = sum y^(j-1) g_j.
@@ -175,7 +188,7 @@ class Ideal:
         True iff (I : f) contains a unit at the origin, i.e. some reduced
         basis element of the colon has nonzero constant term.
         """
-        f = self.ring.convert(f)
+        f = self._element(f)
         if f.is_zero():
             raise ValueError("local membership of the zero polynomial is trivial")
         colon = self.colon(f)

@@ -52,7 +52,10 @@ class Ring:
         self.one = Polynomial(self, {(0,) * self.nvars: field.one})
 
     def index(self, name: str) -> int:
-        return self._index[name]
+        try:
+            return self._index[name]
+        except KeyError:
+            raise ValueError(f"{name!r} is not a ring variable") from None
 
     def var(self, i) -> "Polynomial":
         if isinstance(i, str):
@@ -90,9 +93,10 @@ class Ring:
     def convert(self, p: "Polynomial") -> "Polynomial":
         """Map a polynomial into this ring, matching variables by name.
 
-        Every variable of the source ring must exist here; coefficients are
-        coerced through this ring's field. Covers order changes, coefficient
-        reduction mod p, and embeddings into rings with extra variables.
+        Every variable of the source ring must exist here, or ValueError
+        names the one missing; coefficients are coerced through this ring's
+        field. Covers order changes, coefficient reduction mod p, and
+        embeddings into rings with extra variables.
         """
         if p.ring is self:
             return p
@@ -100,7 +104,7 @@ class Ring:
         if src.names == self.names:
             positions = None
         else:
-            positions = [self._index[n] for n in src.names]
+            positions = [self.index(n) for n in src.names]
         out = {}
         for exps, c in p.terms.items():
             if positions is None:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from idealkit.cli import main
+from idealkit.cli import RUN_COMMANDS, main
 from idealkit.parse import parse_poly, parse_session
 from idealkit.poly import Ring
 
@@ -475,6 +475,71 @@ def test_exit_2_on_modulus_beyond_proven_primality(capsys):
     captured = capsys.readouterr()
     assert "cannot prove" in captured.err
     assert "verified" not in captured.out
+
+
+# Each run command's usage line and its arity: (required, most), with None
+# for no limit. A command missing here fails the test below.
+USAGE = {
+    "gb": ("gb <ideal>", 1, 1),
+    "nf": ("nf <ideal> <poly>", 2, 2),
+    "colon": ("colon <ideal> <poly-or-ideal>", 2, 2),
+    "intersect": ("intersect <ideal> <ideal>", 2, 2),
+    "eliminate": ("eliminate <ideal> <var> [<var> ...]", 2, None),
+    "kernel": ("kernel <poly> [<poly> ...]", 1, None),
+    "rees": ("rees <ideal>", 1, 1),
+    "lineartype": ("lineartype <ideal>", 1, 1),
+    "dim": ("dim <ideal>", 1, 1),
+    "colength": ("colength <ideal>", 1, 1),
+    "minors": ("minors <matrix> <size>", 2, 2),
+    "regseq": ("regseq <poly> [<poly> ...]", 1, None),
+    "complex": ("complex <matrix> <matrix> [...]", 2, None),
+    "be": ("be <matrix> [<matrix> ...]", 1, None),
+    "syzygetic": ("syzygetic <ideal H> <poly f> <ideal I>", 3, 3),
+}
+
+
+@pytest.mark.parametrize("op", list(RUN_COMMANDS))
+def test_exit_2_on_a_wrong_argument_count(capsys, demo, op):
+    usage, required, most = USAGE[op]
+    counts = [required - 1] + ([] if most is None else [most + 1])
+    for count in counts:
+        assert main(["run", demo, op, *["I"] * count]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: usage: {usage}\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["nf", "Q", "x+"], ["syzygetic", "Q", "x+", "I"],
+], ids=["nf", "syzygetic"])
+def test_unknown_ideal_is_reported_before_an_unreadable_poly(capsys, demo,
+                                                             command):
+    assert main(["run", demo, *command]) == 2
+    assert capsys.readouterr().err == "error: 'Q' does not name an ideal\n"
+
+
+def test_exit_2_on_eliminating_an_unknown_variable(capsys, demo):
+    assert main(["run", demo, "eliminate", "I", "x", "q"]) == 2
+    assert capsys.readouterr().err == "error: 'q' is not a ring variable\n"
+
+
+def test_run_command_lists_follow_the_table(capsys, demo):
+    # RUN_COMMANDS is the one list of run commands: argparse's choices, the
+    # help line and README's example block name the same ones in order.
+    names = list(RUN_COMMANDS)
+    with pytest.raises(SystemExit):
+        main(["run", demo, "nosuchcommand"])
+    choices = re.search(r"\(choose from (.*)\)", capsys.readouterr().err)
+    assert re.findall(r"'(\w+)'", choices.group(1)) == names
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    help_line = re.search(r"one of: (.*?)\n  args", capsys.readouterr().out,
+                          re.S)
+    assert help_line.group(1).replace(",", " ").split() == names
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("### Run a command against a session file")[1]
+    block = block.split("```sh\n")[1].split("```")[0]
+    assert [line.split()[3] for line in block.splitlines()] == names
 
 
 def test_exit_2_on_unknown_lemma(capsys):

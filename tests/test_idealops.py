@@ -9,6 +9,7 @@ import time
 import pytest
 
 from idealkit import groebner, idealops
+from idealkit.certify import syzygetic_obstruction
 from idealkit.cli import main
 from idealkit.fields import GF, QQ
 from idealkit.groebner import (
@@ -121,6 +122,36 @@ def test_colon_ideal_refuses_another_ring():
     for other in (Ideal(f7, [f7.var(0)]), Ideal(R3, [R3.var(2)])):
         with pytest.raises(ValueError, match="mismatched rings"):
             I.colon_ideal(other)
+
+
+@pytest.mark.parametrize("query", [
+    lambda I, f: I.contains(f),
+    lambda I, f: I.membership_witness(f),
+    lambda I, f: I.colon(f),
+    lambda I, f: I.locally_contains_at_origin(f),
+    lambda I, f: syzygetic_obstruction(I, f, I + Ideal(I.ring, [f])),
+], ids=["contains", "membership_witness", "colon", "local", "syzygetic"])
+def test_queries_refuse_a_polynomial_of_another_field(query):
+    # x + 6 over GF(7) is x - 1 there, but coerced into Q it would be
+    # x + 6, so a query raises. Construction still coerces.
+    x, y = R2.gens()
+    f7 = Ring(GF(7), ("x", "y"))
+    I = Ideal(R2, [x - 1, y**2])
+    with pytest.raises(ValueError, match=r"in Fp\(7\), not in Q$"):
+        query(I, f7.var(0) + 6)
+    assert Ideal(R2, [f7.var(0) + 6]).gens == (x + 6,)
+
+
+def test_query_names_a_variable_the_ring_lacks():
+    I = Ideal(R2, [R2.var(0)])
+    with pytest.raises(ValueError, match="^'z' is not a ring variable$"):
+        I.contains(R3.var(2))
+
+
+def test_eliminate_rejects_an_unknown_variable():
+    I = Ideal(R2, [R2.var(0) - R2.var(1)])
+    with pytest.raises(ValueError, match="^'q' is not a ring variable$"):
+        I.eliminate(["y", "q"])
 
 
 def colon_by_elimination(I, f):

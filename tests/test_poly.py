@@ -188,6 +188,11 @@ def test_field_change_convert():
     assert q.coeff((0, 1)) == 2  # -1/2 = -3 = 2 mod 5
 
 
+def test_convert_names_a_missing_variable():
+    with pytest.raises(ValueError, match="^'z' is not a ring variable$"):
+        R2.convert(Ring(QQ, ("x", "y", "z")).var(2))
+
+
 def test_str_round_trips_through_parser():
     x, y = R2.gens()
     cases = [
