@@ -443,9 +443,8 @@ def syzygetic_obstruction(H: Ideal, f: Polynomial, I: Ideal,
         return CertificateReport(claim, REFUTED, witness, anchor)
     scanned = []
     for g in (hi.colon(f2)).groebner():
-        local = hf.locally_contains_at_origin(g)
         scanned.append(str(g))
-        if not local.verdict:
+        if hf.locally_contains_at_origin(g) is None:
             if not hi.contains(g * f2):
                 return CertificateReport(
                     claim, INCONCLUSIVE,

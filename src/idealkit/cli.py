@@ -58,24 +58,16 @@ def _parse_field(text):
         f"bad --field value {text!r} (expected q or fp:<prime>)")
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
-    return str(value)
-
-
 def _emit_reports(reports, fmt, head=None) -> int:
     ok = all(r.status == "verified" for r in reports)
+    # Witnesses key by str and hold no float, so default=str, which prints
+    # polynomials and fractions, is the only conversion they need.
     if fmt == "json":
         payload = {"schema": 1}
         if head:
             payload.update(head)
-        payload["claims"] = [_jsonable(r.as_dict()) for r in reports]
-        print(json.dumps(payload, indent=2))
+        payload["claims"] = [r.as_dict() for r in reports]
+        print(json.dumps(payload, indent=2, default=str))
     else:
         if head:
             for key, val in head.items():
@@ -84,7 +76,7 @@ def _emit_reports(reports, fmt, head=None) -> int:
             print(f"{r.claim}: {r.status}  [{r.millis} ms]")
             if r.anchor:
                 print(f"    {r.anchor}")
-            witness = json.dumps(_jsonable(r.witness))
+            witness = json.dumps(r.witness, default=str)
             print(f"    witness: {witness}")
         verdict = "all claims verified" if ok else "NOT all claims verified"
         print(verdict)

@@ -176,7 +176,7 @@ def _verify_lemma2(session: SessionInput):
 
     remainder = normal_form(f, J.groebner())
     outside_global = not remainder.is_zero()
-    outside_local = not J.locally_contains_at_origin(f).verdict
+    outside_local = J.locally_contains_at_origin(f) is None
     yield CertificateReport(
         "element_outside_subideal",
         VERIFIED if outside_global and outside_local else REFUTED,

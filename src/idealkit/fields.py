@@ -14,6 +14,7 @@ ints; every coefficient that leaves it follows the convention.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -121,11 +122,8 @@ class PrimeField:
 
 QQ = RationalField()
 
-_gf_cache: dict[int, PrimeField] = {}
 
-
+@functools.cache
 def GF(p: int) -> PrimeField:
     """Return the (cached) prime field with p elements."""
-    if p not in _gf_cache:
-        _gf_cache[p] = PrimeField(p)
-    return _gf_cache[p]
+    return PrimeField(p)

@@ -379,9 +379,9 @@ def normal_form(p, gens, with_quotients=False):
 def s_polynomial(f, g):
     lf, lg = f.lead_monomial(), g.lead_monomial()
     lcm = monomial_lcm(lf, lg)
-    field = f.ring.field
-    a = f.term_mul(field.inv(f.lead_coeff()), monomial_div(lcm, lf))
-    b = g.term_mul(field.inv(g.lead_coeff()), monomial_div(lcm, lg))
+    ring, inv = f.ring, f.ring.field.inv
+    a = f * ring.monomial(monomial_div(lcm, lf), inv(f.lead_coeff()))
+    b = g * ring.monomial(monomial_div(lcm, lg), inv(g.lead_coeff()))
     return a - b
 
 

@@ -1,11 +1,13 @@
 """Ideal-level operations built on Groebner bases.
 
 Membership, equality, colon, product, intersection, elimination, ring-map
-kernels, Rees ideals, Krull dimension of the quotient, colength, and the
-localization-at-origin predicate. The ambient regular local ring is modeled
-by a polynomial ring: global identities are computed with Groebner bases and
-local claims are decided through colon ideals and constant terms. `Ideal`
-is the one object that caches a reduced basis and answers membership.
+kernels, Rees ideals, Krull dimension of the quotient, colength, and
+membership after localizing at the origin. The ambient regular local ring is
+modeled by a polynomial ring: global identities are computed with Groebner
+bases and local claims are decided through colon ideals and constant terms:
+`locally_contains_at_origin` returns a unit u of the colon with u*f in I, or
+None. `Ideal` is the one object that caches a reduced basis and answers
+membership.
 Colon ideals come from one signature step on top of the reduced basis
 (`groebner.colon_basis`); intersection, elimination, kernels and Rees ideals
 eliminate front variables under a block order. Every basis comes from the
@@ -18,28 +20,11 @@ variables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .groebner import _basis, buchberger, colon_basis, normal_form
 from .matrix import PolyMatrix
 from .orders import Block, DegRevLex
 from .poly import Polynomial, Ring, monomial_divides
-
-
-@dataclass
-class LocalPredicateResult:
-    """Outcome of a membership test in the localization at the origin.
-
-    When the verdict is true, `witness` is a colon-basis element u with
-    nonzero constant term and u*f in I: a unit at the origin certifying
-    that f lies in the localized ideal.
-    """
-
-    verdict: bool
-    witness: Polynomial | None = None
-
-    def __bool__(self):
-        return self.verdict
 
 
 class Ideal:
@@ -182,20 +167,20 @@ class Ideal:
 
     # -- localization-at-origin predicate ------------------------------------
 
-    def locally_contains_at_origin(self, f) -> LocalPredicateResult:
-        """Whether f lies in I after localizing at the origin.
+    def locally_contains_at_origin(self, f) -> Polynomial | None:
+        """A unit u at the origin with u*f in I, or None when f lies
+        outside I after localizing at the origin.
 
-        True iff (I : f) contains a unit at the origin, i.e. some reduced
-        basis element of the colon has nonzero constant term.
+        u is the first reduced basis element of (I : f) with a nonzero
+        constant term; f lies in the localized ideal iff there is one.
         """
         f = self._element(f)
         if f.is_zero():
             raise ValueError("local membership of the zero polynomial is trivial")
-        colon = self.colon(f)
-        for g in colon.groebner():
+        for g in self.colon(f).groebner():
             if g.constant_term() != self.ring.field.zero:
-                return LocalPredicateResult(True, g)
-        return LocalPredicateResult(False, None)
+                return g
+        return None
 
     # -- numerical invariants -------------------------------------------------
 

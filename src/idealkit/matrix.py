@@ -283,15 +283,7 @@ def canonical_sign(p: Polynomial) -> Polynomial:
 
 def distinct_up_to_sign(values):
     """canonical_sign of each value, in order, keeping the first of each."""
-    seen = set()
-    out = []
-    for val in values:
-        canon = canonical_sign(val)
-        key = frozenset(canon.terms.items())
-        if key not in seen:
-            seen.add(key)
-            out.append(canon)
-    return out
+    return list(dict.fromkeys(map(canonical_sign, values)))
 
 
 def _mul_into(acc, a, b, guard, s):

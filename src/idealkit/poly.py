@@ -2,9 +2,11 @@
 
 A monomial is an exponent tuple, a polynomial is a dict mapping exponent
 tuples to nonzero coefficients, and a ring bundles the field, the variable
-names and the monomial order. Polynomials are immutable by convention: all
-arithmetic returns fresh objects and the term dict is never mutated after
-construction.
+names and the monomial order. `Ring.monomial` and `Ring.poly` take only
+tuples of nvars non-negative ints, and `Ring.var` only a variable's name or
+position; each raises ValueError otherwise. Polynomials are immutable by
+convention: all arithmetic returns fresh objects and the term dict is never
+mutated after construction.
 
 Coefficients follow the one convention stated in `fields`; arithmetic
 applies Python operators to them and reduces mod ``ring.field.char`` when
@@ -13,6 +15,7 @@ it is set.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from operator import add, le, sub
 
@@ -58,8 +61,11 @@ class Ring:
             raise ValueError(f"{name!r} is not a ring variable") from None
 
     def var(self, i) -> "Polynomial":
+        """The variable named i, or at position i; ValueError otherwise."""
         if isinstance(i, str):
-            i = self._index[i]
+            i = self.index(i)
+        elif i not in range(self.nvars):
+            raise ValueError(f"no variable at position {i!r} of {self.nvars}")
         exps = tuple(1 if j == i else 0 for j in range(self.nvars))
         return Polynomial(self, {exps: self.field.one})
 
@@ -72,10 +78,17 @@ class Ring:
             return self.zero
         return Polynomial(self, {(0,) * self.nvars: c})
 
-    def monomial(self, exps, coeff=None) -> "Polynomial":
+    def _exponents(self, exps) -> tuple:
+        """exps as a tuple of nvars non-negative ints; ValueError otherwise."""
         exps = tuple(exps)
         if len(exps) != self.nvars:
             raise ValueError("exponent arity mismatch")
+        if not all(type(e) is int and e >= 0 for e in exps):
+            raise ValueError(f"exponents must be non-negative ints: {exps}")
+        return exps
+
+    def monomial(self, exps, coeff=None) -> "Polynomial":
+        exps = self._exponents(exps)
         c = self.field.one if coeff is None else self.field.coerce(coeff)
         if c == self.field.zero:
             return self.zero
@@ -85,9 +98,9 @@ class Ring:
         """Build a polynomial from {exponent tuple: coefficient}, dropping zeros."""
         clean = {}
         for exps, c in terms.items():
-            c = self.field.coerce(c)
+            exps, c = self._exponents(exps), self.field.coerce(c)
             if c != self.field.zero:
-                clean[tuple(exps)] = c
+                clean[exps] = c
         return Polynomial(self, clean)
 
     def convert(self, p: "Polynomial") -> "Polynomial":
@@ -294,17 +307,6 @@ class Polynomial:
             n >>= 1
         return result
 
-    def term_mul(self, coeff, exps) -> "Polynomial":
-        """Multiply by the single term coeff * x^exps, coeff a field element."""
-        if not coeff:
-            return self.ring.zero
-        p = self.ring.field.char
-        out = {}
-        for e, c in self.terms.items():
-            c *= coeff
-            out[tuple(map(add, e, exps))] = c % p if p else c
-        return Polynomial(self.ring, out)
-
     def divexact(self, d: "Polynomial") -> "Polynomial":
         """Quotient self / d when d divides exactly; raises otherwise.
 
@@ -336,13 +338,7 @@ class Polynomial:
         if len(images) != self.ring.nvars:
             raise ValueError("need one image per variable")
         result = target_ring.zero
-        cache: dict = {}
-
-        def power(i, n):
-            if (i, n) not in cache:
-                cache[(i, n)] = images[i] ** n
-            return cache[(i, n)]
-
+        power = functools.cache(lambda i, n: images[i] ** n)
         for exps, c in self.terms.items():
             term = target_ring.const(c)
             for i, e in enumerate(exps):

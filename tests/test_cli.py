@@ -108,6 +108,32 @@ def test_run_gb_matches_golden(capsys, system, field):
     assert capsys.readouterr().out == golden.read_text()
 
 
+# Every report-returning `run` command, and `minors`, on one session file:
+# the files pin the report serializer and the dedup of minors up to sign.
+# Each command's output follows a `$ <command>  (exit <code>)` line, with
+# the times masked. Regenerate only as the golden files above.
+RUN_GOLDEN = [
+    "regseq x y z", "regseq x*y x*z", "complex phi1 phi2", "be phi1 phi2",
+    "be A B", "syzygetic J x*y I", "lineartype I", "minors phi2 2",
+    "minors phi2 3",
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("field", ["q", "fp:7"])
+def test_run_reports_match_golden(capsys, field, fmt):
+    ikt = str(GOLDEN / "run_matrices.ikt")
+    out = []
+    for command in RUN_GOLDEN:
+        code = main(["run", ikt, *command.split(), "--field", field,
+                     "--format", fmt])
+        text = re.sub(r',\n *"millis": \d+', "", capsys.readouterr().out)
+        text = re.sub(r"\[\d+ ms\]", "[N ms]", text)
+        out.append(f"$ {command}  (exit {code})\n{text}")
+    golden = GOLDEN / f"run_matrices_{field.replace(':', '')}_{fmt}.txt"
+    assert "".join(out) == golden.read_text()
+
+
 def test_verify_text_format(capsys):
     code = main(["verify", "--lemma", "huneke"])
     out = capsys.readouterr().out

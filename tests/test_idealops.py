@@ -542,15 +542,13 @@ def test_linear_type_tests_only_what_can_fail(monkeypatch):
 def test_locally_contains_at_origin():
     x, y = R2.gens()
     J = Ideal(R2, [x**2, y**2])
-    assert not J.locally_contains_at_origin(x * y).verdict
+    assert J.locally_contains_at_origin(x * y) is None
 
     I = Ideal(R2, [(1 + x) * y])
-    res = I.locally_contains_at_origin(y)
-    assert res.verdict
-    assert res.witness is not None
-    assert res.witness.constant_term() != 0
+    unit = I.locally_contains_at_origin(y)
+    assert unit.constant_term() != 0
 
-    assert Ideal(R2, [x]).locally_contains_at_origin(x + x**2).verdict
+    assert Ideal(R2, [x]).locally_contains_at_origin(x + x**2) is not None
     with pytest.raises(ValueError):
         J.locally_contains_at_origin(R2.zero)
 
@@ -560,7 +558,7 @@ def test_local_consistent_with_global():
     I = Ideal(R2, [x**2 + y])
     f = (x**2 + y) * (x - 2)
     assert I.contains(f)
-    assert I.locally_contains_at_origin(f).verdict
+    assert I.locally_contains_at_origin(f) is not None
 
 
 def test_krull_dim_quotient():

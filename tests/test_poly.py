@@ -193,6 +193,24 @@ def test_convert_names_a_missing_variable():
         R2.convert(Ring(QQ, ("x", "y", "z")).var(2))
 
 
+def test_var_rejects_an_unknown_name_or_position():
+    assert R2.var("y") == R2.var(1)
+    with pytest.raises(ValueError, match="^'q' is not a ring variable$"):
+        R2.var("q")
+    for i in (2, 5, -1):
+        with pytest.raises(ValueError, match=f"no variable at position {i}"):
+            R2.var(i)
+
+
+@pytest.mark.parametrize("exps", [(1,), (1, 0, 0), (-1, 0), (1.5, 0)],
+                         ids=["short", "long", "negative", "fractional"])
+@pytest.mark.parametrize("build", [R2.monomial, lambda e: R2.poly({e: 1})],
+                         ids=["monomial", "poly"])
+def test_malformed_exponents_are_rejected(build, exps):
+    with pytest.raises(ValueError, match="exponent"):
+        build(exps)
+
+
 def test_str_round_trips_through_parser():
     x, y = R2.gens()
     cases = [
@@ -268,7 +286,7 @@ def test_coefficient_convention(field):
         k = field.coerce(rng.randint(-9, 9))
         shift = tuple(rng.randint(0, 2) for _ in range(3))
         for p in (a + b, a - b, a - a, -a, a * b, a * k, k * a, a * 0,
-                  a ** 3, a.term_mul(k, shift), a.monic(),
+                  a ** 3, a * ring.monomial(shift, k), a.monic(),
                   a.substitute([b, c, a], ring)):
             _check_convention(p)
         assert _check_convention(a + b) - b == a
