@@ -1,13 +1,17 @@
 """Exact coefficient fields: arbitrary-precision rationals and prime fields.
 
-One coefficient convention holds everywhere: over Q a coefficient is a
-`fractions.Fraction` (lowest terms, positive denominator), over GF(p) an
-int in ``range(p)``, and no stored coefficient is zero. Values enter a
-field through ``coerce``, the one place that converts them. `Polynomial`
-and the Groebner kernel compute on coefficients with Python operators and
-reduce mod ``char`` when it is set, so a field object supplies only
-``char``, ``name``, ``zero``, ``one``, ``coerce`` and ``inv`` (and ``p``
-over GF(p)). Inside the kernel (see `groebner`) divisors over Q are
+One coefficient convention holds everywhere: over Q an integral
+coefficient is a plain int and any other a `fractions.Fraction` in lowest
+terms with denominator above 1, over GF(p) a coefficient is an int in
+``range(p)``, and no stored coefficient is zero. So integer arithmetic over
+Q builds no `Fraction`; since `Fraction(n) == n`, with the same hash and
+the same text, the choice shows in no comparison and no output. Values
+enter a field through ``coerce``, the one place that converts them.
+`Polynomial` and the Groebner kernel compute on coefficients with Python
+operators, reduce mod ``char`` when it is set and otherwise store a
+`Fraction` with denominator 1 as its numerator, so a field object supplies
+only ``char``, ``name``, ``zero``, ``one``, ``coerce`` and ``inv`` (and
+``p`` over GF(p)). Inside the kernel (see `groebner`) divisors over Q are
 primitive integer polynomials, and over GF(p) working terms are unreduced
 ints; every coefficient that leaves it follows the convention.
 """
@@ -55,23 +59,23 @@ def is_prime(n: int) -> bool:
 
 
 class RationalField:
-    """The field of rationals. Elements are Fraction instances."""
+    """The field of rationals. An element is an int when it is integral,
+    and a Fraction with denominator above 1 otherwise."""
 
     char = 0
     name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def coerce(self, v) -> Fraction:
-        if isinstance(v, Fraction):
-            return v
+    def coerce(self, v) -> int | Fraction:
         if isinstance(v, int):
-            return Fraction(v)
+            return int(v)  # a bool becomes a plain int
+        if isinstance(v, Fraction):
+            return v.numerator if v.denominator == 1 else v
         raise TypeError(f"cannot coerce {v!r} into Q")
 
-    @staticmethod
-    def inv(a):
-        return 1 / a
+    def inv(self, a):
+        return self.coerce(Fraction(1, a))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -106,7 +106,10 @@ built per term, and each finished remainder is divided by its content
 once. The basis is made monic only when it is unpacked, and `normal_form`
 divides its integer remainder, whose tagged terms are the quotients, by the
 product of the scale factors, so both fields give the same results as monic
-division over the field.
+division over the field. Unpacking over Q multiplies each integer by the
+scale and builds a `Fraction` only for a product that the scale's
+denominator does not divide, so every coefficient leaves in the
+convention of `fields`: an int when integral.
 """
 
 from __future__ import annotations
@@ -201,7 +204,8 @@ def _normalize(field, terms, lead):
     """(k * terms, k) for the k that puts terms in the kernel's form.
 
     Over Q the result has coprime integer coefficients and a positive lead;
-    over GF(p) it is monic. k is a field element.
+    over GF(p) it is monic. k is a field element, in the convention of
+    `fields`.
     """
     p = field.char
     if p:
@@ -216,7 +220,7 @@ def _normalize(field, terms, lead):
         g = -g
     if g != 1:
         ints = {m: c // g for m, c in ints.items()}
-    return ints, Fraction(den, g)
+    return ints, den // g if not den % g else Fraction(den, g)
 
 
 def _unpack(pk, ring, terms, k):
@@ -237,8 +241,14 @@ def _unpack(pk, ring, terms, k):
         return Polynomial._descending(ring, {unpack(m): c * k % p
                                              for m, c in terms.items()})
     num, den = k.numerator, k.denominator
-    return Polynomial._descending(ring, {unpack(m): Fraction(c * num, den)
-                                         for m, c in terms.items()})
+    if den == 1:
+        return Polynomial._descending(ring, {unpack(m): c * num
+                                             for m, c in terms.items()})
+    out = {}
+    for m, c in terms.items():
+        c *= num
+        out[unpack(m)] = Fraction(c, den) if c % den else c // den
+    return Polynomial._descending(ring, out)
 
 
 def _divide(pk, p, terms, leads, lcs, tails, memo, regular=None):
@@ -766,5 +776,5 @@ def _reduce_basis(pk, back, elements):
         rtails.append(list(rem.items()))
         terms = {lead: lc}
         terms.update(rem)
-        reduced.append(_unpack(pk, back, terms, field.inv(field.coerce(lc))))
+        reduced.append(_unpack(pk, back, terms, field.inv(lc)))
     return reduced

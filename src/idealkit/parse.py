@@ -26,10 +26,10 @@ while it is a single term: a variable (with an optional `^INT`) and an
 integer literal that no `/` or `^` follows are taken straight off the
 tokens, and every other factor is parsed by `_factor` and folded in when
 it is a single term. The coefficient is a plain int (reduced mod p over
-GF(p)) until a fraction is folded in, and over Q it becomes a `Fraction`
-once per term. Once a factor is a sum, the product goes through
-`Polynomial.__mul__`. A zero product stays zero: later factors are
-parsed and checked, but not multiplied in.
+GF(p)) until a fraction is folded in, and over Q a term or a sum whose
+fractions cancel is stored as an int, as `fields` has it. Once a factor
+is a sum, the product goes through `Polynomial.__mul__`. A zero product
+stays zero: later factors are parsed and checked, but not multiplied in.
 
 Sizes are bounded: no exponent of a variable may pass MAX_EXPONENT, a power
 of a sum may not pass MAX_SUM_POWER, no integer literal (in any field) and,
@@ -318,6 +318,8 @@ class _Parser:
                 c = op(get(e, 0), c)
                 if p:
                     c %= p
+                elif type(c) is not int and c.denominator == 1:
+                    c = c.numerator
                 if not c:
                     del value[e]
                     continue
@@ -381,7 +383,7 @@ class _Parser:
                 else:
                     ring = self.session.ring
                     if value is None:
-                        value = {tuple(exps): coeff if p else Fraction(coeff)}
+                        value = {tuple(exps): coeff}
                     value = (Polynomial(ring, value)
                              * Polynomial(ring, other)).terms
                     if _top_exponent(value) > MAX_EXPONENT:
@@ -395,7 +397,8 @@ class _Parser:
             return value
         if not coeff:
             return {}
-        return {tuple(exps): coeff if p else Fraction(coeff)}
+        return {tuple(exps):
+                coeff if type(coeff) is int else QQ.coerce(coeff)}
 
     def _power(self):
         """(index of the `^` at the current token, the INT after it), the

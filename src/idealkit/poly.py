@@ -10,7 +10,9 @@ mutated after construction.
 
 Coefficients follow the one convention stated in `fields`; arithmetic
 applies Python operators to them and reduces mod ``ring.field.char`` when
-it is set.
+it is set. Over Q an int stays an int under sums, differences and
+products, and a `Fraction` result whose denominator is 1 is stored as its
+numerator.
 """
 
 from __future__ import annotations
@@ -236,6 +238,8 @@ class Polynomial:
             s = op(out.get(e, zero), c)
             if p:
                 s %= p
+            elif type(s) is not int and s.denominator == 1:
+                s = s.numerator
             if s:
                 out[e] = s
             else:
@@ -266,7 +270,9 @@ class Polynomial:
         terms = self.terms.items()
         if p:
             return Polynomial(self.ring, {e: c * k % p for e, c in terms})
-        return Polynomial(self.ring, {e: c * k for e, c in terms})
+        return Polynomial(self.ring, {
+            e: s if type(s := c * k) is int or s.denominator != 1
+            else s.numerator for e, c in terms})
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -287,6 +293,8 @@ class Polynomial:
                 s = get(e, zero) + ca * cb
                 if p:
                     s %= p
+                elif type(s) is not int and s.denominator == 1:
+                    s = s.numerator
                 if s:
                     out[e] = s
                 else:

@@ -47,6 +47,24 @@ def test_rational_coerce():
     assert QQ.coerce(Fraction(2, 4)) == Fraction(1, 2)
 
 
+def test_rationals_store_integers_as_ints():
+    # An integral value is a plain int, never a bool or a Fraction; only a
+    # value with denominator above 1 is a Fraction.
+    assert type(QQ.coerce(True)) is int and QQ.coerce(True) == 1
+    two = QQ.coerce(Fraction(4, 2))
+    assert type(two) is int and two == 2
+    assert type(QQ.coerce(Fraction(-3, 6))) is Fraction
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    half = QQ.inv(2)
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    assert type(QQ.inv(Fraction(1, 3))) is int and QQ.inv(Fraction(1, 3)) == 3
+    assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+    with pytest.raises(TypeError):
+        QQ.coerce(0.5)
+
+
 def test_prime_field_arithmetic():
     f7 = GF(7)
     assert f7.char == 7

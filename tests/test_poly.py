@@ -256,13 +256,15 @@ def test_ring_laws(a, b, c):
 
 
 def _check_convention(p):
-    """No stored zero; Fractions over Q, ints in range(p) over GF(p)."""
+    """No stored zero; over Q an int or a Fraction with denominator above
+    1, over GF(p) an int in range(p)."""
     char = p.ring.field.char
     for c in p.terms.values():
         if char:
             assert type(c) is int and 0 < c < char
         else:
-            assert type(c) is Fraction and c != 0
+            assert (type(c) is int or type(c) is Fraction
+                    and c.denominator > 1) and c != 0
     return p
 
 

@@ -9,8 +9,10 @@ monomials.
 
 The same oracle checks the Huneke kernel over GF(2), determinants and
 ranks of seeded polynomial matrices over Q against sympy's `Matrix`, the
-session parser against sympy's `Poly` of the same expression text, and
-colon ideals over Q against the `quotient` of sympy's `agca` ideals.
+session parser against sympy's `Poly` of the same expression text,
+colon ideals over Q against the `quotient` of sympy's `agca` ideals, and
+the type of every coefficient over Q that leaves the Groebner kernel or
+the matrix code, with some of the values against sympy's.
 """
 
 import random
@@ -30,6 +32,7 @@ from idealkit.matrix import PolyMatrix  # noqa: E402
 from idealkit.orders import DegRevLex, Lex  # noqa: E402
 from idealkit.parse import parse_poly, parse_session  # noqa: E402
 from idealkit.poly import Ring  # noqa: E402
+from test_poly import _check_convention  # noqa: E402
 
 P = 32003
 NAMES = ("x", "y", "z")
@@ -307,7 +310,8 @@ def test_parser_matches_sympy(p, seed):
         if p:
             assert all(type(c) is int and 0 <= c < p for c in terms.values())
         else:
-            assert all(type(c) is Fraction for c in terms.values())
+            assert all(type(c) is int or type(c) is Fraction
+                       and c.denominator > 1 for c in terms.values())
 
 
 # (generators of I, generators of J) in Q[x, y, z]; one generator of J is
@@ -338,3 +342,51 @@ def test_colon_matches_sympy_quotient(case, order):
         return agca.ideal(*[as_sympy(p.terms) for p in polys])
 
     assert theirs(ours.groebner()) == theirs(gens_i).quotient(theirs(gens_j))
+
+
+# -- the coefficient convention on every way out of the kernel ----------------
+
+def random_poly(rng, ring):
+    """1-3 terms, exponents at most 2, integer and fractional coefficients."""
+    return ring.poly({
+        tuple(rng.randint(0, 2) for _ in NAMES):
+            Fraction(rng.choice((-6, -4, -3, -2, -1, 1, 2, 3, 4, 6)),
+                     rng.choice((1, 1, 2, 3)))
+        for _ in range(rng.randint(1, 3))})
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_coefficients_out_of_the_kernel_keep_the_convention(seed):
+    # Over Q an integral coefficient is an int and any other a Fraction with
+    # denominator above 1, whichever of division, the basis loop, colon,
+    # elimination, a determinant or substitution made it.
+    rng = random.Random(seed)
+    ring = Ring(QQ, NAMES, DegRevLex(3))
+    f, g, h, p = (random_poly(rng, ring) for _ in range(4))
+    basis = buchberger([f, g, h])
+    r = groebner.normal_form(p, basis)
+    r2, qs = groebner.normal_form(p, [f, g, h], with_quotients=True)
+    small, s_small = random_matrix(rng, 3, 3)  # cofactor expansion
+    large, s_large = random_matrix(rng, 4, 4)  # Bareiss elimination
+    sub = p.substitute([g, h, f], ring)
+    results = [*basis, r, r2, *qs, small.det(), large.det(), sub,
+               *Ideal(ring, [f, g]).colon(h).groebner(),
+               *Ideal(ring, [f, g, h]).eliminate("x").groebner()]
+    for q in results:
+        _check_convention(q)
+    kinds = {type(c) for q in results for c in q.terms.values()}
+    assert kinds == {int, Fraction}, kinds
+    assert r2 + sum(q * d for q, d in zip(qs, [f, g, h])) == p
+
+    terms = [q.terms for q in (f, g, h)]
+    assert basis == theirs(terms, QQ, ring.order, "grevlex")
+    _, rem = sympy.reduced(as_sympy(p.terms),
+                           [as_sympy(q.terms) for q in basis],
+                           *SYMBOLS, order="grevlex")
+    assert r == from_sympy(ring, rem)
+    images = dict(zip(SYMBOLS, (as_sympy(q.terms) for q in (g, h, f))))
+    assert sub == from_sympy(ring, sympy.expand(
+        as_sympy(p.terms).subs(images, simultaneous=True)))
+    for m, sm in ((small, s_small), (large, s_large)):
+        assert m.det() == from_sympy(
+            m.ring, sympy.expand(sm.det(method="berkowitz")))
