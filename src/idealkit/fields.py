@@ -75,6 +75,8 @@ class RationalField:
         raise TypeError(f"cannot coerce {v!r} into Q")
 
     def inv(self, a):
+        if a == 1 or a == -1:
+            return int(a)  # its own inverse, with no Fraction built
         return self.coerce(Fraction(1, a))
 
     def __eq__(self, other):

@@ -11,6 +11,7 @@ self time; `~` stands for built-in functions.
 import contextlib
 import cProfile
 import io
+import os
 import pstats
 import sys
 import tempfile
@@ -47,4 +48,11 @@ def main(workload, field, seed="1"):
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:])
+    try:
+        main(*sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, as `| head` does. As in `cli.main`,
+        # stdout goes to devnull so that the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

@@ -58,7 +58,9 @@ def test_rationals_store_integers_as_ints():
     half = QQ.inv(2)
     assert half == Fraction(1, 2) and type(half) is Fraction
     assert type(QQ.inv(Fraction(1, 3))) is int and QQ.inv(Fraction(1, 3)) == 3
+    assert type(QQ.inv(1)) is int and QQ.inv(1) == 1
     assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+    assert type(QQ.inv(Fraction(-1))) is int and QQ.inv(Fraction(-1)) == -1
     with pytest.raises(ZeroDivisionError):
         QQ.inv(0)
     with pytest.raises(TypeError):

@@ -281,6 +281,24 @@ def test_normal_form_quotients_across_widening():
             assert not all(a <= b for a, b in zip(g.lead_monomial(), exps))
 
 
+@pytest.mark.parametrize("with_y", [False, True])
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=str)
+def test_overflowed_terms_that_cancel_still_widen(field, with_y):
+    # Both divisions reach y^130, past 127, and the two y^130 cancel. The
+    # overflow is seen when the term is popped, before its zero test, so
+    # the call restarts at 16 bits even though nothing of y^130 is left.
+    ring = Ring(field, ("x", "z", "y"), Lex(3))
+    x, z, y = ring.gens()
+    gens = [x - y**100, z - y**100]
+    p = x * y**30 - z * y**30
+    if with_y:
+        r, qs = normal_form(p + y, gens, with_quotients=True)
+        assert r == y and qs == [y**30, -(y**30)]
+    else:
+        assert normal_form(p, gens).is_zero()
+    assert sorted(ring._packings) == [8, 16]
+
+
 def test_input_exponent_at_least_128():
     ring = Ring(QQ, ("x", "y"))
     x, y = ring.gens()

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from idealkit.fields import GF, QQ
 from idealkit.orders import Lex
 from idealkit.parse import parse_poly
-from idealkit.poly import Polynomial, Ring
+from idealkit.poly import Ring
 
 R2 = Ring(QQ, ("x", "y"))
 R4 = Ring(QQ, ("x", "y", "z", "t"))
@@ -231,10 +231,10 @@ def test_hash_consistency():
     assert len({a, b}) == 1
 
 
+# Built through Ring.poly, as parsed and computed polynomials are, so the
+# coefficients are ints.
 poly_strategy = st.builds(
-    lambda terms: Polynomial(R2, {
-        e: Fraction(c) for e, c in terms.items() if c != 0
-    }),
+    R2.poly,
     st.dictionaries(
         st.tuples(st.integers(0, 5), st.integers(0, 5)),
         st.integers(-9, 9),
@@ -250,7 +250,7 @@ def test_ring_laws(a, b, c):
     assert a * b == b * a
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
-    assert a * (b + c) == a * b + a * c
+    assert _check_convention(a * (b + c)) == a * b + a * c
     assert a + R2.zero == a
     assert a * R2.one == a
 
