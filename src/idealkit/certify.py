@@ -16,7 +16,6 @@ sets it to the time the claim took.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb, gcd, lcm
 
 from .fields import QQ
@@ -32,18 +31,19 @@ INCONCLUSIVE = "inconclusive"
 MAX_MATERIALIZED_MINORS = 512
 
 
-@dataclass
 class CertificateReport:
     """Outcome of one certified claim, with a replayable witness.
 
     `millis` is the claim's wall time, set by the runner that timed it.
     """
 
-    claim: str
-    status: str
-    witness: dict = field(default_factory=dict)
-    anchor: str = ""
-    millis: int = 0
+    def __init__(self, claim: str, status: str, witness: dict | None = None,
+                 anchor: str = "", millis: int = 0):
+        self.claim = claim
+        self.status = status
+        self.witness = {} if witness is None else witness
+        self.anchor = anchor
+        self.millis = millis
 
     @property
     def verified(self) -> bool:
@@ -59,7 +59,6 @@ class CertificateReport:
         }
 
 
-@dataclass
 class ComplexData:
     """A chain of differentials in application order, first map first.
 
@@ -68,33 +67,30 @@ class ComplexData:
     the expected Buchsbaum-Eisenbud ranks r_1 ... r_n.
     """
 
-    matrices: tuple
-    ranks: tuple
-
-    def __post_init__(self):
-        self.matrices = tuple(self.matrices)
-        self.ranks = tuple(self.ranks)
+    def __init__(self, matrices, ranks):
+        self.matrices = tuple(matrices)
+        self.ranks = tuple(ranks)
         if len(self.matrices) != len(self.ranks):
             raise ValueError("one expected rank per differential")
         if not self.matrices:
             raise ValueError("empty complex")
 
 
-@dataclass(frozen=True)
 class MinorWitness:
     """Row/column selection locating a named minor, with its sign."""
 
-    rows: tuple
-    cols: tuple
-    sign: int = 1
+    def __init__(self, rows: tuple, cols: tuple, sign: int = 1):
+        self.rows = rows
+        self.cols = cols
+        self.sign = sign
 
 
-@dataclass
 class MinorIdeal:
     """The ideal of all size x size minors of a matrix, kept symbolic."""
 
-    matrix: PolyMatrix
-    size: int
+    def __init__(self, matrix: PolyMatrix, size: int):
+        self.matrix = matrix
+        self.size = size
 
     @property
     def count(self) -> int:
@@ -105,7 +101,6 @@ class MinorIdeal:
                      list(self.matrix.minors(self.size).values()))
 
 
-@dataclass
 class GradeCertificate:
     """Witness data for a grade lower bound on a (minor) ideal.
 
@@ -114,11 +109,14 @@ class GradeCertificate:
     expected record a simplification check ideal(witnesses + aux) == expected.
     """
 
-    bound: int
-    witnesses: tuple
-    minor_hints: tuple | None = None
-    aux: Polynomial | None = None
-    expected: Ideal | None = None
+    def __init__(self, bound: int, witnesses: tuple,
+                 minor_hints: tuple | None = None,
+                 aux: Polynomial | None = None, expected: Ideal | None = None):
+        self.bound = bound
+        self.witnesses = witnesses
+        self.minor_hints = minor_hints
+        self.aux = aux
+        self.expected = expected
 
 
 def _combine(statuses):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 
 from .certify import (
     INCONCLUSIVE,
@@ -144,15 +143,16 @@ L4_STANDARD_MONOMIALS = (
 TORIC_EXPONENTS = (12, 15, 20, 23)
 
 
-@dataclass(frozen=True)
 class LemmaCorpusEntry:
     """One embedded example: id, session text, its claim chain, and the
     bundle that yields the chain's reports one by one."""
 
-    lemma_id: str
-    text: str
-    claims: tuple
-    bundle: Callable[[SessionInput], Iterator[CertificateReport]]
+    def __init__(self, lemma_id: str, text: str, claims: tuple,
+                 bundle: Callable[[SessionInput], Iterator[CertificateReport]]):
+        self.lemma_id = lemma_id
+        self.text = text
+        self.claims = claims
+        self.bundle = bundle
 
     def session(self, field_override=None) -> SessionInput:
         return parse_session(self.text, field_override)

@@ -10,18 +10,33 @@ and ``key(b)``, and the key of the zero vector is all zeros, so each key
 component is an integer linear form in the exponents. The packed monomials
 of `groebner` rely on this to fold a key into one int; a new order must keep
 it.
+
+Orders are immutable values: a `Ring` compares and hashes its order as part
+of its own key. Two orders are equal when they have the same class and
+equal attributes (the variable count, or the blocks), and orders of
+different classes are never equal. Nothing sets an attribute after
+construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+
+class _Order:
+    """An order on `nvars` variables, equal to an order of its own class
+    with equal attributes."""
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.__dict__ == self.__dict__
+
+    def __hash__(self):
+        return hash((type(self), *self.__dict__.values()))
 
 
-@dataclass(frozen=True)
-class Lex:
+class Lex(_Order):
     """Pure lexicographic order on the given number of variables."""
-
-    nvars: int
 
     def key(self, exps):
         return exps
@@ -30,11 +45,8 @@ class Lex:
         return f"lex({self.nvars})"
 
 
-@dataclass(frozen=True)
-class DegRevLex:
+class DegRevLex(_Order):
     """Degree reverse lexicographic order on the given number of variables."""
-
-    nvars: int
 
     def key(self, exps):
         return (sum(exps),) + tuple(-e for e in reversed(exps))
@@ -43,8 +55,7 @@ class DegRevLex:
         return f"degrevlex({self.nvars})"
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(_Order):
     """Block (product) order: compare by the first block, ties by the next.
 
     Each sub-order handles a consecutive slice of the variables; a monomial
@@ -52,11 +63,10 @@ class Block:
     that block, which is what elimination orders rely on.
     """
 
-    blocks: tuple = field(default=())
-
-    def __post_init__(self):
-        if not self.blocks:
+    def __init__(self, blocks: tuple = ()):
+        if not blocks:
             raise ValueError("Block order needs at least one sub-order")
+        self.blocks = blocks
 
     @property
     def nvars(self) -> int:

@@ -45,7 +45,6 @@ far from Python's recursion limit.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from math import lcm
@@ -115,14 +114,15 @@ def _kind(tok: str) -> str:
     return tok
 
 
-@dataclass
 class SessionInput:
     """Parsed session: one ring plus named polynomials, ideals, matrices."""
 
-    ring: Ring
-    polys: dict = field(default_factory=dict)
-    ideals: dict = field(default_factory=dict)
-    matrices: dict = field(default_factory=dict)
+    def __init__(self, ring: Ring, polys: dict | None = None,
+                 ideals: dict | None = None, matrices: dict | None = None):
+        self.ring = ring
+        self.polys = {} if polys is None else polys
+        self.ideals = {} if ideals is None else ideals
+        self.matrices = {} if matrices is None else matrices
 
 
 class _Parser:

@@ -5,6 +5,7 @@ import pytest
 
 from idealkit.certify import (
     MAX_MATERIALIZED_MINORS,
+    CertificateReport,
     ComplexData,
     GradeCertificate,
     MinorIdeal,
@@ -66,6 +67,16 @@ def test_verify_complex_single_matrix_vacuous():
     x, _, _ = R3.gens()
     cd = ComplexData([PolyMatrix(R3, [[x]])], [1])
     assert verify_complex(cd).status == "verified"
+
+
+def test_complex_data_takes_one_rank_per_map():
+    x, _, _ = R3.gens()
+    cd = ComplexData([PolyMatrix(R3, [[x]])], [1])
+    assert type(cd.matrices) is tuple and cd.ranks == (1,)
+    with pytest.raises(ValueError, match="one expected rank"):
+        ComplexData([PolyMatrix(R3, [[x]])], [1, 1])
+    with pytest.raises(ValueError, match="empty complex"):
+        ComplexData([], [])
 
 
 def test_verify_complex_dimension_mismatch():
@@ -400,3 +411,7 @@ def test_reports_serialize():
     d = rep.as_dict()
     assert set(d) == {"claim", "status", "witness", "anchor", "millis"}
     assert isinstance(d["millis"], int)
+    # a report built without a witness gets a dict of its own
+    a, b = CertificateReport("a", "verified"), CertificateReport("b", "refuted")
+    a.witness["k"] = 1
+    assert b.witness == {} and (b.anchor, b.millis) == ("", 0)

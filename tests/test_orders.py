@@ -82,6 +82,13 @@ def test_orders_are_values():
     assert DegRevLex(3) != DegRevLex(2)
     assert Lex(2) != DegRevLex(2)
     assert hash(Block((Lex(1), Lex(1)))) == hash(Block((Lex(1), Lex(1))))
+    assert Block((Lex(1), Lex(1))) != Block((Lex(1), DegRevLex(1)))
+    assert Lex(2) != Block((Lex(2),))
+    keys = {DegRevLex(3): "drl", Block((Lex(2),)): "block"}
+    assert keys[DegRevLex(3)] == "drl" and keys[Block((Lex(2),))] == "block"
+    assert Lex(3) not in keys and Lex(2) not in keys
+    with pytest.raises(ValueError):
+        Block(())
 
 
 @pytest.mark.parametrize("order", [
