@@ -23,16 +23,16 @@ from __future__ import annotations
 
 class _Order:
     """An order on `nvars` variables, equal to an order of its own class
-    with equal attributes."""
+    on as many variables."""
 
     def __init__(self, nvars: int):
         self.nvars = nvars
 
     def __eq__(self, other):
-        return type(other) is type(self) and other.__dict__ == self.__dict__
+        return type(other) is type(self) and other.nvars == self.nvars
 
     def __hash__(self):
-        return hash((type(self), *self.__dict__.values()))
+        return hash((type(self), self.nvars))
 
 
 class Lex(_Order):
@@ -67,6 +67,12 @@ class Block(_Order):
         if not blocks:
             raise ValueError("Block order needs at least one sub-order")
         self.blocks = blocks
+
+    def __eq__(self, other):
+        return type(other) is Block and other.blocks == self.blocks
+
+    def __hash__(self):
+        return hash((Block, self.blocks))
 
     @property
     def nvars(self) -> int:

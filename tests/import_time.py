@@ -1,9 +1,9 @@
 """Import time of `idealkit.cli` with warm bytecode, module by module.
 
-    python tests/import_time.py [runs]
+    python tests/import_time.py
 
 runs `python -X importtime -c "import idealkit.cli"` once to warm the
-bytecode cache and then `runs` times (5 by default), each in a fresh
+bytecode cache and then `RUNS` times, each in a fresh
 interpreter started with -S, so that site hooks of the environment import
 nothing first. `PYTHONDONTWRITEBYTECODE` is unset and `PYTHONPYCACHEPREFIX`
 points at a temporary directory, so bytecode is cached there and the
@@ -19,6 +19,7 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+RUNS = 5
 
 
 def import_times(env):
@@ -39,12 +40,12 @@ def import_times(env):
     return own, total
 
 
-def main(runs="5"):
+def main():
     with tempfile.TemporaryDirectory() as cache:
         env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONPYCACHEPREFIX=cache)
         env.pop("PYTHONDONTWRITEBYTECODE", None)
         import_times(env)
-        samples = [import_times(env) for _ in range(int(runs))]
+        samples = [import_times(env) for _ in range(RUNS)]
     best = {name: min(own[name] for own, _ in samples) for name in samples[0][0]}
     for name, self_us in best.items():
         print(f"{name:<20} {self_us / 1000:6.2f}")
@@ -54,4 +55,4 @@ def main(runs="5"):
 
 
 if __name__ == "__main__":
-    main(*sys.argv[1:])
+    main()

@@ -1,7 +1,6 @@
 """The runtime imports nothing outside the standard library and reads no
 environment variable."""
 
-import functools
 import os
 import subprocess
 import sys
@@ -20,23 +19,13 @@ print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
 """
 
 
-@functools.cache
-def probe():
-    """The probe's output lines, from one fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    return subprocess.run([sys.executable, "-S", "-c", PROBE], env=env,
-                          capture_output=True, text=True,
-                          check=True).stdout.splitlines()
-
-
 def test_runtime_loads_only_the_standard_library():
-    assert probe()[0] == "[]"
-
-
-def test_import_loads_neither_dataclasses_nor_inspect():
-    # Both cost start-up time in every CLI process: records are plain
-    # classes, so nothing needs them.
-    assert probe()[1] == "[]"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    # The second line: dataclasses and inspect cost start-up time in every
+    # CLI process, and records are plain classes, so neither loads.
+    assert out == "[]\n[]\n"
 
 
 def test_runtime_reads_no_environment_variable():
