@@ -84,7 +84,11 @@ overflowed product that cancels still restarts the call, and the check
 costs one test per popped term instead of one per tail update (on a
 seed-1 `gb` pass over Q, 22,748 against 256,929). `_basis` and
 `normal_form` pack their input once and unpack their result once;
-`Polynomial` and every public signature here keep exponent tuples.
+`Polynomial` and every public signature here keep exponent tuples. Every
+width is a whole number of bytes, so the raw exponent fields of a monomial
+(the J-pair multiplier lcm / lead_j of the signature loop is computed so)
+pack by one dot product of their big-endian bytes with per-byte weights
+(`_Packing.weights`), and at width 8 a monomial unpacks from its bytes.
 
 Each division keeps a memo of divisor queries: it maps a packed monomial
 to i when leads[i] is the lowest-index lead that divides it, and to ~k when
@@ -122,8 +126,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import count
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import itemgetter, lshift, mul, neg
 
 from .poly import Polynomial, monomial_div, monomial_lcm
 
@@ -139,23 +144,29 @@ class _Packing:
         n = ring.nvars
         self.max_exp = (1 << (width - 1)) - 1
         self.field_mask = (1 << width) - 1
-        self.shifts = [width * (n - 1 - i) for i in range(n)]
-        self.guard = sum(1 << (s + width - 1) for s in self.shifts)
+        self.shifts = list(range(width * (n - 1), -1, -width))
         self.key_shift = key_shift = width * n
+        self.fields = (1 << key_shift) - 1
+        # The top bit of every field.
+        self.guard = self.fields // self.field_mask << (width - 1)
         # Key component k is a linear form in the exponents, so over
         # exponents in [0, max_exp] it spans at most sum_i |c_ik| * max_exp.
         # Written as digits in a base above that span, the keys compare as
         # ints exactly as they compare as tuples.
-        cols = [ring.order.key(tuple(int(i == j) for j in range(n)))
-                for i in range(n)]
-        span = max((sum(abs(v) for v in row) for row in zip(*cols)), default=0)
-        base = 1 << (span * self.max_exp).bit_length()
-        self.units = []
-        for i, col in enumerate(cols):
-            weight = 0
-            for v in col:
-                weight = weight * base + v
-            self.units.append((weight << key_shift) | (1 << self.shifts[i]))
+        key = ring.order.key
+        cols = [key((0,) * i + (1,) + (0,) * (n - 1 - i)) for i in range(n)]
+        span = max(map(sum, zip(*[map(abs, col) for col in cols])), default=0)
+        bits = (span * self.max_exp).bit_length()
+        self.units = [(sum(map(lshift, reversed(col), count(0, bits)))
+                       << key_shift) | (1 << shift)
+                      for col, shift in zip(cols, self.shifts)]
+        # The byte weights: byte j of the exponent fields, read big-endian,
+        # weighs the unit of its field times its place in the field, so the
+        # dot product of the bytes of raw fields with them packs the
+        # exponents that the fields hold.
+        self.nbytes = key_shift // 8
+        self.weights = [u << 8 * j for u in self.units
+                        for j in range(width // 8 - 1, -1, -1)]
         # A nonzero monomial's key is lexicographically positive, so every
         # unit is positive and the monomial of all max_exp exponents is the
         # largest packed int. Cofactors are tagged terms: input i of a
@@ -174,8 +185,9 @@ class _Packing:
         return sum(map(mul, exps, self.units))
 
     def unpack(self, m):
-        mask = self.field_mask
-        return tuple([m >> s & mask for s in self.shifts])
+        if self.field_mask == 0xFF:  # one byte per field
+            return tuple((m & self.fields).to_bytes(self.nbytes, "big"))
+        return tuple([m >> s & self.field_mask for s in self.shifts])
 
     def pack_terms(self, p):
         """Packed copy of p's term dict, in p's term order."""
@@ -211,7 +223,8 @@ def _normalize(field, terms, lead):
 
     Over Q the result has coprime integer coefficients and a positive lead;
     over GF(p) it is monic. k is a field element, in the convention of
-    `fields`.
+    `fields`. Terms whose coefficients are all ints, as every remainder of
+    the kernel is, are returned as they are when k is 1.
     """
     p = field.char
     if p:
@@ -219,14 +232,16 @@ def _normalize(field, terms, lead):
         if k == 1:
             return terms, k
         return {m: c * k % p for m, c in terms.items()}, k
-    den = lcm(*[c.denominator for c in terms.values()])
-    ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
-    g = gcd(*ints.values())
-    if ints[lead] < 0:
+    den = 1
+    if Fraction in map(type, terms.values()):
+        den = lcm(*[c.denominator for c in terms.values()])
+        terms = {m: int(c * den) for m, c in terms.items()}
+    g = gcd(*terms.values())
+    if terms[lead] < 0:
         g = -g
     if g != 1:
-        ints = {m: c // g for m, c in ints.items()}
-    return ints, den // g if not den % g else Fraction(den, g)
+        terms = {m: c // g for m, c in terms.items()}
+    return terms, den // g if not den % g else Fraction(den, g)
 
 
 def _unpack(pk, ring, terms, k):
@@ -294,7 +309,7 @@ def _divide(pk, p, terms, leads, lcs, tails, memo, regular=None):
     u = 1
     if regular is not None:
         sig, b, ratios = regular
-    heap = [-m for m in terms]
+    heap = list(map(neg, terms))
     heapify(heap)
     while heap:
         m = -heappop(heap)
@@ -581,11 +596,9 @@ def _signature_loop(pk, field, gens, below=None):
     the basis [1] when a is a constant, that is when f lies in I.
     """
     p, tag = field.char, pk.tag
-    guard, units = pk.guard, pk.units
-    shifts, field_mask = pk.shifts, pk.field_mask
-    fields = (1 << pk.key_shift) - 1
-    low = pk.max_exp.bit_length()
-    gens = sorted(gens, key=lambda g: g[1])
+    guard, fields, low = pk.guard, pk.fields, pk.max_exp.bit_length()
+    nbytes, weights = pk.nbytes, pk.weights
+    gens = sorted(gens, key=itemgetter(1))
     b = len(gens).bit_length()
     index_mask = (1 << b) - 1
     colon = below is not None
@@ -688,8 +701,8 @@ def _signature_loop(pk, field, gens, below=None):
             d &= g - (g >> low)
             step = steps.get(d)
             if step is None:
-                step = steps[d] = sum([(d >> s & field_mask) * u
-                                       for s, u in zip(shifts, units)])
+                step = steps[d] = sum(map(mul, d.to_bytes(nbytes, "big"),
+                                          weights))
             if ratio > rj:
                 koszul, monos = m + lj, syz[i]
             else:
@@ -777,7 +790,5 @@ def _reduce_basis(pk, back, elements):
         rleads.append(lead)
         rlcs.append(lc)
         rtails.append(list(rem.items()))
-        terms = {lead: lc}
-        terms.update(rem)
-        reduced.append(_unpack(pk, back, terms, field.inv(lc)))
+        reduced.append(_unpack(pk, back, {lead: lc, **rem}, field.inv(lc)))
     return reduced

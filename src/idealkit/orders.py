@@ -20,6 +20,8 @@ construction.
 
 from __future__ import annotations
 
+from operator import neg
+
 
 class _Order:
     """An order on `nvars` variables, equal to an order of its own class
@@ -49,7 +51,7 @@ class DegRevLex(_Order):
     """Degree reverse lexicographic order on the given number of variables."""
 
     def key(self, exps):
-        return (sum(exps),) + tuple(-e for e in reversed(exps))
+        return (sum(exps),) + tuple(map(neg, reversed(exps)))
 
     def __str__(self):
         return f"degrevlex({self.nvars})"
@@ -67,16 +69,13 @@ class Block(_Order):
         if not blocks:
             raise ValueError("Block order needs at least one sub-order")
         self.blocks = blocks
+        self.nvars = sum(b.nvars for b in blocks)
 
     def __eq__(self, other):
         return type(other) is Block and other.blocks == self.blocks
 
     def __hash__(self):
         return hash((Block, self.blocks))
-
-    @property
-    def nvars(self) -> int:
-        return sum(b.nvars for b in self.blocks)
 
     def key(self, exps):
         parts = []

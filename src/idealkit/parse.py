@@ -12,34 +12,41 @@ coefficients may be written `p/q`. Expressions may reference previously
 declared polynomials by name. All declared names share one namespace and
 must be unique. Errors carry line and column.
 
-The source is cut into tokens by one regular expression (`_TOKEN`). A token
-is a plain string, and its kind is read off its first character; tokens
-keep no positions, so an `InputError` scans the source again to find the
-line and column of its token. A token that starts with a character outside
-the grammar is reported first, wherever it stands, as a tokenizer that
-checks the whole input before parsing would.
+The source is cut into tokens once. A token is a plain string, and its
+kind is read off its first character; `_TOKEN`, one regular expression,
+defines them. A source of blanks, symbols and word characters alone, as
+every session file is, is cut by `str.split` instead, once blanks are set
+around each symbol and after each ASCII digit run that starts a word but
+does not end it: the same tokens, for about half the cost. Tokens keep no
+positions, so an `InputError` scans the source again with `_TOKEN` to find
+the line and column of its token. A token that starts with a character
+outside the grammar is reported first, wherever it stands, as a tokenizer
+that checks the whole input before parsing would.
 
-Expressions are parsed into term dicts {exponent tuple: coefficient}, and
-only a whole expression becomes a `Polynomial`. A sum adds into one dict. A
-product is read factor by factor into one exponent list and one coefficient
-while it is a single term: a variable (with an optional `^INT`) and an
-integer literal that no `/` or `^` follows are taken straight off the
-tokens, and every other factor is parsed by `_factor` and folded in when
-it is a single term. The coefficient is a plain int (reduced mod p over
-GF(p)) until a fraction is folded in, and over Q a term or a sum whose
-fractions cancel is stored as an int, as `fields` has it. Once a factor
-is a sum, the product goes through `Polynomial.__mul__`. A zero product
-stays zero: later factors are parsed and checked, but not multiplied in.
+An expression is read into one term dict {exponent tuple: coefficient},
+and only the whole expression becomes a `Polynomial`. Each product is
+read in one loop while it is a single term: an exponent list and one
+coefficient, which starts as the sign of the term. A variable (with an
+optional `^INT`) and an integer literal that no `/` or `^` follows are
+taken straight off the tokens, and every other factor (parentheses, a
+unary minus, a fraction, a power of a sum, a named polynomial) is parsed by
+the recursive descent of `_factor` and folded in when it is a single term.
+The coefficient is a plain int (reduced mod p over GF(p)) until a fraction
+is folded in, and over Q a term or a sum whose fractions cancel is stored
+as an int, as `fields` has it. Once a factor is a sum, the product goes
+through `Polynomial.__mul__`. A zero product stays zero: later factors are
+parsed and checked, but not multiplied in. A fraction takes no power:
+`p/q^n` is an error that asks for `(p/q)^n`, as `p^n/q` is one.
 
 Sizes are bounded: no exponent of a variable may pass MAX_EXPONENT, a power
 of a sum may not pass MAX_SUM_POWER, no integer literal (in any field) and,
 over Q, no numerator or denominator may pass MAX_COEFF_BITS bits. Literals
 and powers are checked before they are computed, a product right after
 each factor is multiplied in (a zero product is not checked), and a sum at
-each coefficient it changes (its operands are within bounds). A matrix
-dimension may have at most 9 digits. Open parentheses and unary minus
-signs may nest at most MAX_NESTING deep, which keeps the recursive descent
-far from Python's recursion limit.
+each coefficient where two of its terms meet (its terms are within
+bounds). A matrix dimension may have at most 9 digits. Open parentheses
+and unary minus signs may nest at most MAX_NESTING deep, which keeps the
+recursive descent far from Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ import re
 from fractions import Fraction
 from itertools import islice
 from math import lcm
-from operator import add, sub
+from operator import add
 
 from .fields import GF, QQ
 from .matrix import PolyMatrix
@@ -100,18 +107,38 @@ class InputError(Exception):
 # run, a word or one character is taken; the last match is the empty token
 # at the end of input.
 _TOKEN = re.compile(r"[ \t\r\n]*(?:#.*[ \t\r\n]*)*([0-9]+|\w+|.|\Z)")
-_SYMBOLS = frozenset("+-*^()[]=,;/")
+_SYMBOLS = "+-*^()[]=,;/"
+_BREAKS = _SYMBOLS + " \t\r\n"
+# A source of blanks, symbols and word characters alone has the tokens of
+# `_TOKEN` once each symbol and each ASCII digit run that starts a word but
+# not ends it is set apart by blanks, so `str.split` cuts it.
+_PLAIN = re.compile(r"[\w \t\r\n+\-*^()\[\]=,;/]*").fullmatch
+_DIGITS = re.compile(r"[0-9]+(?=[^\W0-9])")
+_SPACED = [(c, f" {c} ") for c in _SYMBOLS]
+
+
+def _tokens(source: str) -> list:
+    """The tokens that `_TOKEN` finds in source, up to the first ""."""
+    if not _PLAIN(source):
+        return _TOKEN.findall(source)
+    source = _DIGITS.sub(_cut_digits, source)
+    for c, spaced in _SPACED:
+        source = source.replace(c, spaced)
+    return [*source.split(), ""]
+
+
+def _cut_digits(m) -> str:
+    """The digit run m, and a blank after it when it starts a word."""
+    start = m.start()
+    return m[0] + " " if not start or m.string[start - 1] in _BREAKS else m[0]
 
 
 def _kind(tok: str) -> str:
     """IDENT, INT, or the token itself: a symbol, "" at the end of input, or
     a token that starts with an unexpected character."""
     first = tok[:1]
-    if first.isalpha() or first == "_":
-        return "IDENT"
-    if "0" <= first <= "9":
-        return "INT"
-    return tok
+    return ("IDENT" if first.isalpha() or first == "_"
+            else "INT" if "0" <= first <= "9" else tok)
 
 
 class SessionInput:
@@ -128,13 +155,12 @@ class SessionInput:
 class _Parser:
     def __init__(self, source, field_override=None, order=None):
         self.source = source
-        self.tokens = _TOKEN.findall(source)
+        self.tokens = _tokens(source)
         self.pos = 0
         self.session: SessionInput | None = None
         self.field_override = field_override
         self.order = order
         self.depth = 0
-        self.index: dict = {}
 
     # -- token plumbing ---------------------------------------------------
 
@@ -171,20 +197,13 @@ class _Parser:
 
     def parse_session(self) -> SessionInput:
         while tok := self.tokens[self.pos]:
-            if _kind(tok) != "IDENT":
-                self.error("expected a statement keyword")
-            if tok == "ring":
-                self._ring_stmt()
-            elif tok == "poly":
-                self._poly_stmt()
-            elif tok == "ideal":
-                self._ideal_stmt()
-            elif tok == "matrix":
-                self._matrix_stmt()
-            else:
-                self.error(
-                    f"unknown statement {tok!r} "
-                    "(expected ring, poly, ideal, or matrix)")
+            if tok not in ("ring", "poly", "ideal", "matrix"):
+                self.error("expected a statement keyword"
+                           if _kind(tok) != "IDENT" else
+                           f"unknown statement {tok!r} "
+                           "(expected ring, poly, ideal, or matrix)")
+            self.pos += 1
+            getattr(self, "_" + tok)()
         if self.session is None:
             self.error("input declares no ring")
         return self.session
@@ -203,10 +222,9 @@ class _Parser:
                 self.error(f"name {name!r} is already defined", at)
         return name
 
-    def _ring_stmt(self):
+    def _ring(self):
         if self.session is not None:
-            self.error("only one ring declaration is allowed")
-        self.pos += 1
+            self.error("only one ring declaration is allowed", self.pos - 1)
         at = self.pos
         name = self.expect("IDENT", "a coefficient field (Q or Fp(p))")
         if name == "Q":
@@ -222,13 +240,9 @@ class _Parser:
                 self.error(str(exc), at)
         else:
             self.error(f"unknown field {name!r} (expected Q or Fp(p))", at)
-        if self.field_override is not None:
-            coeff_field = self.field_override
+        coeff_field = self.field_override or coeff_field
         self.expect("[")
-        names = [self.expect("IDENT", "a variable name")]
-        while self.tokens[self.pos] == ",":
-            self.pos += 1
-            names.append(self.expect("IDENT", "a variable name"))
+        names = self._list(lambda: self.expect("IDENT", "a variable name"))
         self.expect("]")
         if len(set(names)) != len(names):
             self.error("duplicate variable name", self.pos - 1)
@@ -242,33 +256,27 @@ class _Parser:
         self.char = ring.field.char
         self.index = ring._index
 
-    def _poly_stmt(self):
-        self.pos += 1
+    def _poly(self):
         name = self._declare("a polynomial name")
         self.expect("=")
         value = self._expr()
         self.expect(";")
         self.session.polys[name] = value
 
-    def _ideal_stmt(self):
-        self.pos += 1
+    def _ideal(self):
         name = self._declare("an ideal name")
         self.expect("=")
-        gens = self._expr_list()
+        gens = self._list(self._expr)
         self.expect(";")
         self.session.ideals[name] = gens
 
-    def _matrix_stmt(self):
-        self.pos += 1
+    def _matrix(self):
         at = self.pos
         name = self._declare("a matrix name")
         rows, cols = self._dims()
         self.expect("=")
         self.expect("[")
-        data = [self._expr_list()]
-        while self.tokens[self.pos] == ";":
-            self.pos += 1
-            data.append(self._expr_list())
+        data = self._list(lambda: self._list(self._expr), ";")
         self.expect("]")
         self.expect(";")
         if len(data) != rows or any(len(r) != cols for r in data):
@@ -298,121 +306,130 @@ class _Parser:
             self.error("matrix dimension too large", self.pos - 1)
         return int(digits)
 
-    def _expr_list(self):
-        out = [self._expr()]
-        while self.tokens[self.pos] == ",":
+    def _list(self, read, sep: str = ","):
+        """read() once, then again after each `sep`; the values in a list."""
+        out = [read()]
+        while self.tokens[self.pos] == sep:
             self.pos += 1
-            out.append(self._expr())
+            out.append(read())
         return out
 
     # -- expressions ------------------------------------------------------
 
     def _expr(self) -> Polynomial:
-        start = self.pos
-        value = dict(self._term(start))
-        get, p = value.get, self.char
-        while (tok := self.tokens[self.pos]) == "+" or tok == "-":
-            self.pos += 1
-            op = add if tok == "+" else sub
-            for e, c in self._term(start).items():
-                c = op(get(e, 0), c)
-                if p:
-                    c %= p
-                elif type(c) is not int and c.denominator == 1:
-                    c = c.numerator
-                if not c:
-                    del value[e]
-                    continue
-                value[e] = c
-                if not p and _coeff_too_large(c):
-                    self.error("coefficient too large", start)
-        return Polynomial(self.session.ring, value)
+        """A sum of products, added term by term into one dict. A bound
+        that a product or the sum crosses is reported at its first token.
 
-    def _term(self, start: int) -> dict:
-        """A product of factors, checked after each one at token `start`.
-
-        While the product is a single term it is the exponent list `exps`
-        times `coeff`: simple factors are read straight off the tokens, and
-        a single-term `_factor` is folded in. A factor with several terms
-        makes it the term dict `value`, multiplied as polynomials from then
-        on; a zero product stays `coeff` = 0.
+        A product starts as its sign, 1 or -1 (p - 1 over GF(p)), and while
+        it is a single term it is the exponent list `exps` times `coeff`: a
+        variable with an optional `^INT` and an integer literal that no `/`
+        or `^` follows are read straight off the tokens in one loop, and
+        any other factor is parsed by `_factor` and folded in when it has
+        one term. A factor with several terms makes the product the term
+        dict `prod`, multiplied as polynomials from then on; a zero product
+        stays `coeff` = 0. A term whose monomial is new to the sum needs no
+        check: a product is checked as it is built.
         """
         tokens, index, p = self.tokens, self.index, self.char
-        exps = [0] * len(index)
-        coeff = 1
-        value = None
+        start = pos = self.pos
+        n, value, coeff = len(index), {}, 1
         while True:
-            tok = tokens[self.pos]
-            i = index.get(tok)
-            if i is not None and value is None:
-                self.pos += 1
-                if tokens[self.pos] == "^":
-                    caret, e = self._power()
-                    if e is None or e > MAX_EXPONENT:
-                        self.error("exponent too large", caret)
-                    exps[i] += e
-                else:
-                    exps[i] += 1
-                if coeff and exps[i] > MAX_EXPONENT:
-                    self.error("exponent too large", start)
-            elif ("0" <= tok[:1] <= "9" and value is None
-                  and tokens[self.pos + 1] not in ("/", "^")):
-                coeff *= self._coefficient("a coefficient")
-                if p:
-                    coeff %= p
-                elif _coeff_too_large(coeff):
-                    self.error("coefficient too large", start)
-            else:
-                other = self._factor()
-                if not coeff:  # a zero product takes no factor in
-                    pass
-                elif not other:
-                    coeff, value = 0, None
-                elif len(other) == 1 and value is None:
-                    ((e, c),) = other.items()
-                    exps = list(map(add, exps, e))
-                    if max(exps, default=0) > MAX_EXPONENT:
+            exps, prod = [0] * n, None
+            while True:
+                tok = tokens[pos]
+                i = index.get(tok)
+                if i is not None and prod is None:
+                    pos += 1
+                    if tokens[pos] == "^":
+                        e = tokens[pos + 1]
+                        e = (int(e) if "0" <= e[:1] <= "9" and len(e) < 7
+                             else self._power(pos))
+                        if e is None or e > MAX_EXPONENT:
+                            self.error("exponent too large", pos)
+                        pos += 2
+                        exps[i] += e
+                    else:
+                        exps[i] += 1
+                    if coeff and exps[i] > MAX_EXPONENT:
                         self.error("exponent too large", start)
-                    coeff *= c
+                elif ("0" <= tok[:1] <= "9" and prod is None
+                      and tokens[pos + 1] not in ("/", "^")):
+                    coeff *= int(tok) if len(tok) < 7 else self._literal(pos)
+                    pos += 1
                     if p:
                         coeff %= p
                     elif _coeff_too_large(coeff):
                         self.error("coefficient too large", start)
-                elif value is None and coeff == 1 and not any(exps):
-                    value = other
                 else:
-                    ring = self.session.ring
-                    if value is None:
-                        value = {tuple(exps): coeff}
-                    value = (Polynomial(ring, value)
-                             * Polynomial(ring, other)).terms
-                    if _top_exponent(value) > MAX_EXPONENT:
-                        self.error("exponent too large", start)
-                    if not p and any(map(_coeff_too_large, value.values())):
+                    self.pos = pos
+                    other = self._factor()
+                    pos = self.pos
+                    if not coeff:  # a zero product takes no factor in
+                        pass
+                    elif not other:
+                        coeff, prod = 0, None
+                    elif len(other) == 1 and prod is None:
+                        ((e, c),) = other.items()
+                        exps = list(map(add, exps, e))
+                        if max(exps, default=0) > MAX_EXPONENT:
+                            self.error("exponent too large", start)
+                        coeff *= c
+                        if p:
+                            coeff %= p
+                        elif _coeff_too_large(coeff):
+                            self.error("coefficient too large", start)
+                    elif prod is None and coeff == 1 and not any(exps):
+                        prod = other
+                    else:
+                        ring = self.session.ring
+                        if prod is None:
+                            prod = {tuple(exps): coeff}
+                        prod = (Polynomial(ring, prod)
+                                * Polynomial(ring, other)).terms
+                        if _top_exponent(prod) > MAX_EXPONENT:
+                            self.error("exponent too large", start)
+                        if not p and any(map(_coeff_too_large, prod.values())):
+                            self.error("coefficient too large", start)
+                if tokens[pos] != "*":
+                    break
+                pos += 1
+            prod = (prod.items() if prod is not None else () if not coeff
+                    else [(tuple(exps), coeff if type(coeff) is int
+                           else QQ.coerce(coeff))])
+            for e, c in prod:
+                if e in value:
+                    c = (c + value[e]) % p if p else QQ.coerce(c + value[e])
+                    if not c:
+                        del value[e]
+                        continue
+                    if not p and _coeff_too_large(c):
                         self.error("coefficient too large", start)
-            if tokens[self.pos] != "*":
+                value[e] = c
+            tok = tokens[pos]
+            if tok != "+" and tok != "-":
                 break
-            self.pos += 1
-        if value is not None:
-            return value
-        if not coeff:
-            return {}
-        return {tuple(exps):
-                coeff if type(coeff) is int else QQ.coerce(coeff)}
+            coeff = 1 if tok == "+" else p - 1
+            pos += 1
+        self.pos = pos
+        return Polynomial(self.session.ring, value)
 
-    def _power(self):
-        """(index of the `^` at the current token, the INT after it), the
-        exponent None when it has more than 9 digits."""
-        caret = self.pos
-        self.pos += 1
-        digits = self.expect("INT", "an exponent").lstrip("0") or "0"
-        return caret, int(digits) if len(digits) <= 9 else None
+    def _power(self, caret: int):
+        """The INT after the `^` at token `caret`, or None when it has more
+        than 9 digits."""
+        digits = self.tokens[caret + 1]
+        if not "0" <= digits[:1] <= "9":
+            self.pos = caret + 1
+            self.expect("INT", "an exponent")
+        digits = digits.lstrip("0") or "0"
+        return int(digits) if len(digits) <= 9 else None
 
     def _factor(self) -> dict:
         base = self._base()
-        if self.tokens[self.pos] != "^":
+        caret = self.pos
+        if self.tokens[caret] != "^":
             return base
-        caret, exp = self._power()
+        exp = self._power(caret)
+        self.pos += 2
         if (exp is None or exp * _top_exponent(base) > MAX_EXPONENT
                 or (exp > MAX_SUM_POWER and len(base) > 1)):
             self.error("exponent too large", caret)
@@ -424,10 +441,9 @@ class _Parser:
             self.error("coefficient too large", caret)
         return (Polynomial(self.session.ring, base)**exp).terms
 
-    def _coefficient(self, what: str) -> int:
-        """The next token as an integer literal within MAX_COEFF_BITS."""
-        at = self.pos
-        digits = self.expect("INT", what).lstrip("0") or "0"
+    def _literal(self, at: int) -> int:
+        """The INT at token `at` as an int within MAX_COEFF_BITS."""
+        digits = self.tokens[at].lstrip("0") or "0"
         # d digits mean more than 3.3 * (d - 1) bits, so a longer literal is
         # too large without converting it.
         value = int(digits) if len(digits) <= MAX_COEFF_BITS // 3 else None
@@ -436,27 +452,31 @@ class _Parser:
         return value
 
     def _base(self) -> dict:
-        tok = self.tokens[self.pos]
+        at = self.pos
+        tok = self.tokens[at]
+        session, ring = self.session, self.session.ring
         i = self.index.get(tok)
         if i is not None:
             self.pos += 1
-            return self.session.ring.var(i).terms
-        session = self.session
-        ring = session.ring
+            return ring.var(i).terms
         kind = _kind(tok)
         if kind == "INT":
-            num = self._coefficient("a coefficient")
-            if self.tokens[self.pos] == "/":
-                self.pos += 1
-                at = self.pos
-                den = self._coefficient("a denominator")
-                if den == 0:
-                    self.error("zero denominator", at)
-                try:
-                    return ring.const(Fraction(num, den)).terms
-                except ZeroDivisionError as exc:  # den vanishes mod p
-                    self.error(str(exc), at)
-            return ring.const(num).terms
+            num = self._literal(at)
+            self.pos += 1
+            if self.tokens[self.pos] != "/":
+                return ring.const(num).terms
+            self.pos += 1
+            at = self.pos
+            self.expect("INT", "a denominator")
+            den = self._literal(at)
+            if den == 0:
+                self.error("zero denominator", at)
+            if self.tokens[self.pos] == "^":
+                self.error("a power of a fraction needs parentheses: (p/q)^n")
+            try:
+                return ring.const(Fraction(num, den)).terms
+            except ZeroDivisionError as exc:  # den vanishes mod p
+                self.error(str(exc), at)
         if kind == "IDENT":
             if tok in session.polys:
                 self.pos += 1

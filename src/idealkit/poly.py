@@ -135,7 +135,7 @@ class Ring:
         return Polynomial(self, out)
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, Ring)
             and other.field == self.field
             and other.names == self.names

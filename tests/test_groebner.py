@@ -1,6 +1,7 @@
 """Division, Buchberger, reduced-basis uniqueness, membership witnesses."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -600,6 +601,65 @@ def test_packed_monomials_lie_below_the_tag(order, width):
         assert 0 <= m <= pk.pack((top, top, top))
         assert pk.unpack(m - pk.tag) == exps
         assert (m - pk.tag) & pk.guard == 0
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64])
+@pytest.mark.parametrize("order", [
+    Lex(4), DegRevLex(4), Block((DegRevLex(1), Block((Lex(2), DegRevLex(1)))))],
+    ids=str)
+def test_byte_weights_pack_raw_fields(order, width):
+    # The signature loop packs lcm / lead from its raw exponent fields by one
+    # dot product of their big-endian bytes with the byte weights; it must
+    # give pack() of the exponents that the fields hold. Unpacking, by
+    # bytes at width 8 and by shifts above it, inverts pack() and reads a
+    # tagged term as its monomial.
+    ring = Ring(QQ, ("x", "y", "z", "t"), order)
+    pk = groebner._Packing(ring, width)
+    rng = random.Random(width)
+    top = pk.max_exp
+    samples = [*itertools.product((0, 1, top), repeat=4),
+               *(tuple(rng.randint(0, top) for _ in range(4))
+                 for _ in range(200))]
+    for exps in samples:
+        raw = sum(e << s for e, s in zip(exps, pk.shifts))
+        dot = sum(b * w for b, w in zip(raw.to_bytes(pk.nbytes, "big"),
+                                        pk.weights, strict=True))
+        m = pk.pack(exps)
+        assert dot == m
+        assert pk.unpack(m) == exps
+        assert pk.unpack(m - 3 * pk.tag) == exps
+
+
+def _normalize_reference(terms, lead):
+    """`_normalize` over Q as it was before its int path: every coefficient
+    goes through the lcm of the denominators and a rebuilt dict."""
+    den = math.lcm(*[c.denominator for c in terms.values()])
+    ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+    g = math.gcd(*ints.values())
+    if ints[lead] < 0:
+        g = -g
+    if g != 1:
+        ints = {m: c // g for m, c in ints.items()}
+    return ints, den // g if not den % g else Fraction(den, g)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_normalize_over_q_matches_the_reference(seed):
+    rng = random.Random(seed)
+    for k in range(300):
+        content = rng.choice([1, 1, 2, 6, 35, 2**70 + 1])
+        terms = {m: content * rng.choice([-1, 1]) * rng.randint(1, 50)
+                 for m in rng.sample(range(1000), rng.randint(1, 6))}
+        if k % 3 == 0:  # a fraction or two
+            for m in rng.sample(sorted(terms), rng.randint(1, len(terms))):
+                terms[m] = QQ.coerce(Fraction(terms[m], rng.randint(2, 30)))
+        lead = max(terms)
+        expected = _normalize_reference(dict(terms), lead)
+        got = groebner._normalize(QQ, dict(terms), lead)
+        assert got == expected
+        assert list(got[0]) == list(terms)  # the order is kept
+        assert [type(c) for c in (*got[0].values(), got[1])] == \
+            [type(c) for c in (*expected[0].values(), expected[1])]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=repr)

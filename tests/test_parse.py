@@ -1,13 +1,17 @@
 """Session-file parsing: statements, expressions, rendering, diagnostics."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from idealkit.fields import GF, QQ
 from idealkit.parse import (
+    _PLAIN,
+    _TOKEN,
     MAX_NESTING,
     InputError,
+    _tokens,
     parse_poly,
     parse_session,
 )
@@ -311,3 +315,34 @@ def test_size_bounds_allow_what_fits():
     # literals are not bounded; only each literal and each exponent is.
     s = parse_session("ring Fp(7)[x];\npoly f = 3^200000*x^0;\n")
     assert s.polys["f"] == pow(3, 200000, 7)
+
+
+def test_power_of_a_fraction_needs_parentheses():
+    # sympy reads p/q^n as p/(q^n); rather than pick a reading, the parser
+    # asks for parentheses, as p^n/q already fails.
+    with pytest.raises(InputError) as exc:
+        parse_session("ring Q[x];\npoly f = 2/3^2*x;\n")
+    assert (exc.value.line, exc.value.col) == (2, 13)
+    assert "(p/q)^n" in exc.value.reason
+    s = parse_session("ring Q[x];\npoly f = (2/3)^2*x;\n")
+    assert s.polys["f"] == Fraction(4, 9) * s.ring.var("x")
+
+
+# Blanks, symbols and word characters, among them digits and letters that
+# are not ASCII, and characters that only the token pattern handles.
+PLAIN = "xy_0129\u0663\u00e9\u00b2\u00bd \t\r\n+-*^()[]=,;/"
+OTHER = "#$.\f\xa0"
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_split_tokens_match_the_token_pattern(seed):
+    rng = random.Random(seed)
+    for k in range(400):
+        chars = [rng.choice(PLAIN) for _ in range(rng.randrange(24))]
+        if k % 4 == 0:
+            chars.insert(rng.randrange(len(chars) + 1), rng.choice(OTHER))
+        src = "".join(chars)
+        assert bool(_PLAIN(src)) == (k % 4 != 0)
+        got, expected = _tokens(src), _TOKEN.findall(src)
+        # Both end at the first "", the end of input.
+        assert got[:got.index("") + 1] == expected[:expected.index("") + 1]
