@@ -77,9 +77,14 @@ class ComplexData:
 
 
 class MinorWitness:
-    """Row/column selection locating a named minor, with its sign."""
+    """Row/column selection locating a named minor, with its sign: the
+    minor is the named polynomial when sign is 1 and its negative when -1.
+    Any other sign, a bool or a float among them, raises ValueError, so a
+    witness always records the int."""
 
     def __init__(self, rows: tuple, cols: tuple, sign: int = 1):
+        if type(sign) is not int or sign not in (1, -1):
+            raise ValueError(f"minor sign must be 1 or -1, not {sign!r}")
         self.rows = rows
         self.cols = cols
         self.sign = sign
@@ -155,12 +160,12 @@ def is_regular_sequence(seq, claim="regular_sequence", anchor="") -> Certificate
         if col.equals(prefix):
             steps.append({"index": i, "colon_equals_prefix": True})
             continue
-        for g in col.groebner():
-            if g.constant_term() != ring.field.zero:
-                return CertificateReport(
-                    claim, REFUTED,
-                    {"reason": "colon contains a unit at the origin",
-                     "index": i, "element": str(g), "steps": steps}, anchor)
+        unit = col.unit_at_origin()
+        if unit is not None:
+            return CertificateReport(
+                claim, REFUTED,
+                {"reason": "colon contains a unit at the origin",
+                 "index": i, "element": str(unit), "steps": steps}, anchor)
         return CertificateReport(
             claim, INCONCLUSIVE,
             {"reason": "global colon grows but stays inside the maximal ideal",
@@ -175,7 +180,7 @@ def _witness_membership(target, w, hint):
         if not isinstance(target, MinorIdeal):
             return INCONCLUSIVE, {"reason": "minor hint without a minor ideal"}
         value = target.matrix.minor(hint.rows, hint.cols)
-        expected = w if hint.sign >= 0 else -w
+        expected = w if hint.sign == 1 else -w
         if value == expected:
             return VERIFIED, {
                 "minor_rows": list(hint.rows),
@@ -408,7 +413,8 @@ def syzygetic_obstruction(H: Ideal, f: Polynomial, I: Ideal,
 
     Fast path: f^2 in H*I while (H : f) stays inside the maximal ideal;
     then H:f is strictly smaller than HI:f^2 locally. An optional lift,
-    terms (c, i, j) naming the products H.gens[i] * I.gens[j], proves
+    terms (c, i, j) naming the products H.gens[i] * I.gens[j] (indices
+    count nonzero generators, the only ones an `Ideal` keeps), proves
     f^2 in H*I when it multiplies out exactly to f^2, before any basis of
     H*I is built; otherwise membership is decided by the reduced basis of
     H*I. General path: scan the reduced basis of (H*I : f^2) for an
@@ -425,8 +431,7 @@ def syzygetic_obstruction(H: Ideal, f: Polynomial, I: Ideal,
             {"reason": "H + (f) differs from I"}, anchor)
     hf = H.colon(f)
     colon_basis = hf.groebner()
-    inside_maximal = all(
-        g.constant_term() == ring.field.zero for g in colon_basis)
+    inside_maximal = hf.unit_at_origin() is None
     f2 = f * f
     lifted = (inside_maximal and lift is not None
               and _lift_multiplies_out(lift, H, I, f2))

@@ -199,10 +199,9 @@ def _verify_lemma2(session: SessionInput):
         {"membership": ok, "combination": combo},
         "(x*y)^2 lies in the product ideal (x^2, y^2) * (x^2, x*y, y^2)")
 
-    colon = J.colon(f).groebner()
-    zero = ring.field.zero
-    colon_in_m = bool(colon) and all(
-        g.constant_term() == zero for g in colon)
+    quotient = J.colon(f)
+    colon = quotient.groebner()
+    colon_in_m = bool(colon) and quotient.unit_at_origin() is None
     unit_colon = not JI.colon(f * f).is_proper()
     yield CertificateReport(
         "colon_strictness", VERIFIED if colon_in_m and unit_colon else REFUTED,
@@ -245,15 +244,16 @@ def _l3_certs(session: SessionInput):
 def _minor_match_report(claim, matrices, assignments, polys, anchor):
     checked = []
     ok = True
-    for mat_name, poly_name, rows, cols, sign in assignments:
-        minor = matrices[mat_name].minor(rows, cols)
+    for mat_name, poly_name, *located in assignments:
+        hint = MinorWitness(*located)
+        minor = matrices[mat_name].minor(hint.rows, hint.cols)
         target = polys[poly_name]
-        match = minor == (target if sign == 1 else -target)
+        match = minor == (target if hint.sign == 1 else -target)
         ok = ok and match
         checked.append({
             "generator": poly_name, "matrix": mat_name,
-            "rows": list(rows), "cols": list(cols), "sign": sign,
-            "match": match,
+            "rows": list(hint.rows), "cols": list(hint.cols),
+            "sign": hint.sign, "match": match,
         })
     return CertificateReport(claim, VERIFIED if ok else REFUTED,
                              {"assignments": checked}, anchor)

@@ -262,9 +262,6 @@ def _unpack(pk, ring, terms, k):
         return Polynomial._descending(ring, {unpack(m): c * k % p
                                              for m, c in terms.items()})
     num, den = k.numerator, k.denominator
-    if den == 1:
-        return Polynomial._descending(ring, {unpack(m): c * num
-                                             for m, c in terms.items()})
     out = {}
     for m, c in terms.items():
         c *= num

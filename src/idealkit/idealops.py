@@ -6,8 +6,11 @@ membership after localizing at the origin. The ambient regular local ring is
 modeled by a polynomial ring: global identities are computed with Groebner
 bases and local claims are decided through colon ideals and constant terms:
 `locally_contains_at_origin` returns a unit u of the colon with u*f in I, or
-None. `Ideal` is the one object that caches a reduced basis and answers
-membership.
+None, and `Ideal.unit_at_origin` is the one place that looks for a unit at
+the origin in a reduced basis. `Ideal` is the one object that caches a
+reduced basis and answers membership. An `Ideal` keeps only its nonzero
+generators: zeros are dropped when it is built, so `gens` is empty exactly
+for the zero ideal.
 Colon ideals come from one signature step on top of the reduced basis
 (`groebner.colon_basis`); intersection, elimination, kernels and Rees ideals
 eliminate front variables under a block order. Every basis comes from the
@@ -28,26 +31,23 @@ from .poly import Polynomial, Ring, monomial_divides
 
 
 class Ideal:
-    """An ideal given by generators, with its cached reduced Groebner basis."""
+    """An ideal given by its nonzero generators, with its cached reduced
+    Groebner basis."""
 
     def __init__(self, ring: Ring, gens):
         self.ring = ring
         conv = []
         for g in gens:
-            if isinstance(g, Polynomial):
-                conv.append(ring.convert(g))
-            else:
-                conv.append(ring.const(g))
+            g = ring.convert(g) if isinstance(g, Polynomial) else ring.const(g)
+            if g.terms:
+                conv.append(g)
         self.gens = tuple(conv)
         self._gb = None
 
     # -- basics -------------------------------------------------------------
 
-    def nonzero_gens(self):
-        return [g for g in self.gens if not g.is_zero()]
-
     def is_zero(self) -> bool:
-        return not self.nonzero_gens()
+        return not self.gens
 
     def groebner(self):
         """Reduced Groebner basis as a list, cached; empty for the zero ideal."""
@@ -69,10 +69,7 @@ class Ideal:
         return self.ring.convert(f)
 
     def contains(self, f) -> bool:
-        f = self._element(f)
-        if f.is_zero():
-            return True
-        return normal_form(f, self.groebner()).is_zero()
+        return normal_form(self._element(f), self.groebner()).is_zero()
 
     def membership_witness(self, f):
         """(quotients, basis) with f = sum q_i b_i, or None when f not in I."""
@@ -108,7 +105,7 @@ class Ideal:
     def __mul__(self, other: "Ideal") -> "Ideal":
         if other.ring != self.ring:
             raise ValueError("ideal product over mismatched rings")
-        gens = [a * b for a in self.nonzero_gens() for b in other.nonzero_gens()]
+        gens = [a * b for a in self.gens for b in other.gens]
         return Ideal(self.ring, gens)
 
     # -- colon / intersection / elimination ---------------------------------
@@ -117,12 +114,9 @@ class Ideal:
         """I cap J, by eliminating u from u*I + (1-u)*J."""
         if other.ring != self.ring:
             raise ValueError("intersection over mismatched rings")
-        if self.is_zero() or other.is_zero():
-            return Ideal(self.ring, [])
         return _eliminate_front(("@u",), self.ring, lambda ext: (
-            [ext.var(0) * ext.convert(g) for g in self.nonzero_gens()]
-            + [(ext.one - ext.var(0)) * ext.convert(g)
-               for g in other.nonzero_gens()]))
+            [ext.var(0) * ext.convert(g) for g in self.gens]
+            + [(ext.one - ext.var(0)) * ext.convert(g) for g in other.gens]))
 
     def colon(self, f) -> "Ideal":
         """(I : f) = {g : g*f in I}, by one signature step on I's basis.
@@ -144,7 +138,7 @@ class Ideal:
         """
         if other.ring != self.ring:
             raise ValueError("ideal colon over mismatched rings")
-        gens = other.nonzero_gens()
+        gens = other.gens
         if not gens:
             raise ValueError("colon by the zero ideal")
         ext = _block_ring(("@y",), self.ring)
@@ -163,7 +157,7 @@ class Ideal:
         small = Ring(self.ring.field, [self.ring.names[i] for i in keep])
         front = tuple(self.ring.names[i] for i in sorted(drop))
         return _eliminate_front(front, small, lambda ext: (
-            [ext.convert(g) for g in self.nonzero_gens()]))
+            [ext.convert(g) for g in self.gens]))
 
     # -- localization-at-origin predicate ------------------------------------
 
@@ -171,16 +165,21 @@ class Ideal:
         """A unit u at the origin with u*f in I, or None when f lies
         outside I after localizing at the origin.
 
-        u is the first reduced basis element of (I : f) with a nonzero
-        constant term; f lies in the localized ideal iff there is one.
+        u is `unit_at_origin` of (I : f); f lies in the localized ideal iff
+        there is one.
         """
         f = self._element(f)
         if f.is_zero():
             raise ValueError("local membership of the zero polynomial is trivial")
-        for g in self.colon(f).groebner():
-            if g.constant_term() != self.ring.field.zero:
-                return g
-        return None
+        return self.colon(f).unit_at_origin()
+
+    def unit_at_origin(self) -> Polynomial | None:
+        """The first reduced basis element with a nonzero constant term, a
+        unit after localizing at the origin, or None when the ideal lies
+        inside the maximal ideal of the origin."""
+        zero = self.ring.field.zero
+        return next((g for g in self.groebner() if g.constant_term() != zero),
+                    None)
 
     # -- numerical invariants -------------------------------------------------
 
@@ -240,13 +239,12 @@ class Ideal:
         the rank of the coefficient matrix of the generators' normal forms
         modulo a basis of m*I. Requires a proper ideal.
         """
-        gens = self.nonzero_gens()
         if not self.is_proper():
             raise ValueError("minimal generators at the origin need a proper ideal")
         ring = self.ring
-        mi = [v * g for v in ring.gens() for g in gens]
+        mi = [v * g for v in ring.gens() for g in self.gens]
         gb_mi = buchberger(mi)
-        forms = [normal_form(g, gb_mi) for g in gens]
+        forms = [normal_form(g, gb_mi) for g in self.gens]
         monos = sorted({e for nf in forms for e in nf.terms})
         if not monos:
             return 0
@@ -273,8 +271,7 @@ def _transversal(sets, limit) -> int:
         if not s & (s - 1):
             forced |= s
     size = forced.bit_count()
-    if forced:
-        sets = [s for s in sets if not s & forced]
+    sets = [s for s in sets if not s & forced]
     disjoint, used = 0, 0
     for s in sets:
         if not s & used:
@@ -370,12 +367,10 @@ def rees_ideal(ideal: Ideal) -> Ideal:
     auxiliary variable. The result lives in `rees_ring` and is homogeneous
     in the T-variables (T-degree = t-power grading of the image).
     """
-    ring = ideal.ring
-    gens = ideal.nonzero_gens()
-    n = len(gens)
-    rring = rees_ring(ring, n)
+    rring = rees_ring(ideal.ring, len(ideal.gens))
     return _eliminate_front(("@t",), rring, lambda ext: (
-        [ext.var(1 + i) - ext.var(0) * ext.convert(gens[i]) for i in range(n)]))
+        [ext.var(1 + i) - ext.var(0) * ext.convert(g)
+         for i, g in enumerate(ideal.gens)]))
 
 
 def linear_type_by_rees(ideal: Ideal) -> bool:
@@ -386,7 +381,7 @@ def linear_type_by_rees(ideal: Ideal) -> bool:
     is no rest, no basis of (L) is built.
     """
     rees = rees_ideal(ideal)
-    t_indices = range(len(ideal.nonzero_gens()))
+    t_indices = range(len(ideal.gens))
     linear, rest = [], []
     for g in rees.groebner():
         (linear if g.degree_in(t_indices) == 1 else rest).append(g)

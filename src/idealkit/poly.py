@@ -115,20 +115,13 @@ class Ring:
         """
         if p.ring is self:
             return p
-        src = p.ring
-        if src.names == self.names:
-            positions = None
-        else:
-            positions = [self.index(n) for n in src.names]
+        positions = [self.index(n) for n in p.ring.names]
         out = {}
         for exps, c in p.terms.items():
-            if positions is None:
-                e = exps
-            else:
-                buf = [0] * self.nvars
-                for pos, v in zip(positions, exps):
-                    buf[pos] = v
-                e = tuple(buf)
+            buf = [0] * self.nvars
+            for pos, v in zip(positions, exps):
+                buf[pos] = v
+            e = tuple(buf)
             c = self.field.coerce(c)
             if c != self.field.zero:
                 out[e] = c
@@ -336,10 +329,7 @@ class Polynomial:
         """self over its lead coefficient; tests and oracles compare by it."""
         if not self.terms:
             return self
-        lc = self.lead_coeff()
-        if lc == 1:
-            return self
-        return self._scale(self.ring.field.inv(lc))
+        return self._scale(self.ring.field.inv(self.lead_coeff()))
 
     def substitute(self, images, target_ring: Ring) -> "Polynomial":
         """Evaluate at images[i] in place of variable i; images live in target_ring."""

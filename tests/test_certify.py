@@ -165,6 +165,36 @@ def test_buchsbaum_eisenbud_zero_first_map():
     assert rep.witness["detail"][0]["nonzero_minor"] == {"rows": [], "cols": []}
 
 
+def test_buchsbaum_eisenbud_refuted_grade_clause():
+    # Both ranks hold, but x lies outside I_1(phi1) = (f1, f2, f3, f4), so
+    # the first grade clause is refuted, and with it the whole claim.
+    x, _, _ = R3.gens()
+    _, cd = lemma3_complex()
+    rep = buchsbaum_eisenbud(cd, {1: GradeCertificate(1, (x,)), 2: None})
+    assert rep.status == "refuted"
+    first, second = rep.witness["detail"]
+    assert first["grade"]["status"] == "refuted"
+    assert second["grade"] == "no certificate provided"
+    assert [e["rank"] for e in (first, second)] == [1, 3]
+
+
+def test_grade_at_least_minor_hint_on_a_plain_ideal():
+    x, _, _ = R3.gens()
+    cert = GradeCertificate(1, (x,), (MinorWitness((0,), (0,)),))
+    rep = grade_at_least(Ideal(R3, [x]), 1, cert)
+    assert rep.status == "inconclusive"
+    assert rep.witness == {
+        "membership": [{"reason": "minor hint without a minor ideal"}]}
+
+
+@pytest.mark.parametrize("sign", [0, 2, -2, True, 1.0])
+def test_minor_witness_sign_is_one_or_minus_one(sign):
+    # A sign other than 1 or -1 had opposite readings in `certify` and
+    # `corpus`; it now has none.
+    with pytest.raises(ValueError, match="minor sign must be 1 or -1"):
+        MinorWitness((0,), (0,), sign)
+
+
 def test_grade_at_least_witness_not_in_target():
     x, y, _ = R3.gens()
     cert = GradeCertificate(1, (y,))
@@ -387,6 +417,8 @@ def test_smallest_valuation_vector():
     assert tuple(smallest_valuation_vector(rels, 5)) == (1, 2, 3, 4, 5)
     assert tuple(smallest_valuation_vector([(-4, 3)], 2)) == (3, 4)
     assert tuple(smallest_valuation_vector([], 1)) == (1,)
+    # both signed minors are -1, so the solution is flipped to positive
+    assert tuple(smallest_valuation_vector(((1, -1),), 2)) == (1, 1)
 
 
 def test_smallest_valuation_vector_primitive():

@@ -543,6 +543,27 @@ def test_unknown_ideal_is_reported_before_an_unreadable_poly(capsys, demo,
     assert capsys.readouterr().err == "error: 'Q' does not name an ideal\n"
 
 
+CHAIN = """\
+ring Q[x, y];
+matrix A 1x2 = [ x, y ];
+matrix B 2x3 = [ y, 0, x ; -x, y, 0 ];
+"""
+
+
+@pytest.mark.parametrize("command, reason", [
+    (["minors", "Nope", "2"], "'Nope' does not name a matrix"),
+    # B has 3 columns, so A's rank would be 2 - 3 = -1
+    (["complex", "A", "B"],
+     "matrix chain admits no consistent rank expectations"),
+], ids=["unknown-matrix", "inconsistent-ranks"])
+def test_exit_2_on_a_bad_matrix_argument(capsys, tmp_path, command, reason):
+    p = tmp_path / "chain.ikt"
+    p.write_text(CHAIN)
+    assert main(["run", str(p), *command]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {reason}\n")
+
+
 def test_exit_2_on_eliminating_an_unknown_variable(capsys, demo):
     assert main(["run", demo, "eliminate", "I", "x", "q"]) == 2
     assert capsys.readouterr().err == "error: 'q' is not a ring variable\n"

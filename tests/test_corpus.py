@@ -16,6 +16,8 @@ from idealkit.corpus import (
     L4_VALUATION_EXPECTED,
     L4_VALUATION_RELATIONS,
     TORIC_EXPONENTS,
+    _minor_match_report,
+    _slice_report,
     verify_lemma,
 )
 from idealkit.fields import GF, QQ
@@ -128,6 +130,24 @@ def test_lemma4_minor_assignments():
     s = CORPUS["lemma4"].session()
     for mat, name, rows, cols, sign in L4_MINORS:
         assert s.matrices[mat].minor(rows, cols) == sign * s.polys[name]
+
+
+def test_minor_match_report_refuses_a_sign_of_zero():
+    # Each assignment goes through a MinorWitness, so a sign of 0 is an
+    # error here as in `certify`, not a request to negate.
+    s = CORPUS["lemma3"].session()
+    f1 = next(a for a in L3_MINORS if a[0] == "f1")
+    with pytest.raises(ValueError, match="minor sign must be 1 or -1"):
+        _minor_match_report("minors_match", s.matrices,
+                            [("phi2",) + f1[:-1] + (0,)], s.polys, "")
+
+
+def test_slice_of_infinite_colength_is_refuted():
+    s = CORPUS["lemma3"].session()
+    I = Ideal(s.ring, [s.ring.var("x")])
+    rep = _slice_report("colength_slice", I, s.ring.var("y"),
+                        L3_STANDARD_MONOMIALS, "")
+    assert (rep.status, rep.witness) == ("refuted", {"colength": "infinite"})
 
 
 def test_frozen_valuation_data():

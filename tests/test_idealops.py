@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -163,7 +164,7 @@ def colon_by_elimination(I, f):
 
 def colon_ideal_by_elimination(I, J):
     """(I : J) as the intersection of the (I : g) over J's generators."""
-    gens = J.nonzero_gens()
+    gens = J.gens
     result = colon_by_elimination(I, gens[0])
     for g in gens[1:]:
         result = result.intersect(colon_by_elimination(I, g))
@@ -341,7 +342,7 @@ def test_kept_block_matches_full_reduction(field, order):
             continue
         y = _block_ring(("@y",), back).var(0)
         f = sum((y**j * y.ring.convert(g)
-                 for j, g in enumerate(J.nonzero_gens())), y.ring.zero)
+                 for j, g in enumerate(J.gens)), y.ring.zero)
         full = colon_basis([y.ring.convert(g) for g in I.groebner()], f)
         assert I.colon_ideal(J).groebner() == front_free_slice(1, back, full)
 
@@ -680,6 +681,27 @@ def test_zero_ideal():
     assert not Z.contains(R2.var(0))
     assert Z.contains(R2.zero)
     assert Z.krull_dim_quotient() == 2
+
+
+def test_zero_generators_are_dropped_when_an_ideal_is_built():
+    x, y = R2.gens()
+    I = Ideal(R2, [0, x, R2.zero, y, Fraction(0)])
+    assert I.gens == (x, y)
+    assert Ideal(R2, [0, R2.zero]).gens == ()
+    assert Ideal(R2, [0]).is_zero()
+    assert repr(Ideal(R2, [R2.zero])) == "Ideal(0)"
+
+
+def test_unit_at_origin():
+    # The first reduced basis element with a nonzero constant term.
+    x, y = R2.gens()
+    assert Ideal(R2, [x**2, y**2]).unit_at_origin() is None
+    assert Ideal(R2, []).unit_at_origin() is None
+    assert Ideal(R2, [x + 1, y]).unit_at_origin() == x + 1  # basis [y, x + 1]
+    assert Ideal(R2, [x - 1, y - 2]).unit_at_origin() == y - 2
+    assert Ideal(R2, [x + 1, x]).unit_at_origin() == R2.one
+    I = Ideal(R2, [x * (y + 1), x**2])
+    assert I.locally_contains_at_origin(x) == I.colon(x).unit_at_origin()
 
 
 def _zero_ideal_operations(field, tmp_path, capsys):
