@@ -14,16 +14,14 @@ must be unique. Errors carry line and column.
 
 The source is cut into tokens once. A token is a plain string, and its
 kind is read off its first character; `_TOKEN`, one regular expression,
-defines them. `#` always starts a comment that runs to the end of its
-line, so comments are removed first. What is left, when it holds blanks,
-symbols and word characters alone, as every session file does, is cut by
-`str.split` instead, once blanks are set around each symbol and after each
-ASCII digit run that starts a word but does not end it: the same tokens,
-for about half the cost. Tokens keep no positions, so an `InputError` scans
-the source as given again with `_TOKEN` to find the line and column of its
-token. A token that starts with a character outside the grammar is
-reported first, wherever it stands, as a tokenizer that checks the whole
-input before parsing would.
+defines them. A source of blanks, symbols and word characters alone, as
+every session file is, is cut by `str.split` instead, once blanks are set
+around each symbol and after each ASCII digit run that starts a word but
+does not end it: the same tokens, for about half the cost. Tokens keep no
+positions, so an `InputError` scans the source again with `_TOKEN` to find
+the line and column of its token. A token that starts with a character
+outside the grammar is reported first, wherever it stands, as a tokenizer
+that checks the whole input before parsing would.
 
 An expression is read into one term dict {exponent tuple: coefficient},
 and only the whole expression becomes a `Polynomial`. Each product is
@@ -117,12 +115,10 @@ _BREAKS = _SYMBOLS + " \t\r\n"
 _PLAIN = re.compile(r"[\w \t\r\n+\-*^()\[\]=,;/]*").fullmatch
 _DIGITS = re.compile(r"[0-9]+(?=[^\W0-9])")
 _SPACED = [(c, f" {c} ") for c in _SYMBOLS]
-_COMMENT = re.compile("#.*")
 
 
 def _tokens(source: str) -> list:
     """The tokens that `_TOKEN` finds in source, up to the first ""."""
-    source = _COMMENT.sub("", source)
     if not _PLAIN(source):
         return _TOKEN.findall(source)
     source = _DIGITS.sub(_cut_digits, source)
@@ -249,9 +245,8 @@ class _Parser:
         start = self.pos
         names = self._list(lambda: self.expect("IDENT", "a variable name"))
         self.expect("]")
-        first = {}
         for i, name in enumerate(names):  # name i is token start + 2 * i
-            if first.setdefault(name, i) != i:
+            if name in names[:i]:
                 self.error("duplicate variable name", start + 2 * i)
         self.expect(";")
         order = None if self.order is None else self.order(len(names))

@@ -2,13 +2,10 @@
 
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from idealkit.corpus import CORPUS
 from idealkit.fields import GF, QQ
-from idealkit import parse
 from idealkit.parse import (
     _PLAIN,
     _TOKEN,
@@ -205,9 +202,6 @@ def test_comments_and_blank_lines():
     ("ring Q[x];\r\npoly f = x\r\n", 3, 1, "found end of input"),
     ("ring Q[x];\n# a note: $ and ½\npoly f = y;", 3, 10,
      "unknown name 'y'"),
-    # Comments are removed before tokenizing; positions still count them.
-    ("ring Q[x]; # ring\npoly f = x; # f\n  poly g = y; # g\n", 3, 12,
-     "unknown name 'y'"),
     ("ring Q[x];\npoly f = x\f;", 2, 11, "unexpected character '\\x0c'"),
     ("ring Q[x];\npoly f =\xa0x;", 2, 9, "unexpected character '\\xa0'"),
     ("ring Q[x];\npoly f = ½*x;", 2, 10, "unexpected character '½'"),
@@ -355,21 +349,3 @@ def test_split_tokens_match_the_token_pattern(seed):
         got, expected = _tokens(src), _TOKEN.findall(src)
         # Both end at the first "", the end of input.
         assert got[:got.index("") + 1] == expected[:expected.index("") + 1]
-
-
-SESSIONS = [entry.text for entry in CORPUS.values()] + [
-    path.read_text() for path in
-    sorted((Path(__file__).parent / "golden").glob("*.ikt"))]
-
-
-@pytest.mark.parametrize("text", SESSIONS, ids=range(len(SESSIONS)))
-def test_comments_keep_the_split_tokens(text, monkeypatch):
-    # Comments are removed before the plain-source test, so a commented
-    # session file is still cut by `str.split`, into the same tokens: with
-    # the token pattern gone, only the split path can cut it.
-    commented = "".join(line + "# c\n" for line in text.splitlines())
-    expected = _TOKEN.findall(commented)
-    monkeypatch.setattr(parse, "_TOKEN", None)
-    tokens = _tokens(commented)
-    assert tokens == _tokens(text) == expected[:len(tokens)]
-    assert parse_session(commented).polys == parse_session(text).polys
