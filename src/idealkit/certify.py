@@ -34,16 +34,17 @@ MAX_MATERIALIZED_MINORS = 512
 class CertificateReport:
     """Outcome of one certified claim, with a replayable witness.
 
-    `millis` is the claim's wall time, set by the runner that timed it.
+    `millis` is the claim's wall time: 0 when the report is built, and set
+    afterwards by the runner that timed it.
     """
 
     def __init__(self, claim: str, status: str, witness: dict | None = None,
-                 anchor: str = "", millis: int = 0):
+                 anchor: str = ""):
         self.claim = claim
         self.status = status
         self.witness = {} if witness is None else witness
         self.anchor = anchor
-        self.millis = millis
+        self.millis = 0
 
     @property
     def verified(self) -> bool:
@@ -88,6 +89,13 @@ class MinorWitness:
         self.rows = rows
         self.cols = cols
         self.sign = sign
+
+    def signed_minor(self, matrix: PolyMatrix) -> Polynomial:
+        """The located minor of `matrix` times the sign, the polynomial the
+        witness names. Every check that a hint names a given polynomial
+        compares this value."""
+        minor = matrix.minor(self.rows, self.cols)
+        return minor if self.sign == 1 else -minor
 
 
 class MinorIdeal:
@@ -179,9 +187,7 @@ def _witness_membership(target, w, hint):
     if hint is not None:
         if not isinstance(target, MinorIdeal):
             return INCONCLUSIVE, {"reason": "minor hint without a minor ideal"}
-        value = target.matrix.minor(hint.rows, hint.cols)
-        expected = w if hint.sign == 1 else -w
-        if value == expected:
+        if hint.signed_minor(target.matrix) == w:
             return VERIFIED, {
                 "minor_rows": list(hint.rows),
                 "minor_cols": list(hint.cols),
@@ -231,12 +237,9 @@ def grade_at_least(target, k: int, cert: GradeCertificate,
             return CertificateReport(
                 claim, status, {"membership": member_info}, anchor)
     reg = is_regular_sequence(witnesses)
-    if reg.status != VERIFIED:
-        return CertificateReport(
-            claim, reg.status,
-            {"membership": member_info, "regular_sequence": reg.witness},
-            anchor)
     witness = {"membership": member_info, "regular_sequence": reg.witness}
+    if reg.status != VERIFIED:
+        return CertificateReport(claim, reg.status, witness, anchor)
     if cert.expected is not None:
         ring = witnesses[0].ring
         gens = witnesses + ([cert.aux] if cert.aux is not None else [])

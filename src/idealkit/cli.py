@@ -23,6 +23,8 @@ import sys
 import time
 
 from .certify import (
+    REFUTED,
+    VERIFIED,
     CertificateReport,
     ComplexData,
     buchsbaum_eisenbud,
@@ -59,7 +61,7 @@ def _parse_field(text):
 
 
 def _emit_reports(reports, fmt, head=None) -> int:
-    ok = all(r.status == "verified" for r in reports)
+    ok = all(r.verified for r in reports)
     # Witnesses key by str and hold no float, so default=str, which prints
     # polynomials and fractions, is the only conversion they need.
     if fmt == "json":
@@ -141,7 +143,7 @@ def _lineartype(s, name):
     linear = linear_type_by_rees(s.ideal(name))
     return CertificateReport(
         "linear_type",
-        "verified" if linear else "refuted",
+        VERIFIED if linear else REFUTED,
         {"rees_ideal_generated_in_degree_one": linear},
         "the defining ideal of the blowup algebra is generated by "
         "its degree-one part exactly for ideals of linear type")

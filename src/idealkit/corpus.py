@@ -144,12 +144,11 @@ TORIC_EXPONENTS = (12, 15, 20, 23)
 
 
 class LemmaCorpusEntry:
-    """One embedded example: id, session text, its claim chain, and the
-    bundle that yields the chain's reports one by one."""
+    """One embedded example: session text, its claim chain, and the bundle
+    that yields the chain's reports one by one. Its `CORPUS` key is its id."""
 
-    def __init__(self, lemma_id: str, text: str, claims: tuple,
+    def __init__(self, text: str, claims: tuple,
                  bundle: Callable[[SessionInput], Iterator[CertificateReport]]):
-        self.lemma_id = lemma_id
         self.text = text
         self.claims = claims
         self.bundle = bundle
@@ -218,27 +217,10 @@ def _verify_lemma2(session: SessionInput):
         "refutes syzygetic-ness of the squared maximal ideal")
 
 
-def _l3_complex(session: SessionInput) -> ComplexData:
-    return ComplexData(
-        [session.matrices["phi1"], session.matrices["phi2"]], [1, 3])
-
-
 def _minor_hints(table, *names):
     """The MinorWitness of each named generator in L3_MINORS or L4_MINORS."""
     found = {row[-4]: MinorWitness(*row[-3:]) for row in table}
     return tuple(found[name] for name in names)
-
-
-def _l3_certs(session: SessionInput):
-    ring = session.ring
-    f1, f2 = session.polys["f1"], session.polys["f2"]
-    x, y, z = (ring.var(n) for n in ("x", "y", "z"))
-    return {
-        1: GradeCertificate(1, (f1,), (MinorWitness((0,), (0,)),)),
-        2: GradeCertificate(
-            2, (f1, f2), _minor_hints(L3_MINORS, "f1", "f2"), aux=x,
-            expected=Ideal(ring, [x, y**3, z**3])),
-    }
 
 
 def _minor_match_report(claim, matrices, assignments, polys, anchor):
@@ -246,9 +228,7 @@ def _minor_match_report(claim, matrices, assignments, polys, anchor):
     ok = True
     for mat_name, poly_name, *located in assignments:
         hint = MinorWitness(*located)
-        minor = matrices[mat_name].minor(hint.rows, hint.cols)
-        target = polys[poly_name]
-        match = minor == (target if hint.sign == 1 else -target)
+        match = hint.signed_minor(matrices[mat_name]) == polys[poly_name]
         ok = ok and match
         checked.append({
             "generator": poly_name, "matrix": mat_name,
@@ -267,8 +247,7 @@ def _slice_report(claim, I, aux, expected_monomials, anchor):
         return CertificateReport(claim, REFUTED,
                                  {"colength": "infinite"}, anchor)
     got = [str(m) for m in std]
-    expected = sorted(expected_monomials)
-    ok = len(got) == len(expected_monomials) and sorted(got) == expected
+    ok = sorted(got) == sorted(expected_monomials)
     return CertificateReport(claim, VERIFIED if ok else REFUTED,
                              {"colength": len(got), "standard_monomials": got,
                               "expected_count": len(expected_monomials)},
@@ -287,7 +266,9 @@ def _verify_lemma3(session: SessionInput):
     polys = session.polys
     x, y, z = (ring.var(n) for n in ("x", "y", "z"))
     I = Ideal(ring, session.ideals["I"])
-    cd = _l3_complex(session)
+    cd = ComplexData([session.matrices["phi1"], session.matrices["phi2"]],
+                     [1, 3])
+    rhs = Ideal(ring, [x, y**3, z**3])
 
     yield _minor_match_report(
         "minors_match", session.matrices,
@@ -299,12 +280,17 @@ def _verify_lemma3(session: SessionInput):
         cd, "complex",
         "the composite of the two differentials is the zero matrix")
 
+    certs = {
+        1: GradeCertificate(1, (polys["f1"],), (MinorWitness((0,), (0,)),)),
+        2: GradeCertificate(
+            2, (polys["f1"], polys["f2"]), _minor_hints(L3_MINORS, "f1", "f2"),
+            aux=x, expected=rhs),
+    }
     yield buchsbaum_eisenbud(
-        cd, _l3_certs(session), "acyclic",
+        cd, certs, "acyclic",
         "rank and grade clauses hold with expected ranks (1, 3)")
 
     lhs = Ideal(ring, [polys["f1"], polys["f2"], x])
-    rhs = Ideal(ring, [x, y**3, z**3])
     equal = lhs.equals(rhs)
     yield CertificateReport(
         "grade_simplification", VERIFIED if equal else REFUTED,
@@ -334,17 +320,26 @@ def _verify_lemma3(session: SessionInput):
         "spanned by 1, y, z, y^2, y*z, z^2")
 
 
-def _l4_complex(session: SessionInput) -> ComplexData:
-    return ComplexData(
-        [session.matrices["phi1"], session.matrices["phi2"],
-         session.matrices["phi3"]], [1, 7, 5])
-
-
-def _l4_certs(session: SessionInput):
+def _verify_lemma4(session: SessionInput):
     ring = session.ring
     p = session.polys
     x, y, z, t = (ring.var(n) for n in ("x", "y", "z", "t"))
-    return {
+    I = Ideal(ring, session.ideals["I"])
+    H = Ideal(ring, session.ideals["H"])
+    cd = ComplexData(
+        [session.matrices["phi1"], session.matrices["phi2"],
+         session.matrices["phi3"]], [1, 7, 5])
+
+    yield verify_complex(
+        cd, "complex",
+        "both consecutive composites of the three differentials vanish")
+
+    yield _minor_match_report(
+        "minors_located", session.matrices, L4_MINORS, p,
+        "g1, g2 appear as signed 7x7 minors of the second differential "
+        "and h1, h2, h3 as signed 5x5 minors of the third")
+
+    certs = {
         1: GradeCertificate(
             1, (p["f2"], p["f5"], p["f6"]),
             (MinorWitness((0,), (1,)), MinorWitness((0,), (4,)),
@@ -358,27 +353,8 @@ def _l4_certs(session: SessionInput):
             _minor_hints(L4_MINORS, "h1", "h2", "h3"),
             aux=x, expected=Ideal(ring, [x, y**6, z**5, t**5])),
     }
-
-
-def _verify_lemma4(session: SessionInput):
-    ring = session.ring
-    p = session.polys
-    x, y, z, t = (ring.var(n) for n in ("x", "y", "z", "t"))
-    I = Ideal(ring, session.ideals["I"])
-    H = Ideal(ring, session.ideals["H"])
-    cd = _l4_complex(session)
-
-    yield verify_complex(
-        cd, "complex",
-        "both consecutive composites of the three differentials vanish")
-
-    yield _minor_match_report(
-        "minors_located", session.matrices, L4_MINORS, p,
-        "g1, g2 appear as signed 7x7 minors of the second differential "
-        "and h1, h2, h3 as signed 5x5 minors of the third")
-
     yield buchsbaum_eisenbud(
-        cd, _l4_certs(session), "acyclic",
+        cd, certs, "acyclic",
         "rank and grade clauses hold with expected ranks (1, 7, 5); "
         "in particular all 8x8 minors of the middle differential vanish")
 
@@ -433,14 +409,11 @@ def _verify_lemma4(session: SessionInput):
         "ideal of the eight generators")
 
     vector = smallest_valuation_vector(L4_VALUATION_RELATIONS, 4)
-    satisfied = all(
-        sum(a * v for a, v in zip(rel, vector)) == 0
-        for rel in L4_VALUATION_RELATIONS)
-    disputed_fails = [
-        text for rel, text in zip(L4_VALUATION_RELATIONS, L4_VALUATION_TEXT)
-        if sum(a * v for a, v in zip(rel, L4_VALUATION_DISPUTED)) != 0
-    ]
-    ok = (tuple(vector) == L4_VALUATION_EXPECTED and satisfied
+    own, disputed = (
+        [sum(a * v for a, v in zip(rel, vec)) for rel in L4_VALUATION_RELATIONS]
+        for vec in (vector, L4_VALUATION_DISPUTED))
+    disputed_fails = [text for text, d in zip(L4_VALUATION_TEXT, disputed) if d]
+    ok = (vector == L4_VALUATION_EXPECTED and not any(own)
           and bool(disputed_fails))
     yield CertificateReport(
         "valuation_vector", VERIFIED if ok else REFUTED,
@@ -485,23 +458,23 @@ def _verify_huneke(session: SessionInput):
 
 CORPUS = {
     "lemma2": LemmaCorpusEntry(
-        "lemma2", LEMMA2_TEXT,
+        LEMMA2_TEXT,
         ("element_outside_subideal", "square_in_product",
          "colon_strictness", "not_syzygetic"),
         _verify_lemma2),
     "lemma3": LemmaCorpusEntry(
-        "lemma3", LEMMA3_TEXT,
+        LEMMA3_TEXT,
         ("minors_match", "complex", "acyclic", "grade_simplification",
          "minimal", "not_linear_type", "dimension", "colength_slice"),
         _verify_lemma3),
     "lemma4": LemmaCorpusEntry(
-        "lemma4", LEMMA4_TEXT,
+        LEMMA4_TEXT,
         ("complex", "minors_located", "acyclic", "minimal", "dimension",
          "colength_slice", "square_identity", "not_syzygetic",
          "toric_kernel", "valuation_vector"),
         _verify_lemma4),
     "huneke": LemmaCorpusEntry(
-        "huneke", HUNEKE_TEXT,
+        HUNEKE_TEXT,
         ("kernel_sound", "dimension", "minimal_generators",
          "not_linear_type"),
         _verify_huneke),

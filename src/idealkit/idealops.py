@@ -26,7 +26,7 @@ import math
 
 from .groebner import _basis, buchberger, colon_basis, normal_form
 from .matrix import PolyMatrix
-from .orders import Block, DegRevLex
+from .orders import Block, DegRevLex, Lex
 from .poly import Polynomial, Ring, monomial_divides
 
 
@@ -148,13 +148,17 @@ class Ideal:
             [f], self.ring, [ext.convert(g) for g in self.groebner()]))
 
     def eliminate(self, names) -> "Ideal":
-        """I cap k[remaining variables], as an ideal of the smaller ring."""
+        """I cap k[remaining variables], as an ideal of the smaller ring.
+
+        The smaller ring is lex when this ring is lex, degrevlex otherwise.
+        """
         names = [names] if isinstance(names, str) else list(names)
         drop = {self.ring.index(n) for n in names}
         keep = [i for i in range(self.ring.nvars) if i not in drop]
         if not keep:
             raise ValueError("cannot eliminate every variable")
-        small = Ring(self.ring.field, [self.ring.names[i] for i in keep])
+        small = Ring(self.ring.field, [self.ring.names[i] for i in keep],
+                     Lex(len(keep)) if type(self.ring.order) is Lex else None)
         front = tuple(self.ring.names[i] for i in sorted(drop))
         return _eliminate_front(front, small, lambda ext: (
             [ext.convert(g) for g in self.gens]))
@@ -192,11 +196,10 @@ class Ideal:
         the support of every leading monomial (`_transversal`; all n
         variables always do).
         """
-        gb = self.groebner()
-        if gb and gb[0].degree() == 0:
+        if not self.is_proper():
             return -1
         supports = {sum(1 << i for i, e in enumerate(g.lead_monomial()) if e)
-                    for g in gb}
+                    for g in self.groebner()}
         n = self.ring.nvars
         return n - _transversal(sorted(supports, key=int.bit_count), n)
 

@@ -117,10 +117,16 @@ class PolyMatrix:
         return hash((self.ring, self.rows))
 
     def submatrix(self, row_idx, col_idx) -> "PolyMatrix":
+        """The rows and columns at the given indices, each in range(nrows)
+        or range(ncols) and none repeated; ValueError otherwise."""
         rows = sorted(row_idx)
         cols = sorted(col_idx)
         if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
             raise ValueError("repeated index in submatrix selection")
+        if not (set(rows) <= set(range(self.nrows))
+                and set(cols) <= set(range(self.ncols))):
+            raise ValueError(f"index outside the {self.nrows}x{self.ncols} "
+                             "matrix in submatrix selection")
         return PolyMatrix(
             self.ring, [[self.rows[i][j] for j in cols] for i in rows]
         )

@@ -19,7 +19,8 @@ from idealkit.certify import (
     syzygetic_obstruction,
     verify_complex,
 )
-from idealkit.fields import QQ
+from idealkit.corpus import _minor_match_report
+from idealkit.fields import GF, QQ
 from idealkit.idealops import Ideal
 from idealkit.matrix import PolyMatrix
 from idealkit.poly import Ring
@@ -193,6 +194,35 @@ def test_minor_witness_sign_is_one_or_minus_one(sign):
     # `corpus`; it now has none.
     with pytest.raises(ValueError, match="minor sign must be 1 or -1"):
         MinorWitness((0,), (0,), sign)
+
+
+def test_grade_at_least_negative_minor_hint_is_an_error():
+    # phi2's last row is -y, -z, x: read from the end, the hint (-1,), (2,)
+    # would name x and verify the witness x.
+    _, cd = lemma3_complex()
+    x = R3.var("x")
+    cert = GradeCertificate(1, (x,), (MinorWitness((-1,), (2,)),))
+    with pytest.raises(ValueError, match="outside the 4x3 matrix"):
+        grade_at_least(MinorIdeal(cd.matrices[1], 1), 1, cert)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_a_minus_sign_matches_the_negated_minor_only(field):
+    # One meaning of a minor's sign, read by every check of a hint.
+    R = Ring(field, ("x", "y"))
+    x, y = R.gens()
+    M = PolyMatrix(R, [[x, y], [R.zero, x]])
+    hint = MinorWitness((0, 1), (0, 1), -1)
+    assert M.minor(hint.rows, hint.cols) == x**2
+    assert hint.signed_minor(M) == -x**2 != x**2
+    statuses = []
+    for w in (-x**2, x**2):
+        cert = GradeCertificate(1, (w,), (hint,))
+        statuses.append(grade_at_least(MinorIdeal(M, 2), 1, cert).status)
+        statuses.append(_minor_match_report(
+            "minors_match", {"M": M}, [("M", "w", (0, 1), (0, 1), -1)],
+            {"w": w}, "").status)
+    assert statuses == ["verified"] * 2 + ["refuted"] * 2
 
 
 def test_grade_at_least_witness_not_in_target():

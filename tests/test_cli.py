@@ -362,6 +362,23 @@ def test_run_eliminate(capsys, tmp_path):
     assert data["result"] == ["x^3 - y^2"]
 
 
+@pytest.mark.parametrize("field", ["q", "fp:32003"])
+def test_eliminate_keeps_the_lex_order(capsys, tmp_path, field):
+    # Lex is an elimination order: the x-free part of I's lex basis is the
+    # reduced lex basis of I cap k[y, z]. Under degrevlex the smaller ring
+    # gives y^2*z - y, y^3 - z^3, z^4 - y^2.
+    p = tmp_path / "lex.ikt"
+    p.write_text("ring Q[x, y, z];\nideal I = x - y^2, x*z - y, z^3 - x*y;\n")
+    flags = ["--order", "lex", "--field", field, "--format", "json"]
+    code, gb = run_json(capsys, ["run", str(p), "gb", "I", *flags])
+    assert code == 0
+    code, data = run_json(capsys, ["run", str(p), "eliminate", "I", "x", *flags])
+    assert code == 0
+    assert data["result"] == [g for g in gb["result"] if "x" not in g]
+    if field == "q":
+        assert data["result"] == ["z^9 - z^3", "y - z^5"]
+
+
 def test_run_rees(capsys, tmp_path):
     p = tmp_path / "r.ikt"
     p.write_text("ring Q[x, y];\nideal K = x, y;\n")

@@ -132,8 +132,12 @@ def test_minor_validation():
     _, _, phi2 = lemma3_data()
     with pytest.raises(ValueError):
         phi2.minor((0, 1), (0,))
-    with pytest.raises((ValueError, IndexError)):
-        phi2.minor((0, 9), (0, 1))
+    # Read from the end, rows (0, -1) would sort to (3, 0) and give the
+    # rows-(0, 3) minor with its sign flipped.
+    for rows, cols in [((0, 9), (0, 1)), ((-1,), (0,)), ((0, -1), (0, 1)),
+                       ((0, 4), (0, 1)), ((0,), (3,))]:
+        with pytest.raises(ValueError, match="outside the 4x3 matrix"):
+            phi2.minor(rows, cols)
     with pytest.raises(ValueError):
         phi2.submatrix((0, 0), (0, 1))
 

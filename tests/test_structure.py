@@ -1,9 +1,9 @@
 """The kernel's tagged-term format stays inside `groebner`, and the code
 line counter that sizes `src/`.
 
-`matrix` and `poly` divide through the kernel, but build their divisors and
-read their quotients with `groebner`'s own helpers: they read no tag and
-use none of the helpers that know the format.
+No module of `src/idealkit` but `groebner` reads a tag or uses a helper
+that knows the format. `matrix` and `poly` divide through the kernel, but
+build their divisors and read their quotients with `groebner`'s own helpers.
 
     python tests/test_structure.py
 
@@ -59,8 +59,10 @@ def test_code_lines_skip_blanks_comments_and_docstrings():
 
 
 def test_tagged_terms_stay_inside_groebner():
-    for name in ("matrix.py", "poly.py"):
-        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "groebner.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 used = {node.attr} & KERNEL_ONLY
@@ -68,7 +70,7 @@ def test_tagged_terms_stay_inside_groebner():
                 used = {alias.name for alias in node.names} & KERNEL_ONLY
             else:
                 continue
-            assert not used, f"{name}:{node.lineno} uses {sorted(used)}"
+            assert not used, f"{path.name}:{node.lineno} uses {sorted(used)}"
 
 
 if __name__ == "__main__":
