@@ -66,7 +66,7 @@ class Ring:
         """The variable named i, or at position i; ValueError otherwise."""
         if isinstance(i, str):
             i = self.index(i)
-        elif i not in range(self.nvars):
+        elif type(i) is not int or i not in range(self.nvars):
             raise ValueError(f"no variable at position {i!r} of {self.nvars}")
         exps = tuple(1 if j == i else 0 for j in range(self.nvars))
         return Polynomial(self, {exps: self.field.one})

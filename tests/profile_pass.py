@@ -1,11 +1,13 @@
 """Self time of one pass of a benchmark workload, by source file.
 
-    python tests/profile_pass.py corpus|gb|session q|fp [seed]
+    python tests/profile_pass.py corpus|gb|session q|fp [seed [N]]
 
 builds the workload (seed 1 by default) with `perfbench/workloads.build` in
 a temporary directory, runs the tasks of one field through `cli.main` once
 to warm up and once under cProfile, and prints each file's share of the
-self time; `~` stands for built-in functions.
+self time; `~` stands for built-in functions. With N it then prints the N
+functions with the most self time, as file:line(function), with their
+share: the table by file does not show which function of a file takes it.
 """
 
 import contextlib
@@ -32,19 +34,24 @@ def run_pass(tasks):
                 cli.main(task.argv)
 
 
-def main(workload, field, seed="1"):
+def main(workload, field, seed="1", top="0"):
     with tempfile.TemporaryDirectory() as workdir:
         plan = workloads.build(workload, int(seed), workdir)
         tasks = [task for task in plan.tasks if task.field == field]
         run_pass(tasks)
         profile = cProfile.Profile()
         profile.runcall(run_pass, tasks)
-    shares = Counter()
-    for (path, _, _), stat in pstats.Stats(profile).stats.items():
+    shares, functions = Counter(), Counter()
+    for (path, line, name), stat in pstats.Stats(profile).stats.items():
         shares[Path(path).stem] += stat[2]  # self time
+        functions[f"{Path(path).stem}:{line}({name})"] += stat[2]
     total = sum(shares.values())
     for name, self_s in shares.most_common():
         print(f"{name:<16} {100 * self_s / total:5.1f}%")
+    if int(top):
+        print()
+    for name, self_s in functions.most_common(int(top)):
+        print(f"{name:<48} {100 * self_s / total:5.1f}%")
 
 
 if __name__ == "__main__":

@@ -723,9 +723,14 @@ def _seeded_ideal(field):
             for _ in range(3)]
 
 
-def _cyclic6(field):
-    text = (Path(__file__).parent / "golden" / "cyclic6.ikt").read_text()
+def _golden_ideal(system, field):
+    """The generators of ideal I of a golden session file."""
+    text = (Path(__file__).parent / "golden" / f"{system}.ikt").read_text()
     return list(parse_session(text, field).ideals["I"])
+
+
+def _cyclic6(field):
+    return _golden_ideal("cyclic6", field)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=repr)
@@ -880,6 +885,38 @@ def test_signature_monomial_first_passes_127(monkeypatch, field):
     assert narrow and max(narrow) == 100
 
 
+def _high_exponent_system(field, seed):
+    """2 to 4 generators of 2 or 3 terms in 2 or 3 variables, each exponent
+    0, 0 to 4, or 40 to 120, so that J-pair signatures outgrow 8-bit fields."""
+    rng = random.Random(seed)
+    n = rng.choice((2, 2, 3))
+    ring = Ring(field, ("x", "y", "z")[:n])
+    gens = []
+    for _ in range(rng.randint(2, 4)):
+        g = ring.poly({
+            tuple(rng.choice((0, rng.randint(0, 4), rng.randint(40, 120)))
+                  for _ in range(n)): rng.choice((-3, -2, -1, 1, 2, 3))
+            for _ in range(rng.randint(2, 3))})
+        if g:
+            gens.append(g)
+    return gens
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy is the oracle")
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=repr)
+@pytest.mark.parametrize("seed", [11, 36, 42, 53, 66, 118])
+def test_signatures_past_8_bits_match_sympy(field, seed):
+    # In each run an 8-bit J-pair signature overflows when a syzygy
+    # signature already divides it. The overflow check comes before the
+    # coverage scan, so the call still starts again at 16 bits. With the
+    # scan first, seeds 36, 42 and 66 finished at 8 bits, with the same
+    # bases: a J-pair signature's fields stay below 256, where the scan
+    # never takes a non-divisor for a divisor.
+    gens = _high_exponent_system(field, seed)
+    assert buchberger(gens) == _sympy_basis(gens, "grevlex")
+    assert 16 in gens[0].ring._packings
+
+
 def _log_regular_remainders(monkeypatch):
     """The list that the remainders of later regular reductions go to:
     J-pairs and the inputs that some lead divides."""
@@ -941,6 +978,37 @@ def test_corpus_reductions(monkeypatch, run, counts):
     # of lemma4's H*I (35 distinct), which the bundle no longer builds since
     # its lift certifies f8^2 in H*I, and the elimination of s.
     assert _regular_reductions(monkeypatch, run) == counts
+
+
+@pytest.mark.parametrize("run, counts", [
+    (lambda: buchberger(_cyclic6(GF(32003))), (652, 658)),
+    (lambda: buchberger(_golden_ideal("katsura7", GF(32003))), (64, 71)),
+    (_toric_kernel, (161, 165)),
+], ids=["cyclic6", "katsura7", "toric_kernel"])
+def test_queue_work(monkeypatch, run, counts):
+    # (J-pairs queued, popped) over GF(32003): the inputs are popped but
+    # never pushed. A J-pair that a syzygy signature covers when it is
+    # formed is not queued; when such a pair was dropped only as it was
+    # popped, these were (4035, 4041), (279, 286) and (903, 907). The
+    # signature heap holds signatures, all above 0 here; these runs have no
+    # tagged terms, so a division heap holds negated monomials, none above 0
+    # (the constant monomial gives 0).
+    seen = {"queued": 0, "popped": 0}
+    push, pop = groebner.heappush, groebner.heappop
+
+    def counted_push(heap, item):
+        seen["queued"] += item > 0
+        push(heap, item)
+
+    def counted_pop(heap):
+        item = pop(heap)
+        seen["popped"] += item > 0
+        return item
+
+    monkeypatch.setattr(groebner, "heappush", counted_push)
+    monkeypatch.setattr(groebner, "heappop", counted_pop)
+    run()
+    assert (seen["queued"], seen["popped"]) == counts
 
 
 @pytest.mark.parametrize("field", [QQ, GF(32003)], ids=repr)

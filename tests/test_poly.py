@@ -197,7 +197,9 @@ def test_var_rejects_an_unknown_name_or_position():
     assert R2.var("y") == R2.var(1)
     with pytest.raises(ValueError, match="^'q' is not a ring variable$"):
         R2.var("q")
-    for i in (2, 5, -1):
+    # A float or a bool equal to a position is no position: 1.0 and True
+    # used to give y, and False x.
+    for i in (2, 5, -1, 1.0, True, False):
         with pytest.raises(ValueError, match=f"no variable at position {i}"):
             R2.var(i)
 
