@@ -108,13 +108,13 @@ class PrimeField:
             den = v.denominator % self.p
             if den == 0:
                 raise ZeroDivisionError(f"denominator of {v} vanishes mod {self.p}")
-            return v.numerator * pow(den, self.p - 2, self.p) % self.p
+            return v.numerator * pow(den, -1, self.p) % self.p
         raise TypeError(f"cannot coerce {v!r} into GF({self.p})")
 
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError(f"0 is not invertible in GF({self.p})")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

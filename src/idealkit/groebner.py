@@ -5,7 +5,9 @@ no lead monomial divides another, no term of any element is divisible by the
 lead monomial of another, and the basis is sorted ascending by lead monomial.
 Division is deterministic (lowest-index divisor first) and can return the
 quotients, which is what ideal-membership witnesses are built from.
-`is_groebner` checks a basis with `s_polynomial` and `normal_form` alone.
+`normal_forms` divides many polynomials by one list of divisors, packed
+once, and `normal_form` is its case of one dividend. `is_groebner` checks a
+basis with `s_polynomial` and one `normal_forms` call alone.
 
 One driver, `_basis`, builds every Groebner basis, whatever the order and
 the number of inputs: the bases of `buchberger`, the colon step of
@@ -94,7 +96,7 @@ loop or as a tail update, is popped before the division returns. So an
 overflowed product that cancels still restarts the call, and the check
 costs one test per popped term instead of one per tail update (on a
 seed-1 `gb` pass over Q, 22,748 against 256,929). `_basis` and
-`normal_form` pack their input once and unpack their result once;
+`normal_forms` pack their input once and unpack their result once;
 `Polynomial` and every public signature here keep exponent tuples. Every
 width is a whole number of bytes, so the raw exponent fields of a monomial
 (the J-pair multiplier lcm / lead_j of the signature loop is computed so)
@@ -109,7 +111,8 @@ stays true for the rest of the loop, and one memo serves all its
 reductions at one width; a restart at a wider packing builds a new one.
 The final inter-reduction is one ascending sweep with one memo of its own:
 each minimal element's tail is divided by the elements already reduced,
-whose leads also only grow. `normal_form` starts from an empty memo. When
+whose leads also only grow. `normal_forms` starts from an empty memo and
+keeps it for all its dividends, which share the leads. When
 the lowest-index divisor fails the signature loop's regularity test, the
 scan goes on past it without the memo. A signature monomial that
 overflows starts the call again at a wider packing, as a term does.
@@ -376,21 +379,36 @@ def normal_form(p, gens, with_quotients=False):
 
     Returns r, or (r, [q_0, ..., q_{n-1}]) with p == sum(q_i * gens[i]) + r
     and no term of r divisible by any lead monomial of gens. Divisor choice
-    is lowest index first, so results are reproducible. Every divisor, of one
-    term or more, goes through one run of the kernel's division, built by
-    `_kernel_inputs`. Without quotients a divisor equal to an earlier one up
-    to a scalar is dropped there: the earlier one always divides first, so
-    the remainder is the same. For the quotients, gens[i] enters the
-    division with its tagged term (see `_Packing`), so
+    is lowest index first, so results are reproducible. It is the case of
+    one dividend of `normal_forms`.
+    """
+    return normal_forms([p], gens, with_quotients)[0]
+
+
+def normal_forms(polys, gens, with_quotients=False):
+    """The `normal_form` of each of polys modulo gens, as a list.
+
+    Every divisor, of one term or more, goes through the kernel's division,
+    built by `_kernel_inputs` once per packing width for all the dividends,
+    and one divisor memo serves all their divisions: it stays true while
+    the leads are the same. Without quotients a divisor equal to an earlier
+    one up to a scalar is dropped there: the earlier one always divides
+    first, so the remainder is the same. For the quotients, gens[i] enters
+    the division with its tagged term (see `_Packing`), so
     p - sum(q_i * (gens[i] - [input i])) == r + sum(q_i * [input i]): the
     remainder's tagged terms of input i are q_i, scaled as r is. Tagged
     divisors are never equal, so each input gets its quotient.
     """
-    ring = p.ring
-    gens = list(gens)
+    polys, gens = list(polys), list(gens)
+    if not polys:
+        return []
+    ring = polys[0].ring
+    for p in polys:
+        if p.ring != ring:
+            raise ValueError("dividends must share one ring")
     for g in gens:
         if g.ring != ring:
-            raise ValueError("generators must share the ring of p")
+            raise ValueError("generators must share the ring of the dividends")
         if g.is_zero():
             raise ValueError("zero generator in division")
     field = ring.field
@@ -398,22 +416,25 @@ def normal_form(p, gens, with_quotients=False):
     def run(pk):
         divisors = _divisors(_kernel_inputs(
             pk, field, [pk.pack_terms(g) for g in gens], with_quotients))
-        terms, k = pk.pack_terms(p), field.one
-        if terms:
-            terms, k = _normalize(field, terms, max(terms))
-        rem, u = _divide(pk, field.char, terms, *divisors, {})
-        # rem == u * k * (r + sum(q_i * [input i])), and w == 1 / (u * k).
-        w = field.inv(u * k)
-        if not with_quotients:
-            return _unpack(pk, ring, rem, w)
-        tag = pk.tag
-        # A monomial e has e // tag == 0, so it lands in parts[-1], the
-        # remainder; the split keeps each part in descending order.
-        parts = [{} for _ in range(len(gens) + 1)]
-        for e, c in rem.items():
-            parts[~(e // tag)][e % tag] = c
-        *qs, r = [_unpack(pk, ring, part, w) for part in parts]
-        return r, qs
+        memo, tag, out = {}, pk.tag, []
+        for p in polys:
+            terms, k = pk.pack_terms(p), field.one
+            if terms:
+                terms, k = _normalize(field, terms, max(terms))
+            rem, u = _divide(pk, field.char, terms, *divisors, memo)
+            # rem == u * k * (r + sum(q_i * [input i])), and w == 1 / (u * k).
+            w = field.inv(u * k)
+            if not with_quotients:
+                out.append(_unpack(pk, ring, rem, w))
+                continue
+            # A monomial e has e // tag == 0, so it lands in parts[-1], the
+            # remainder; the split keeps each part in descending order.
+            parts = [{} for _ in range(len(gens) + 1)]
+            for e, c in rem.items():
+                parts[~(e // tag)][e % tag] = c
+            *qs, r = [_unpack(pk, ring, part, w) for part in parts]
+            out.append((r, qs))
+        return out
 
     return _widening(ring, run)
 
@@ -430,12 +451,14 @@ def s_polynomial(f, g):
 def is_groebner(basis):
     """True when every S-polynomial of the basis reduces to zero.
 
-    The check uses only `s_polynomial` and `normal_form`, so it does not
-    depend on the loop that built the basis. Elements must be nonzero.
+    The check uses only `s_polynomial` and one `normal_forms` call on all
+    the S-polynomials, so it does not depend on the loop that built the
+    basis. Elements must be nonzero.
     """
     basis = list(basis)
-    return all(normal_form(s_polynomial(f, g), basis).is_zero()
-               for i, f in enumerate(basis) for g in basis[i + 1:])
+    spolys = [s_polynomial(f, g)
+              for i, f in enumerate(basis) for g in basis[i + 1:]]
+    return all(r.is_zero() for r in normal_forms(spolys, basis))
 
 
 def buchberger(polys):

@@ -10,7 +10,8 @@ None, and `Ideal.unit_at_origin` is the one place that looks for a unit at
 the origin in a reduced basis. `Ideal` is the one object that caches a
 reduced basis and answers membership. An `Ideal` keeps only its nonzero
 generators: zeros are dropped when it is built, so `gens` is empty exactly
-for the zero ideal.
+for the zero ideal. `Ideal.equals` answers at once, with no basis, when the
+two ideals have the same generator set.
 Colon ideals come from one signature step on top of the reduced basis
 (`groebner.colon_basis`); intersection, elimination, kernels and Rees ideals
 eliminate front variables under a block order. Every basis comes from the
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .groebner import _basis, buchberger, colon_basis, normal_form
+from .groebner import _basis, buchberger, colon_basis, normal_form, normal_forms
 from .matrix import PolyMatrix
 from .orders import Block, DegRevLex, Lex
 from .poly import Polynomial, Ring, monomial_divides
@@ -81,8 +82,12 @@ class Ideal:
         return qs, gb
 
     def equals(self, other: "Ideal") -> bool:
+        """Whether the ideals are equal: at once when they have the same
+        generator set, in any order, and by their reduced bases otherwise."""
         if self.ring != other.ring:
             return False
+        if set(self.gens) == set(other.gens):
+            return True
         return self.groebner() == other.groebner()
 
     def __eq__(self, other):
@@ -247,7 +252,7 @@ class Ideal:
         ring = self.ring
         mi = [v * g for v in ring.gens() for g in self.gens]
         gb_mi = buchberger(mi)
-        forms = [normal_form(g, gb_mi) for g in self.gens]
+        forms = normal_forms(self.gens, gb_mi)
         monos = sorted({e for nf in forms for e in nf.terms})
         if not monos:
             return 0

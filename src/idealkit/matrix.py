@@ -6,7 +6,9 @@ below), and `rank_profile` runs it on the rectangular matrix, so one pass
 decides the rank over the fraction field and names a nonzero minor of that
 size; `Ideal.min_generators_at_origin` and `smallest_valuation_vector` take
 their ranks from it. Minor index sets follow the ascending-indices
-convention.
+convention. A matrix is immutable and keeps every minor it has evaluated,
+so the certificates that name one minor again (a located minor, then its
+hint in the acyclicity check) evaluate it once.
 
 The elimination runs on the Groebner kernel's representation (see
 `groebner`): each entry is packed once into a dict of packed-int monomials
@@ -66,6 +68,8 @@ class PolyMatrix:
         self.rows = tuple(conv)
         self.nrows = len(conv)
         self.ncols = width
+        # The minors evaluated so far, keyed by (rows, cols) ascending.
+        self._minors = {}
 
     @property
     def shape(self):
@@ -231,11 +235,20 @@ class PolyMatrix:
         return self._bareiss()[:3]
 
     def minor(self, row_idx, col_idx) -> Polynomial:
-        """Determinant of the submatrix on the given rows and columns."""
-        sub = self.submatrix(row_idx, col_idx)
-        if sub.nrows != sub.ncols:
-            raise ValueError("minor index sets must have equal size")
-        return sub.det()
+        """Determinant of the submatrix on the given rows and columns.
+
+        The matrix keeps each minor it evaluates, so a minor asked for again
+        is not recomputed. Only index sets that `submatrix` accepted are
+        kept, so a bad one raises ValueError on every call.
+        """
+        key = (tuple(sorted(row_idx)), tuple(sorted(col_idx)))
+        value = self._minors.get(key)
+        if value is None:
+            sub = self.submatrix(*key)
+            if sub.nrows != sub.ncols:
+                raise ValueError("minor index sets must have equal size")
+            value = self._minors[key] = sub.det()
+        return value
 
     def minors(self, size: int):
         """All size x size minors, keyed by (rows, cols) ascending tuples.

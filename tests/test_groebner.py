@@ -16,6 +16,7 @@ from idealkit.groebner import (
     buchberger,
     is_groebner,
     normal_form,
+    normal_forms,
     s_polynomial,
 )
 from idealkit.idealops import Ideal, kernel_of_map
@@ -784,6 +785,50 @@ def test_normal_form_keeps_the_lowest_index_divisor(monkeypatch):
     assert q0 == x * y
     assert q1 == ring.const(1) + y
     assert sizes == [0] * 5
+
+
+def _random_int_poly(rng, ring, nterms, top):
+    return ring.poly({
+        tuple(rng.randint(0, top) for _ in range(ring.nvars)):
+            rng.choice((-1, 1)) * rng.randint(1, 40)
+        for _ in range(nterms)})
+
+
+@pytest.mark.parametrize("with_quotients", [False, True])
+@pytest.mark.parametrize("order", [Lex(3), DegRevLex(3)], ids=str)
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(32003)], ids=repr)
+@pytest.mark.parametrize("seed", range(3))
+def test_normal_forms_match_one_division_each(seed, field, order,
+                                              with_quotients, monkeypatch):
+    # One dividend has an exponent of 130, above the 127 of an 8-bit
+    # field, so the batch starts again at 16 bits, dividends done before
+    # it included.
+    rng = random.Random(seed)
+    ring = Ring(field, ("x", "y", "z"), order)
+    x, y, z = ring.gens()
+    gens = [g for g in (_random_int_poly(rng, ring, 3, 2) for _ in range(3))
+            if not g.is_zero()]
+    polys = [_random_int_poly(rng, ring, 6, 4) for _ in range(4)]
+    polys.insert(2, x**130 * y - z**2 + polys[0])
+    polys.append(ring.zero)
+    widths, packing = [], groebner._packing
+
+    def logged_packing(ring, width):
+        widths.append(width)
+        return packing(ring, width)
+
+    monkeypatch.setattr(groebner, "_packing", logged_packing)
+    batch = normal_forms(polys, gens, with_quotients)
+    assert widths == [8, 16]
+    assert batch == [normal_form(p, gens, with_quotients) for p in polys]
+
+
+def test_normal_forms_refuse_dividends_of_another_ring():
+    other = Ring(QQ, ("x", "y"), Lex(2))
+    x, y = R2.gens()
+    with pytest.raises(ValueError, match="dividends must share one ring"):
+        normal_forms([x, other.gens()[0]], [x - y])
+    assert normal_forms([], [x - y]) == []
 
 
 # -- the signature loop --------------------------------------------------------

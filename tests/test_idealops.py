@@ -656,6 +656,22 @@ def test_colength_thin_staircase_with_high_pure_powers():
     assert sum(1 for m in std if m.degree() == 119) == 3
 
 
+def test_equal_generator_sets_build_no_basis(monkeypatch):
+    calls = []
+
+    def spy(polys):
+        calls.append(len(polys))
+        return buchberger(polys)
+
+    monkeypatch.setattr(idealops, "buchberger", spy)
+    f = lemma3_gens()
+    I = Ideal(R3, f)
+    assert I.equals(Ideal(R3, [f[2], f[0], f[3], f[1], f[0]]))
+    assert calls == []
+    assert not I.equals(Ideal(R3, f[:3]))
+    assert calls == [4, 3]
+
+
 def test_min_generators_at_origin():
     x, y = R2.gens()
     assert Ideal(R2, [x**2, x * y, y**2]).min_generators_at_origin() == 3

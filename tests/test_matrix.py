@@ -142,6 +142,42 @@ def test_minor_validation():
         phi2.submatrix((0, 0), (0, 1))
 
 
+def test_minor_memo_keeps_no_bad_index_set():
+    _, _, phi2 = lemma3_data()
+    for rows, cols in [((0, 0), (0, 1)), ((0, 4), (0, 1)), ((0, 1), (0,))]:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                phi2.minor(rows, cols)
+
+
+def test_minor_is_evaluated_once(monkeypatch):
+    _, _, phi2 = lemma3_data()
+    calls, det = [], PolyMatrix.det
+
+    def counted_det(self):
+        calls.append(self.shape)
+        return det(self)
+
+    monkeypatch.setattr(PolyMatrix, "det", counted_det)
+    first = phi2.minor((0, 2, 3), (0, 1, 2))
+    assert phi2.minor((3, 0, 2), [2, 1, 0]) == first
+    assert calls == [(3, 3)]
+
+
+def test_lemma4_evaluates_each_minor_once(monkeypatch):
+    # The acyclicity check re-reads through its hints the minors that
+    # minors_located has located: 12 distinct minors, not 20 evaluations.
+    calls, det = [], PolyMatrix.det
+
+    def counted_det(self):
+        calls.append(self.shape)
+        return det(self)
+
+    monkeypatch.setattr(PolyMatrix, "det", counted_det)
+    assert all(r.verified for r in verify_lemma("lemma4", QQ))
+    assert len(calls) == 12
+
+
 def test_maximal_minors_lemma3():
     (f1, f2, f3, f4), _, phi2 = lemma3_data()
     minors = phi2.maximal_minors()
